@@ -9,7 +9,8 @@ and prints no result.  The last line on stdout is one JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 With `--trace 0` the metrics are the end-to-end ones (see E2E), with
-times scaled by the machine's speed during the run (see calibration.py);
+times scaled by the machine's speed while they were taken (see
+calibration.py);
 with `--trace 1` the module boundaries are wrapped and the metrics are
 the per-layer totals (see tracing.PER_LAYER).  `--out FILE` also writes a
 record with the run's settings, the machine, the unscaled times and the
@@ -42,10 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODULES = ("laurent", "diagram", "moves", "invariants", "verify", "cli")
 SETUP_REPEATS = 21
-# Calibration samples taken before and after the operations, and the
-# least wall time between two samples taken between operations.
+# Calibration samples taken before and after the operations.
 CAL_BRACKET = 5
-CAL_EVERY_S = 0.5
 
 # (name, unit) of every end-to-end metric, in report order.
 E2E = (
@@ -74,9 +73,10 @@ def import_program() -> SimpleNamespace:
 
 
 def set_up(name: str, size: workloads.Size, seed: int):
-    """Import the package and make the first inputs, SETUP_REPEATS times;
-    the last repetition's objects are used and the median time reported."""
-    times = []
+    """Import the package and make the first inputs, SETUP_REPEATS times,
+    each followed by a sample of the set-up kernel.  The last repetition's
+    objects are used; returns them with the set-up times and the samples."""
+    times, cal = [], []
     for _ in range(SETUP_REPEATS):
         gc.collect()  # the previous copy's garbage is not this set-up's cost
         t0 = time.perf_counter()
@@ -84,19 +84,19 @@ def set_up(name: str, size: workloads.Size, seed: int):
         wl = workloads.make(name, program, size, seed)
         pending = collections.deque(wl.item() for _ in range(workloads.SETUP_OPS))
         times.append(time.perf_counter() - t0)
-    return program, wl, pending, statistics.median(times)
+        gc.collect()
+        cal.append(calibration.setup_sample())
+    return program, wl, pending, times, cal
 
 
-def measure(wl: workloads.Workload, pending, seconds: float, tracer,
-            cal: list[float]) -> dict:
-    """Run whole operations until `seconds` have passed; check each output,
-    and append calibration samples to `cal` between operations."""
-    op_times: list[float] = []
+def measure(wl: workloads.Workload, pending, seconds: float, tracer) -> dict:
+    """Run whole operations until `seconds` have passed and check each
+    output; returns the start and end of every operation that did not fail."""
+    op_spans: list[tuple[float, float]] = []
     items = 0
     attempted = failed = 0
     problems: list[str] = []
     deadline = time.perf_counter() + seconds
-    next_cal = 0.0
     while True:
         item = pending.popleft() if pending else wl.item()
         if tracer is not None:
@@ -114,26 +114,36 @@ def measure(wl: workloads.Workload, pending, seconds: float, tracer,
         if output is None:
             failed += 1
         else:
-            op_times.append(t1 - t0)
+            op_spans.append((t0, t1))
             items += done
             problems += wl.check(item, output)
-        if time.perf_counter() >= next_cal:
-            cal.append(calibration.sample())
-            next_cal = time.perf_counter() + CAL_EVERY_S
         if time.perf_counter() >= deadline:
             break
     problems += wl.final_checks()
     return {"attempted": attempted, "failed": failed, "problems": problems,
-            "op_times": op_times, "items": items}
+            "op_spans": op_spans, "items": items}
 
 
-def e2e_metrics(setup_s: float, m: dict, scale: float) -> dict:
-    """The end-to-end metrics, with times multiplied by `scale`."""
+def e2e_metrics(setup: list[float], setup_cal: list[float], m: dict,
+                sampler: calibration.Sampler, scaled: bool) -> dict:
+    """The end-to-end metrics, with times scaled by the calibration kernels
+    unless `scaled` is false: set-up by the set-up kernel sampled after each
+    repetition, an operation by the samples near it.  An operation's time
+    leaves out the samples taken inside it."""
+    if scaled:
+        setup_s = calibration.REF_SETUP_S * statistics.median(
+            t / c for t, c in zip(setup, setup_cal))
+    else:
+        setup_s = statistics.median(setup)
+    ops = []
+    for t0, t1 in m["op_spans"]:
+        t = t1 - t0 - sampler.inside(t0, t1)
+        ops.append(t * sampler.scale(t0, t1) if scaled else t)
     values = {
-        "setup_s": setup_s * scale,
+        "setup_s": setup_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "op_ms": statistics.median(m["op_times"]) * 1e3 * scale,
-        "items_per_s": m["items"] / sum(m["op_times"]) / scale,
+        "op_ms": statistics.median(ops) * 1e3,
+        "items_per_s": m["items"] / sum(ops),
     }
     return {name: {"value": values[name], "unit": unit} for name, unit in E2E}
 
@@ -166,29 +176,37 @@ def main(argv: list[str] | None = None) -> int:
     size = workloads.TINY if args.size == "tiny" else workloads.FULL
 
     sys.path.insert(0, str(SRC))
-    cal = [calibration.sample() for _ in range(CAL_BRACKET)]
     try:
-        program, wl, pending, setup_s = set_up(args.workload, size, args.seed)
+        program, wl, pending, setup, setup_cal = set_up(args.workload, size, args.seed)
     except (MissingProgram, ValueError) as exc:  # no package, or no such workload
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # A traced run takes no samples inside operations, which would land in
+    # its spans; its end-to-end figures, kept only in --out, are scaled by
+    # the bracket samples alone.
+    sampler = calibration.Sampler()
+    sampler.bracket(CAL_BRACKET)
     tracer = None
     if args.trace:
         tracer = tracing.Tracer()
         tracer.install(program)
-    m = measure(wl, pending, args.seconds, tracer, cal)
-    cal += [calibration.sample() for _ in range(CAL_BRACKET)]
+    else:
+        sampler.start()
+    try:
+        m = measure(wl, pending, args.seconds, tracer)
+    finally:
+        sampler.stop()
+    sampler.bracket(CAL_BRACKET)
     if tracer is not None:
         tracer.uninstall()
     for problem in m["problems"][:10]:
         print(f"check failed: {problem}", file=sys.stderr)
-    if not m["op_times"]:
+    if not m["op_spans"]:
         print(f"error: all {m['attempted']} operations failed", file=sys.stderr)
         return 1
 
-    cal_s = statistics.median(cal)
-    e2e = e2e_metrics(setup_s, m, calibration.REF_S / cal_s)
+    e2e = e2e_metrics(setup, setup_cal, m, sampler, scaled=True)
     result = {
         "correct": not m["problems"],
         "attempted": m["attempted"],
@@ -202,8 +220,11 @@ def main(argv: list[str] | None = None) -> int:
             "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
             "trace": args.trace, "size": args.size, "vconway": program.version,
             **machine(), "item_unit": wl.item_unit, "items": m["items"],
-            "op_times": m["op_times"], "calibration_s": cal,
-            "unscaled": e2e_metrics(setup_s, m, 1.0), "e2e": e2e, "result": result,
+            "setup_s": setup, "setup_calibration_s": setup_cal,
+            "op_spans": m["op_spans"], "calibration_s": sampler.times,
+            "calibration_ends": sampler.ends,
+            "unscaled": e2e_metrics(setup, setup_cal, m, sampler, scaled=False),
+            "e2e": e2e, "result": result,
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(result))

@@ -4,15 +4,16 @@
     python3 perfbench/series.py --out .bench_out/traced.json --seeds 1-4 --trace both
 
 Runs run.py once per workload, seed and trace setting, one after another,
-each in its own process, with the run length from BENCHMARK.json.  The result file records the seeds, the vconway
-version, Python, the platform and nproc, plus every run's record.  Then it
-prints, per workload and end-to-end metric, the median, the quartiles and
-the spread (quartile distance over median) against the metric's bound;
-`wide` marks a spread above a third of the bound and `OVER` one above the
-bound (set-up time is exempt).  With `--trace both` every seed runs
-untraced and traced back to back, alternating which goes first, and the
-tracing overhead is printed: per workload and metric, the median over
-seeds of the traced value divided by the untraced one.
+each in its own process, with the run length from BENCHMARK.json.  The
+result file records the seeds, the vconway version, Python, the platform
+and nproc, plus every run's record.  Then it prints, per workload and
+end-to-end metric, the median, the quartiles and the spread (quartile
+distance over median) against the metric's bound; `wide` marks a spread
+above a third of the bound and `OVER` one above the bound.  With
+`--trace both` every seed runs untraced and traced back to back,
+alternating which goes first, and the tracing overhead is printed: per
+workload and metric, the median over seeds of the traced value divided
+by the untraced one.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ def summarize(runs: list[dict], spec: dict) -> None:
                 continue
             q1, med, q3 = compare.quartiles(values)
             s = compare.spread(values)
-            flag = ""
-            if metric["name"] != "setup_s":
-                flag = "OVER" if s > metric["bound"] else "wide" if s > metric["bound"] / 3 else ""
+            flag = "OVER" if s > metric["bound"] else "wide" if s > metric["bound"] / 3 else ""
             print(f"{wl['name']:<12} {metric['name']:<12} {med:>12.5g} {q1:>12.5g} "
                   f"{q3:>12.5g} {s:>7.1%} {metric['bound']:>6}  {flag}")
         failed, attempted = compare.failed_share(runs, wl["name"])
@@ -91,13 +90,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 3,5,7")
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     ap.add_argument("--trace", choices=("0", "1", "both"), default="0")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     runs = []
     with tempfile.TemporaryDirectory(dir=ROOT, prefix=".bench_tmp") as tmp:
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in spec["workloads"]):
             for seed in seeds:
                 traces = [int(args.trace)] if args.trace != "both" else [seed % 2, 1 - seed % 2]
                 for trace in traces:
