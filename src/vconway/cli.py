@@ -28,7 +28,14 @@ from .diagram import (
     smooth,
     validate,
 )
-from .invariants import NEG_BLOCK, POS_BLOCK, c1, report, z_polynomial
+from .invariants import (
+    MAX_DOUBLE_POINTS,
+    NEG_BLOCK,
+    POS_BLOCK,
+    c1,
+    report,
+    z_polynomial,
+)
 from .laurent import ONE, X
 from .moves import GeneratorConfig, random_diagram
 from .verify import (
@@ -53,6 +60,8 @@ def _load(path: str) -> Diagram:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         d = parse_diagram(text)
     except ValueError as exc:
@@ -60,7 +69,22 @@ def _load(path: str) -> Diagram:
     problems = validate(d)
     if problems:
         raise InputError("; ".join(problems))
+    _check_double_points(len(d.double_ids()))
     return d
+
+
+def _check_double_points(m: int) -> None:
+    # the extension to double points sums over 2^m resolutions
+    if m > MAX_DOUBLE_POINTS:
+        raise InputError(f"{m} double points exceed the supported maximum "
+                         f"of {MAX_DOUBLE_POINTS}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _mutated_blocks():
@@ -126,6 +150,7 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             raise InputError(f"bad --random spec {args.random!r}: "
                              "expected crossings,components,doubles") from exc
+        _check_double_points(m)
         if m == 0:
             merged: dict[str, CheckResult] = {}
             import random as _random
@@ -267,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", metavar="K,C,M", default=None,
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--moves", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mutate", action="store_true",

@@ -526,6 +526,96 @@ def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
 
 
 def det(matrix: PolyMatrix) -> LaurentPoly2:
+    """Exact determinant: unit pivots first, then Bareiss on the rest.
+
+    Phase one eliminates on pivots that are units of the ring, i.e.
+    +-x^a*y^b.  The inverse of such a pivot is again a monomial, so the
+    Schur update a_ij - a_ic * p^-1 * a_rj needs no division at all.
+    It runs over sparse rows, and each step takes the unit pivot of
+    lowest Markowitz count (row_nnz - 1) * (col_nnz - 1), which keeps
+    fill-in low.  The pivots multiply into a monomial, and the Laplace
+    sign of each comes from its position among the active rows and
+    columns.  The matrices this package builds are mostly monomials
+    (M - P has only the 1 - x^+-1 diagonal terms as non-units), so
+    typically a few rows are left, with no unit entry; phase two
+    computes their determinant with `_bareiss`.
+    """
+    n = matrix.n
+    if n == 0:
+        return ONE
+    rows: dict[int, dict[int, LaurentPoly2]] = {}
+    cols: dict[int, set[int]] = {j: set() for j in range(n)}
+    for i, row in enumerate(matrix.rows):
+        entries = {j: e for j, e in enumerate(row) if e._t}
+        if not entries:
+            return ZERO
+        rows[i] = entries
+        for j in entries:
+            cols[j].add(i)
+    sign = 1
+    unit_key = 0
+    while True:
+        pivot = _unit_pivot(rows, cols)
+        if pivot is None:
+            break
+        r, c = pivot
+        if (sum(1 for i in rows if i < r) + sum(1 for j in cols if j < c)) & 1:
+            sign = -sign
+        pivot_row = rows.pop(r)
+        (pk, pc), = pivot_row.pop(c)._t.items()
+        if pc < 0:
+            sign = -sign
+        unit_key += pk
+        below = cols.pop(c)
+        below.discard(r)
+        for j in pivot_row:
+            cols[j].discard(r)
+        for i in below:
+            row_i = rows[i]
+            # a_ic * p^-1, where p^-1 = pc * x^-a*y^-b because pc is +-1
+            f = LaurentPoly2._raw({k - pk: v * pc for k, v in row_i.pop(c)._t.items()})
+            for j, b in pivot_row.items():
+                upd = row_i.get(j, _ZERO) - f * b
+                if upd._t:
+                    row_i[j] = upd
+                    cols[j].add(i)
+                elif j in row_i:
+                    del row_i[j]
+                    cols[j].discard(i)
+            if not row_i:
+                return ZERO
+    value = ONE
+    if rows:
+        order = sorted(cols)
+        value = _bareiss(PolyMatrix(tuple(
+            tuple(rows[i].get(j, _ZERO) for j in order) for i in sorted(rows)
+        )))
+    return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
+
+
+def _unit_pivot(
+    rows: dict[int, dict[int, LaurentPoly2]], cols: dict[int, set[int]]
+) -> tuple[int, int] | None:
+    """The unit entry of lowest Markowitz count, or None if there is none."""
+    best = None
+    best_score = None
+    for i, entries in rows.items():
+        rn = len(entries) - 1
+        for j, e in entries.items():
+            score = rn * (len(cols[j]) - 1)
+            if best_score is not None and score >= best_score:
+                continue
+            t = e._t
+            if len(t) == 1:
+                (v,) = t.values()
+                if v == 1 or v == -1:
+                    if not score:
+                        return i, j
+                    best, best_score = (i, j), score
+    return best
+
+
+def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     """Exact determinant by fraction-free elimination.
 
     Each row is first scaled by a monomial so its entries have
@@ -533,8 +623,8 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
     at the end), then a Bareiss-style one-step elimination with full
     pivoting runs in the polynomial subring, where every division by
     the previous pivot is exact.  Pivots are chosen to keep fill-in
-    low, which matters because the matrices this package builds carry
-    at most a few nonzero entries per column.
+    low.  `det` calls it on what unit elimination leaves, and the tests
+    use it on whole matrices as an oracle for `det`.
     """
     n = matrix.n
     if n == 0:

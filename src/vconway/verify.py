@@ -23,11 +23,9 @@ from .diagram import (
     disjoint_union,
     format_diagram,
     mirror,
-    relabeled,
     reverse,
     set_sign,
     smooth,
-    switch,
 )
 from .invariants import (
     Blocks,

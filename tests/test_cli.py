@@ -71,6 +71,28 @@ def test_compute_bad_token(tmp_path, capsys):
     assert "malformed passage" in capsys.readouterr().err
 
 
+def test_compute_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("# caf\u00e9\ncomponent: O1+ U1+\n".encode("latin-1"))
+    assert main(["compute", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_compute_too_many_double_points(tmp_path, capsys):
+    p = tmp_path / "doubles.txt"
+    p.write_text("component: " + " ".join(f"A{i} B{i}" for i in range(1, 22)) + "\n")
+    assert main(["compute", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 21 double points exceed the supported maximum of 20\n"
+
+
+def test_verify_random_too_many_double_points(capsys):
+    assert main(["verify", "--random", "2,1,21", "--trials", "1"]) == 2
+    assert "exceed the supported maximum" in capsys.readouterr().err
+
+
 def test_compute_invalid_code(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("component: O1+ O1+\n")
@@ -86,9 +108,12 @@ def test_verify_campaign(capsys):
     assert "[pass] skein relation" in out
 
 
-def test_verify_trials_zero(capsys):
-    assert main(["verify", "--trials", "0"]) == 0
-    assert "result: pass" in capsys.readouterr().out
+def test_verify_trials_nonpositive(capsys):
+    for trials in ("0", "-3"):
+        assert main(["verify", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be a positive integer, got {trials}" in captured.err
 
 
 def test_verify_mutate_fails_with_counterexample(capsys):

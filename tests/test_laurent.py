@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vconway import invariants, laurent
 from vconway.laurent import (
     ConwayPoly,
     LaurentPoly2,
@@ -11,6 +14,7 @@ from vconway.laurent import (
     Y,
     Y_INV,
     ZERO,
+    _bareiss,
     det,
     det_cofactor,
     eval_x1,
@@ -19,6 +23,7 @@ from vconway.laurent import (
     normalize_x,
     substitute_y_inverse,
 )
+from vconway.moves import GeneratorConfig, random_diagram
 
 # the two crossing blocks, rebuilt locally so this file stays self-contained
 M_POS = PolyMatrix.from_rows([[ONE - X, -Y], [-X * Y_INV, 0]])
@@ -230,8 +235,6 @@ def test_det_block_diag_multiplicative():
 
 
 def test_det_matches_cofactor_on_random_matrices():
-    import random
-
     rng = random.Random(8)
     for n in (1, 2, 3, 4, 5):
         for _ in range(6):
@@ -247,10 +250,99 @@ def test_det_matches_cofactor_on_random_matrices():
             assert det(m) == det_cofactor(m)
 
 
+def mixed_entry(rng, p_zero):
+    """Zero, a unit +-x^a*y^b, a non-unit monomial, or a two-term polynomial."""
+    if rng.random() < p_zero:
+        return ZERO
+    u = rng.random()
+    ex, ey = rng.randint(-2, 2), rng.randint(-2, 2)
+    if u < 0.65:
+        return mono(rng.choice((1, -1)), ex, ey)
+    if u < 0.8:
+        return mono(rng.choice((2, -3)), ex, ey)
+    return ONE - mono(1, ex, ey + 1)
+
+
+def mixed_matrix(rng, n):
+    # about four nonzero entries per row, as sparse as the diagram matrices
+    p_zero = max(0.3, 1 - 4 / n)
+    return PolyMatrix.from_rows([[mixed_entry(rng, p_zero) for _ in range(n)] for _ in range(n)])
+
+
+def test_det_matches_cofactor_on_mixed_matrices():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for _ in range(4 if n <= 10 else 2):
+            m = mixed_matrix(rng, n)
+            assert det(m) == det_cofactor(m) == _bareiss(m)
+
+
+def _no_bareiss(matrix):
+    raise AssertionError(f"unexpected Bareiss remainder of side {matrix.n}")
+
+
+def test_det_all_unit_pivots(monkeypatch):
+    # a signed permutation matrix plus one more unit entry: unit
+    # elimination finishes the whole matrix and leaves no remainder
+    rng = random.Random(3)
+    n = 9
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = mono(rng.choice((1, -1)), rng.randint(-2, 2), rng.randint(-2, 2))
+    rows[0][perm[1]] = Y
+    m = PolyMatrix.from_rows(rows)
+    expect = det_cofactor(m)
+    monkeypatch.setattr(laurent, "_bareiss", _no_bareiss)
+    assert det(m) == expect
+    assert expect.term_count() == 1
+
+
+def test_det_without_units_is_all_bareiss(monkeypatch):
+    rng = random.Random(4)
+
+    def non_unit():
+        u = rng.random()
+        if u < 0.3:
+            return ZERO
+        if u < 0.65:
+            return ONE + mono(rng.choice((1, 2)), rng.randint(1, 2), 0)
+        return mono(2, rng.randint(-1, 1), rng.randint(-1, 1))
+
+    n = 7
+    m = PolyMatrix.from_rows([[non_unit() for _ in range(n)] for _ in range(n)])
+    sides = []
+    monkeypatch.setattr(laurent, "_bareiss", lambda mat: sides.append(mat.n) or _bareiss(mat))
+    got = det(m)
+    assert got == det_cofactor(m)
+    assert not got.is_zero()
+    assert sides == [n]
+
+
+def test_det_row_vanishes_during_unit_elimination(monkeypatch):
+    # the last row is y times the first, so whichever of the two is
+    # eliminated first turns the other into a zero row
+    first = [ONE, X, ONE - X, 2 * Y]
+    rows = [first, [X, ONE - X, 2 * ONE, Y], [ZERO, Y, X * Y, ONE + Y], [Y * e for e in first]]
+    m = PolyMatrix.from_rows(rows)
+    monkeypatch.setattr(laurent, "_bareiss", _no_bareiss)
+    assert det(m) == ZERO == det_cofactor(m)
+
+
 def test_det_row_swap_changes_sign():
     m = PolyMatrix.from_rows([[ONE, X], [Y, ONE - X]])
     swapped = PolyMatrix.from_rows([[Y, ONE - X], [ONE, X]])
     assert det(swapped) == -det(m)
+    rng = random.Random(5)
+    big = mixed_matrix(rng, 8)
+    while det(big).is_zero():
+        big = mixed_matrix(rng, 8)
+    rows = [list(r) for r in big.rows]
+    rows[1], rows[6] = rows[6], rows[1]
+    assert det(PolyMatrix.from_rows(rows)) == -det(big)
+    cols = [r[:2] + (r[5],) + r[3:5] + (r[2],) + r[6:] for r in big.rows]
+    assert det(PolyMatrix.from_rows(cols)) == -det(big)
 
 
 def test_det_singular_cases():
@@ -258,6 +350,19 @@ def test_det_singular_cases():
     dup = PolyMatrix.from_rows([[X, Y], [X, Y]])
     assert det(dup) == ZERO
     assert det_cofactor(dup) == ZERO
+
+
+def test_det_matches_bareiss_on_diagram_matrices(monkeypatch):
+    # the matrices that z_polynomial and c0_via_tp hand to det
+    mats = []
+    monkeypatch.setattr(invariants, "det", lambda m: mats.append(m) or det(m))
+    for seed, (k, c) in enumerate([(16, 1), (20, 2), (24, 3), (24, 1)]):
+        d = random_diagram(GeneratorConfig(k, c, 0, seed=seed))
+        invariants.z_polynomial(d)
+        invariants.c0_via_tp(d)
+    assert [m.n for m in mats] == [32, 32, 40, 40, 48, 48, 48, 48]
+    for m in mats:
+        assert det(m) == _bareiss(m)
 
 
 def test_det_cofactor_size_limit():
