@@ -38,6 +38,8 @@ def main(argv=None) -> int:
     ap.add_argument("--mutate", action="store_true",
                     help="corrupt the negative-crossing block to confirm detection")
     args = ap.parse_args(argv)
+    if args.moves < 0:
+        ap.error(f"--moves must be non-negative, got {args.moves}")
 
     blocks = _mutated_blocks() if args.mutate else None
     t0 = time.perf_counter()

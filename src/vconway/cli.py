@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream")
     p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--moves", type=int, default=50)
+    p.add_argument("--moves", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mutate", action="store_true",
                    help="inject a deliberately wrong crossing block; the "

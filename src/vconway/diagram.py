@@ -238,9 +238,6 @@ class SlotPermutation:
         if len(self.perm) != 2 * self.n or sorted(self.perm) != list(range(2 * self.n)):
             raise ValueError(f"not a permutation of {2 * self.n} slots: {self.perm}")
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(s, t) for s, t in enumerate(self.perm)]
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * (2 * self.n)
         out = []
@@ -269,10 +266,6 @@ class SlotPermutation:
         for s, t in enumerate(self.perm):
             inv[t] = s
         return SlotPermutation(self.n, tuple(inv))
-
-    def side_swapped(self) -> "SlotPermutation":
-        """Compose with the per-crossing slot swap T on the output side."""
-        return SlotPermutation(self.n, tuple(t ^ 1 for t in self.perm))
 
 
 def _slot_index(rank: dict[int, int], cid: int, side: int) -> int:

@@ -23,6 +23,14 @@ Site encodings (component indices ci, cyclic positions t, gaps g):
 A gap g means insertion before position g; cyclic gaps are
 0 .. len-1 (an empty component has the single gap 0).  A window t
 covers positions t and (t+1) mod len.
+
+All removal and third-move sites come from one pass over the windows
+(`_removal_sites`) that indexes them by passage and by crossing pair: a
+valid code holds each passage once, so a site's other windows are
+dictionary lookups instead of scans over every window.  The order of
+each site list is part of the contract, the order a scan in window order
+gives: walks draw from these lists with a seeded rng, so the order makes
+a walk, and every `verify` result, reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -73,6 +81,9 @@ KINK_TYPES: tuple[tuple[bool, int], ...] = ((True, 1), (False, 1), (False, -1), 
 
 R3_VARIANTS = ("L+", "R+", "L-", "R-")
 
+# the kinds of the three lists `_removal_sites` returns
+_REMOVAL_KINDS = ("R1_remove", "R2_remove", "R3")
+
 
 def _gaps(comp: tuple) -> range:
     return range(max(len(comp), 1))
@@ -82,50 +93,9 @@ def _next_id(d: Diagram) -> int:
     return max(d.crossings, default=0) + 1
 
 
-def _classical_windows(d: Diagram) -> list[tuple[int, int, Passage, Passage]]:
-    """All cyclic windows (ci, t) whose two passages are both classical."""
-    out = []
-    for ci, comp in enumerate(d.components):
-        L = len(comp)
-        if L < 2:
-            continue
-        for t in range(L):
-            p, q = comp[t], comp[(t + 1) % L]
-            if d.crossings[p.crossing].kind == "x" and d.crossings[q.crossing].kind == "x":
-                out.append((ci, t, p, q))
-    return out
-
-
-def _r1_remove_sites(d: Diagram) -> list[tuple]:
-    sites = []
-    for ci, t, p, q in _classical_windows(d):
-        if p.crossing == q.crossing and {p.role, q.role} == set(CLASSICAL_ROLES):
-            sites.append((ci, t))
-    return sites
-
-
-def _r2_remove_sites(d: Diagram) -> list[tuple]:
-    wins = _classical_windows(d)
-    over, under = [], []
-    for ci, t, p, q in wins:
-        if p.crossing == q.crossing:
-            continue
-        if p.role == OVER and q.role == OVER:
-            over.append((ci, t, p.crossing, q.crossing))
-        elif p.role == UNDER and q.role == UNDER:
-            under.append((ci, t, p.crossing, q.crossing))
-    sites = []
-    for ci1, t1, c, e in over:
-        if d.crossings[c].sign != -d.crossings[e].sign:
-            continue
-        for ci2, t2, c2, e2 in under:
-            if {c2, e2} == {c, e}:
-                sites.append(((ci1, t1), (ci2, t2)))
-    return sites
-
-
 # R3 window patterns per variant: three windows given as ((role, key), (role, key))
-# over abstract crossing keys 0, 1, 2, plus the common sign.
+# over abstract crossing keys 0, 1, 2, plus the common sign.  Window 1 holds
+# keys 0 and 1; window 2 holds one of them and introduces key 2.
 _R3_PATTERNS = {
     "L+": ((("O", 0), ("O", 1)), (("U", 0), ("O", 2)), (("U", 1), ("U", 2)), 1),
     "R+": ((("O", 0), ("O", 1)), (("O", 2), ("U", 1)), (("U", 2), ("U", 0)), 1),
@@ -134,51 +104,74 @@ _R3_PATTERNS = {
 }
 
 
-def _r3_sites(d: Diagram) -> list[tuple]:
-    wins = _classical_windows(d)
-    by_first: dict[tuple[str, int], list[tuple[int, int, Passage, Passage]]] = {}
-    for w in wins:
-        by_first.setdefault((w[2].role, w[2].crossing), []).append(w)
-    sites = []
-    for variant, (w1pat, w2pat, w3pat, sign) in _R3_PATTERNS.items():
-        for ci1, t1, p1, q1 in wins:
-            if p1.role != w1pat[0][0] or q1.role != w1pat[1][0]:
+def _removal_sites(d: Diagram) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """The R1_remove, R2_remove and R3 sites of a valid code, from one pass.
+
+    The pass visits every window whose two passages are classical, in window
+    order (component, then position).  It indexes each window of two
+    opposite-signed crossings by that pair, and each window of two distinct
+    same-signed crossings by its first and by its last passage.  A valid code
+    holds each passage exactly once, so the under-window partners of an R2
+    over-window and the second and third windows of an R3 site are dictionary
+    lookups, not scans.  Windows touching a double point are skipped.  Every
+    list is in window order, R3 sites by variant first.
+    """
+    sign = {cid: rec.sign for cid, rec in d.crossings.items() if rec.kind == "x"}
+    r1: list[tuple] = []
+    r2_over = []  # O-O windows of opposite-signed crossings
+    r2_under: dict[tuple[int, int], list[tuple[int, int]]] = {}  # U-U ones, by crossing pair
+    r3_first = {1: [], -1: []}  # O-O windows signed + +, U-U windows signed - -
+    # (role, crossing) of a same-signed window's first (last) passage -> its
+    # (ci, t) and the (role, crossing) of its other passage
+    first: dict[tuple[str, int], tuple[int, int, str, int]] = {}
+    last: dict[tuple[str, int], tuple[int, int, str, int]] = {}
+    for ci, comp in enumerate(d.components):
+        if len(comp) < 2:
+            continue
+        for t, (p, q) in enumerate(zip(comp, comp[1:] + comp[:1])):
+            a, b = p.crossing, q.crossing
+            if a not in sign or b not in sign:
                 continue
-            if p1.crossing == q1.crossing:
+            pr, qr = p.role, q.role
+            if a == b:  # a valid code passes one crossing once over, once under
+                r1.append((ci, t))
                 continue
-            if d.crossings[p1.crossing].sign != sign or d.crossings[q1.crossing].sign != sign:
+            s = sign[a]
+            if s != sign[b]:
+                if pr == qr == OVER:
+                    r2_over.append((ci, t, a, b))
+                elif pr == qr:
+                    r2_under.setdefault((min(a, b), max(a, b)), []).append((ci, t))
                 continue
-            key = {w1pat[0][1]: p1.crossing, w1pat[1][1]: q1.crossing}
-            # scan for window 2; its slots may introduce the third crossing
-            for ci2, t2, p2, q2 in wins:
-                if (ci2, t2) == (ci1, t1):
-                    continue
-                if p2.role != w2pat[0][0] or q2.role != w2pat[1][0]:
-                    continue
-                k2 = dict(key)
-                ok = True
-                for (role, kk), passage in ((w2pat[0], p2), (w2pat[1], q2)):
-                    if kk in k2:
-                        if k2[kk] != passage.crossing:
-                            ok = False
-                            break
-                    else:
-                        if passage.crossing in k2.values():
-                            ok = False
-                            break
-                        if d.crossings[passage.crossing].sign != sign:
-                            ok = False
-                            break
-                        k2[kk] = passage.crossing
-                if not ok or len(k2) != 3:
-                    continue
-                # window 3 is fully determined
-                want_p3 = (w3pat[0][0], k2[w3pat[0][1]])
-                want_q3 = (w3pat[1][0], k2[w3pat[1][1]])
-                for ci3, t3, p3, q3 in by_first.get(want_p3, []):
-                    if (q3.role, q3.crossing) == want_q3 and (ci3, t3) not in ((ci1, t1), (ci2, t2)):
-                        sites.append(((ci1, t1), (ci2, t2), (ci3, t3), variant))
-    return sites
+            first[pr, a] = (ci, t, qr, b)
+            last[qr, b] = (ci, t, pr, a)
+            if pr == qr and (s > 0) == (pr == OVER):
+                r3_first[s].append((ci, t, a, b))
+
+    r2 = [
+        ((ci, t), w)
+        for ci, t, a, b in r2_over
+        for w in r2_under.get((min(a, b), max(a, b)), ())
+    ]
+
+    r3: list[tuple] = []
+    for variant, (_, w2pat, w3pat, s) in _R3_PATTERNS.items():
+        (ra, ka), (rb, kb) = w2pat
+        (r3a, k3a), (r3b, k3b) = w3pat
+        # window 2 is found through its slot that holds key 0 or 1.  In a valid
+        # code its other slot then holds a third crossing in the pattern's role:
+        # crossing c0 or c1 there would repeat a passage of window 1, and the
+        # other role one of window 3.
+        index, (role, k) = (first, (ra, ka)) if kb == 2 else (last, (rb, kb))
+        for ci1, t1, c0, c1 in r3_first[s]:
+            w2 = index.get((role, (c0, c1)[k]))
+            if w2 is None:
+                continue
+            key = (c0, c1, w2[3])
+            w3 = first.get((r3a, key[k3a]))
+            if w3 is not None and w3[2] == r3b and w3[3] == key[k3b]:
+                r3.append(((ci1, t1), w2[:2], w3[:2], variant))
+    return r1, r2, r3
 
 
 def enumerate_moves(d: Diagram) -> list[MoveEvent]:
@@ -187,12 +180,8 @@ def enumerate_moves(d: Diagram) -> list[MoveEvent]:
     if d.has_doubles():
         raise ValueError("moves are generated for non-singular diagrams only")
     out: list[MoveEvent] = []
-    for site in _r1_remove_sites(d):
-        out.append(MoveEvent("R1_remove", site))
-    for site in _r2_remove_sites(d):
-        out.append(MoveEvent("R2_remove", site))
-    for site in _r3_sites(d):
-        out.append(MoveEvent("R3", site))
+    for kind, sites in zip(_REMOVAL_KINDS, _removal_sites(d)):
+        out.extend(MoveEvent(kind, site) for site in sites)
     gaps = [(ci, g) for ci, comp in enumerate(d.components) for g in _gaps(comp)]
     for ci, g in gaps:
         for over_first, sign in KINK_TYPES:
@@ -377,6 +366,8 @@ def random_walk(
     starting crossing count plus 4) excludes additions while at or over
     the cap, except as a last resort when nothing else applies.
     """
+    if steps < 0:
+        raise ValueError(f"a walk needs a non-negative number of steps, got {steps}")
     if d.has_doubles():
         raise ValueError("moves are generated for non-singular diagrams only")
     rng = random.Random(seed)
@@ -384,11 +375,7 @@ def random_walk(
     cur = d
     for _ in range(steps):
         n = cur.n_classical()
-        removal_sites = {
-            "R1_remove": _r1_remove_sites(cur),
-            "R2_remove": _r2_remove_sites(cur),
-            "R3": _r3_sites(cur),
-        }
+        removal_sites = dict(zip(_REMOVAL_KINDS, _removal_sites(cur)))
         kinds = [k for k, v in removal_sites.items() if v]
         if n + 1 <= cap:
             kinds.append("R1_add")

@@ -116,6 +116,14 @@ def test_verify_trials_nonpositive(capsys):
         assert f"must be a positive integer, got {trials}" in captured.err
 
 
+def test_verify_moves_nonpositive(capsys):
+    for moves in ("0", "-3"):
+        assert main(["verify", "--trials", "2", "--moves", moves]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be a positive integer, got {moves}" in captured.err
+
+
 def test_verify_mutate_fails_with_counterexample(capsys):
     assert main(["verify", "--trials", "10", "--moves", "6", "--seed", "2",
                  "--mutate"]) == 1

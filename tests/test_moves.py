@@ -1,6 +1,17 @@
+import random
+
 import pytest
 
-from vconway.diagram import format_diagram, parse_diagram, relabeled, validate
+from vconway import cli, moves
+from vconway.diagram import (
+    CLASSICAL_ROLES,
+    OVER,
+    UNDER,
+    format_diagram,
+    parse_diagram,
+    relabeled,
+    validate,
+)
 from vconway.invariants import kink_factor, z_normalized, z_polynomial
 from vconway.moves import (
     GeneratorConfig,
@@ -218,3 +229,205 @@ def test_walk_changes_raw_z_by_positive_x_power_only():
         if k != 0:
             seen_shift = True
     assert seen_shift
+
+
+def test_walk_rejects_negative_steps():
+    d0 = random_diagram(GeneratorConfig(3, 1, 0, seed=2))
+    with pytest.raises(ValueError, match="non-negative"):
+        random_walk(d0, -1, seed=0)
+    assert random_walk(d0, 0, seed=0) == d0
+
+
+# ---------------------------------------------------------------------------
+# removal sites against the former per-kind scanners
+#
+# The reference below rescans every window per kind and, for the third move,
+# pairs each window with every other one.  `_removal_sites` must return the
+# same lists in the same order, since walks draw from them with rng.choice.
+
+
+def _ref_classical_windows(d):
+    out = []
+    for ci, comp in enumerate(d.components):
+        L = len(comp)
+        if L < 2:
+            continue
+        for t in range(L):
+            p, q = comp[t], comp[(t + 1) % L]
+            if d.crossings[p.crossing].kind == "x" and d.crossings[q.crossing].kind == "x":
+                out.append((ci, t, p, q))
+    return out
+
+
+def _ref_r1_remove_sites(d):
+    sites = []
+    for ci, t, p, q in _ref_classical_windows(d):
+        if p.crossing == q.crossing and {p.role, q.role} == set(CLASSICAL_ROLES):
+            sites.append((ci, t))
+    return sites
+
+
+def _ref_r2_remove_sites(d):
+    wins = _ref_classical_windows(d)
+    over, under = [], []
+    for ci, t, p, q in wins:
+        if p.crossing == q.crossing:
+            continue
+        if p.role == OVER and q.role == OVER:
+            over.append((ci, t, p.crossing, q.crossing))
+        elif p.role == UNDER and q.role == UNDER:
+            under.append((ci, t, p.crossing, q.crossing))
+    sites = []
+    for ci1, t1, c, e in over:
+        if d.crossings[c].sign != -d.crossings[e].sign:
+            continue
+        for ci2, t2, c2, e2 in under:
+            if {c2, e2} == {c, e}:
+                sites.append(((ci1, t1), (ci2, t2)))
+    return sites
+
+
+_REF_R3_PATTERNS = {
+    "L+": ((("O", 0), ("O", 1)), (("U", 0), ("O", 2)), (("U", 1), ("U", 2)), 1),
+    "R+": ((("O", 0), ("O", 1)), (("O", 2), ("U", 1)), (("U", 2), ("U", 0)), 1),
+    "L-": ((("U", 0), ("U", 1)), (("O", 0), ("U", 2)), (("O", 1), ("O", 2)), -1),
+    "R-": ((("U", 0), ("U", 1)), (("U", 2), ("O", 1)), (("O", 2), ("O", 0)), -1),
+}
+
+
+def _ref_r3_sites(d):
+    wins = _ref_classical_windows(d)
+    by_first = {}
+    for w in wins:
+        by_first.setdefault((w[2].role, w[2].crossing), []).append(w)
+    sites = []
+    for variant, (w1pat, w2pat, w3pat, sign) in _REF_R3_PATTERNS.items():
+        for ci1, t1, p1, q1 in wins:
+            if p1.role != w1pat[0][0] or q1.role != w1pat[1][0]:
+                continue
+            if p1.crossing == q1.crossing:
+                continue
+            if d.crossings[p1.crossing].sign != sign or d.crossings[q1.crossing].sign != sign:
+                continue
+            key = {w1pat[0][1]: p1.crossing, w1pat[1][1]: q1.crossing}
+            for ci2, t2, p2, q2 in wins:
+                if (ci2, t2) == (ci1, t1):
+                    continue
+                if p2.role != w2pat[0][0] or q2.role != w2pat[1][0]:
+                    continue
+                k2 = dict(key)
+                ok = True
+                for (role, kk), passage in ((w2pat[0], p2), (w2pat[1], q2)):
+                    if kk in k2:
+                        if k2[kk] != passage.crossing:
+                            ok = False
+                            break
+                    else:
+                        if passage.crossing in k2.values():
+                            ok = False
+                            break
+                        if d.crossings[passage.crossing].sign != sign:
+                            ok = False
+                            break
+                        k2[kk] = passage.crossing
+                if not ok or len(k2) != 3:
+                    continue
+                want_p3 = (w3pat[0][0], k2[w3pat[0][1]])
+                want_q3 = (w3pat[1][0], k2[w3pat[1][1]])
+                for ci3, t3, p3, q3 in by_first.get(want_p3, []):
+                    if (q3.role, q3.crossing) == want_q3 and (ci3, t3) not in ((ci1, t1), (ci2, t2)):
+                        sites.append(((ci1, t1), (ci2, t2), (ci3, t3), variant))
+    return sites
+
+
+def _ref_removal_sites(d):
+    return _ref_r1_remove_sites(d), _ref_r2_remove_sites(d), _ref_r3_sites(d)
+
+
+def _walk_states(n_states, seed):
+    """Fixed-seed states along one-step walks from codes of 0-12 crossings."""
+    rng = random.Random(seed)
+    states = []
+    while len(states) < n_states:
+        k, c = rng.randint(0, 12), rng.randint(1, 3)
+        cur = random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30)))
+        cap = k + rng.randint(2, 6)
+        for _ in range(40):
+            states.append(cur)
+            cur = random_walk(cur, 1, seed=rng.randrange(1 << 30), max_crossings=cap)
+    return states
+
+
+def test_removal_sites_match_reference_on_walk_states():
+    seen = [0, 0, 0]
+    for d in _walk_states(2400, seed=8):
+        got = moves._removal_sites(d)
+        assert got == _ref_removal_sites(d), format_diagram(d)
+        for i, sites in enumerate(got):
+            seen[i] += len(sites)
+    # every kind of site occurs, so each lookup path is exercised
+    assert all(n > 50 for n in seen), seen
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        R3_TRIPLE,
+        # two disjoint third-move triples of both signs, plus kinks and an R2 pair
+        R3_TRIPLE + "\n"
+        "component: U4- U5- O7+ U7+\ncomponent: O4- U6-\ncomponent: O5- O6-\n"
+        "component: O8+ O9- U10+ O10+\ncomponent: U9- U8+",
+        # two copies of one triple: sites of one variant in window order
+        R3_TRIPLE + "\ncomponent: O4+ O5+\ncomponent: U4+ O6+\ncomponent: U5+ U6+",
+        # both cyclic windows of the second component are under-partners
+        "component: O1+ O2-\ncomponent: U1+ U2-",
+        # every window touching a double point is skipped
+        "component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+        "component: U6- A7 O6- B7",
+    ],
+)
+def test_removal_sites_match_reference_on_fixed_codes(text):
+    d = parse_diagram(text)
+    assert validate(d) == []
+    assert moves._removal_sites(d) == _ref_removal_sites(d)
+
+
+def test_removal_sites_of_disjoint_triples():
+    d = parse_diagram(
+        R3_TRIPLE + "\n"
+        "component: U4- U5- O7+ U7+\ncomponent: O4- U6-\ncomponent: O5- O6-\n"
+        "component: O8+ O9- U10+ O10+\ncomponent: U9- U8+"
+    )
+    r1, r2, r3 = moves._removal_sites(d)
+    assert r1 == [(3, 2), (6, 2)]
+    # a two-passage component offers both of its cyclic windows
+    assert r2 == [((6, 0), (7, 0)), ((6, 0), (7, 1))]
+    assert r3 == [
+        ((0, 0), (1, 0), (2, 0), "L+"),
+        ((0, 1), (1, 1), (2, 1), "R+"),
+        ((3, 0), (4, 0), (5, 0), "L-"),
+    ]
+
+
+def test_removal_sites_skip_double_points():
+    d = parse_diagram("component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+                      "component: U6- A7 O6- B7")
+    r1, r2, r3 = moves._removal_sites(d)
+    assert r1 == r2 == []
+    assert r3 == [((0, 0), (1, 0), (2, 0), "L+")]
+
+
+def test_r2_partners_of_two_cycle_in_window_order():
+    d = parse_diagram("component: O1+ O2-\ncomponent: U1+ U2-")
+    r1, r2, r3 = moves._removal_sites(d)
+    assert r2 == [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1))]
+    assert r1 == r3 == []
+
+
+def test_verify_output_unchanged_with_reference_scanners(monkeypatch, capsys):
+    argv = ["verify", "--trials", "20", "--seed", "5", "--format", "json"]
+    assert cli.main(argv) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(moves, "_removal_sites", _ref_removal_sites)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == fast

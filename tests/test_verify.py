@@ -37,6 +37,12 @@ def test_zero_trials_is_vacuous_pass():
     assert all(r.trials == 0 for r in results)
 
 
+def test_zero_move_walks_are_legal():
+    results = run_campaign(trials=3, moves=0, seed=1)
+    assert all(r.passed for r in results if not r.informational)
+    assert next(r for r in results if r.name == "move invariance").trials == 3
+
+
 def test_mutated_block_is_caught():
     results = run_campaign(trials=20, moves=10, seed=3, blocks=_mutated())
     failing = [r for r in results if not r.informational and not r.passed]
