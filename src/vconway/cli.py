@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from .diagram import (
@@ -24,26 +25,20 @@ from .diagram import (
     mirror,
     parse_diagram,
     reverse,
-    set_sign,
-    smooth,
     validate,
 )
-from .invariants import (
-    MAX_DOUBLE_POINTS,
-    NEG_BLOCK,
-    POS_BLOCK,
-    c1,
-    report,
-    z_polynomial,
-)
-from .laurent import ONE, X
+from .invariants import MAX_DOUBLE_POINTS, c1, report, skein_terms
+# unused here, but perfbench/tracing.py wraps this attribute of the module
+from .invariants import z_polynomial  # noqa: F401
 from .moves import GeneratorConfig, random_diagram
 from .verify import (
     CheckResult,
     check_singular_orders,
     find_noninvertible_knot,
+    mutated_blocks,
     run_campaign,
     run_diagram_checks,
+    tally_diagram_checks,
 )
 
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
@@ -85,11 +80,6 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
-
-
-def _mutated_blocks():
-    # deliberately wrong negative block for harness sanity checks
-    return {1: POS_BLOCK, -1: tuple(tuple(-e for e in row) for row in NEG_BLOCK)}
 
 
 def _print_checks(results: list[CheckResult], fmt: str) -> int:
@@ -135,7 +125,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    blocks = _mutated_blocks() if args.mutate else None
+    blocks = mutated_blocks() if args.mutate else None
     if args.file is not None:
         d = _load(args.file)
         if d.has_doubles():
@@ -146,28 +136,17 @@ def _cmd_verify(args) -> int:
     elif args.random is not None:
         try:
             k, c, m = (int(p) for p in args.random.split(","))
-            cfg = GeneratorConfig(k, c, m, seed=args.seed)
+            GeneratorConfig(k, c, m)  # rejects negative counts
         except ValueError as exc:
             raise InputError(f"bad --random spec {args.random!r}: "
                              "expected crossings,components,doubles") from exc
         _check_double_points(m)
         if m == 0:
-            merged: dict[str, CheckResult] = {}
-            import random as _random
-            rng = _random.Random(args.seed)
-            for _ in range(args.trials):
-                di = random_diagram(GeneratorConfig(k, c, 0,
-                                                    seed=rng.randrange(1 << 30)))
-                for r in run_diagram_checks(di, moves=args.moves,
-                                            seed=rng.randrange(1 << 30),
-                                            blocks=blocks):
-                    agg = merged.setdefault(r.name, CheckResult(r.name, 0))
-                    agg.trials += r.trials
-                    agg.failures += r.failures
-                    for e in r.examples:
-                        if len(agg.examples) < 3:
-                            agg.examples.append(e)
-            results = list(merged.values())
+            rng = random.Random(args.seed)
+            # each case draws its diagram seed, then its walk seed
+            cases = ((random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30))),
+                      rng.randrange(1 << 30)) for _ in range(args.trials))
+            results = tally_diagram_checks(cases, args.moves, blocks=blocks)
         else:
             results = check_singular_orders(args.trials, args.seed, classical=k,
                                             components=c, doubles=m, blocks=blocks)
@@ -185,11 +164,7 @@ def _cmd_skein(args) -> int:
     rec = d.crossings.get(cid)
     if rec is None or rec.kind != "x":
         raise InputError(f"no classical crossing {cid} in {args.file}")
-    pos = set_sign(d, cid, 1)
-    zp = z_polynomial(pos)
-    zm = z_polynomial(set_sign(d, cid, -1))
-    z0 = z_polynomial(smooth(pos, cid))
-    residual = zp - X * zm - (ONE - X) * z0
+    zp, zm, z0, residual = skein_terms(d, cid)
     if args.format == "json":
         print(json.dumps({
             "crossing": cid,
@@ -317,9 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-crossings", type=int, default=4)
     p.add_argument("--budget", type=int, default=None,
                    help="stop after examining this many codes")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface stability; the enumeration "
-                        "is deterministic and ignores it")
     add_format(p)
     p.set_defaults(fn=_cmd_search)
 

@@ -56,6 +56,8 @@ from .diagram import (
     build_P,
     build_TP,
     resolve_double,
+    set_sign,
+    smooth,
 )
 
 # 2 x 2 crossing blocks; the negative block is the inverse of the positive one.
@@ -186,6 +188,16 @@ def kink_factor(over_first: bool, sign: int) -> LaurentPoly2:
     return LaurentPoly2.monomial(1, -1, 0) if not over_first else ONE
 
 
+def skein_terms(d: Diagram, cid: int, *, blocks: Blocks | None = None):
+    """Z of D+, D- and D0 at classical crossing `cid`, and the skein residual
+    Z(D+) - x Z(D-) - (1 - x) Z(D0), which is 0 on every diagram."""
+    pos = set_sign(d, cid, 1)
+    zp = z_polynomial(pos, blocks=blocks)
+    zm = z_polynomial(set_sign(d, cid, -1), blocks=blocks)
+    z0 = z_polynomial(smooth(pos, cid), blocks=blocks)
+    return zp, zm, z0, zp - X * zm - (ONE - X) * z0
+
+
 def vassiliev_eval(
     d: Diagram, f: Callable[[Diagram], object], *, zero=None
 ):
@@ -218,8 +230,6 @@ def order_one_defect(d: Diagram, id1: int, id2: int, *, blocks: Blocks | None = 
     """Second finite difference of c1 at two crossings:
     c1(++) - c1(+-) - c1(-+) + c1(--) with both crossings forced to the
     given signs.  Vanishes on knot diagrams; can be nonzero on links."""
-    from .diagram import set_sign
-
     if id1 == id2:
         raise ValueError(f"need two distinct crossings, got {id1} twice")
     for cid in (id1, id2):

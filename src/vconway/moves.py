@@ -79,8 +79,6 @@ class GeneratorConfig:
 # (over_first, sign).
 KINK_TYPES: tuple[tuple[bool, int], ...] = ((True, 1), (False, 1), (False, -1), (True, -1))
 
-R3_VARIANTS = ("L+", "R+", "L-", "R-")
-
 # the kinds of the three lists `_removal_sites` returns
 _REMOVAL_KINDS = ("R1_remove", "R2_remove", "R3")
 

@@ -1,7 +1,9 @@
 """Property campaigns: the theorem checklist run over random diagrams.
 
-Each check draws its own reproducible diagram stream from a seed,
-counts failures, and keeps a few counterexample codes for display.
+Each property is written once, as a per-diagram predicate.  A check
+tallies its predicate over its own reproducible diagram stream, and
+`run_diagram_checks` tallies the per-diagram ones over given inputs;
+failures are counted and a few counterexample codes kept for display.
 The `blocks` override exists so a deliberately wrong crossing block
 can be injected (mutation testing): a correct harness must then find
 counterexamples.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .diagram import (
     Diagram,
@@ -28,17 +31,20 @@ from .diagram import (
     smooth,
 )
 from .invariants import (
+    NEG_BLOCK,
+    POS_BLOCK,
     Blocks,
     c0,
     c0_via_tp,
     c1,
     kink_factor,
+    skein_terms,
     vassiliev_eval,
     order_one_defect,
     z_normalized,
     z_polynomial,
 )
-from .laurent import X, ONE, LaurentPoly2, substitute_y_inverse
+from .laurent import LaurentPoly2, substitute_y_inverse
 from .moves import (
     GeneratorConfig,
     KINK_TYPES,
@@ -49,6 +55,10 @@ from .moves import (
 )
 
 MAX_SHOWN = 3
+
+# A predicate checks one diagram and returns (trials, failure texts), or
+# None when its check does not apply to that diagram.
+Outcome = tuple[int, list[str]] | None
 
 
 @dataclass
@@ -68,9 +78,20 @@ class CheckResult:
         if len(self.examples) < MAX_SHOWN:
             self.examples.append(text)
 
+    def add(self, outcome: Outcome) -> None:
+        if outcome is not None:
+            self.trials += outcome[0]
+            for text in outcome[1]:
+                self.record(text)
+
     def line(self) -> str:
         tag = "info" if self.informational else ("pass" if self.passed else "FAIL")
         return f"[{tag}] {self.name}: {self.trials} trials, {self.failures} failures"
+
+
+def mutated_blocks() -> Blocks:
+    """A deliberately wrong negative block for harness sanity checks."""
+    return {1: POS_BLOCK, -1: tuple(tuple(-e for e in row) for row in NEG_BLOCK)}
 
 
 def _code(d: Diagram) -> str:
@@ -87,148 +108,171 @@ def _stream(trials: int, seed: int, *, max_crossings: int = 8, max_components: i
         yield random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30)))
 
 
+def _tally(name: str, diagrams: Iterable, predicate, *args,
+           informational: bool = False) -> CheckResult:
+    """Sum `predicate(d, *args)` over the diagrams into one result."""
+    res = CheckResult(name, 0, informational=informational)
+    for d in diagrams:
+        res.add(predicate(d, *args))
+    return res
+
+
+# ---------------------------------------------------------------------------
+# per-diagram predicates; each check_* below states its property
+
+
+def _move_invariance(d: Diagram, blocks, moves: int, walk_seed: int) -> Outcome:
+    before = z_normalized(d, blocks=blocks)
+    w = random_walk(d, moves, seed=walk_seed)
+    after = z_normalized(w, blocks=blocks)
+    return 1, [] if before == after else [f"{_code(d)} -> {_code(w)}: {before} != {after}"]
+
+
+def _kink_factors(d: Diagram, blocks, rng: random.Random) -> Outcome:
+    gaps = [(ci, g) for ci, comp in enumerate(d.components)
+            for g in range(max(len(comp), 1))]
+    ci, g = rng.choice(gaps)
+    base = z_polynomial(d, blocks=blocks)
+    failures = []
+    for over_first, sign in KINK_TYPES:
+        kinked = apply(d, MoveEvent("R1_add", (ci, g, over_first, sign)))
+        want = kink_factor(over_first, sign) * base
+        got = z_polynomial(kinked, blocks=blocks)
+        if got != want:
+            failures.append(f"{_code(d)} kink ({over_first},{sign:+d}) at {(ci, g)}: "
+                            f"{got} != {want}")
+    return len(KINK_TYPES), failures
+
+
+def _skein(d: Diagram, blocks) -> Outcome:
+    residuals = [(cid, skein_terms(d, cid, blocks=blocks)[3]) for cid in d.classical_ids()]
+    return len(residuals), [f"{_code(d)} at crossing {cid}: residual {r}"
+                            for cid, r in residuals if not r.is_zero()]
+
+
+def _disjoint_union(pair: tuple[Diagram, Diagram], blocks) -> Outcome:
+    d1, d2 = pair
+    prod = z_polynomial(d1, blocks=blocks) * z_polynomial(d2, blocks=blocks)
+    same = z_polynomial(disjoint_union(d1, d2), blocks=blocks) == prod
+    return 1, [] if same else [f"{_code(d1)} | {_code(d2)}"]
+
+
+def _c0_permutation_form(d: Diagram, blocks) -> Outcome:
+    if d.n_classical() == 0 or d.has_empty_component():
+        return None
+    a, b = c0(d, blocks=blocks), c0_via_tp(d)
+    return 1, [] if a == b else [f"{_code(d)}: {a} != {b}"]
+
+
+def _c0_orientation(d: Diagram, blocks) -> Outcome:
+    return 1, [] if c0(reverse(d), blocks=blocks) == c0(d, blocks=blocks) else [_code(d)]
+
+
+def _c0_symmetry(d: Diagram, blocks) -> Outcome:
+    a = c0(d, blocks=blocks)
+    want, got = substitute_y_inverse(a), (a if len(d.components) % 2 == 0 else -a)
+    return 1, [] if want == got else [f"{_code(d)}: {want} vs {got}"]
+
+
+def _knot_vanishing(d: Diagram, blocks) -> Outcome:
+    if len(d.components) != 1:
+        return None
+    v = c0(d, blocks=blocks)
+    return 1, [] if v.is_zero() else [f"{_code(d)}: c0 = {v}"]
+
+
+def _vassiliev_orders(d: Diagram, blocks, rng: random.Random) -> Outcome:
+    ids = d.classical_ids()
+    trials, failures = len(ids), []
+    for cid in ids:
+        pos, neg = set_sign(d, cid, 1), set_sign(d, cid, -1)
+        if c0(pos, blocks=blocks) != c0(neg, blocks=blocks):
+            failures.append(f"{_code(d)}: c0 jumps at {cid}")
+            continue
+        lhs = c1(pos, blocks=blocks) - c1(neg, blocks=blocks)
+        rhs = c0(smooth(pos, cid), blocks=blocks)
+        if lhs != rhs:
+            failures.append(f"{_code(d)}: c1 jump at {cid} is {lhs}, smoothing c0 is {rhs}")
+    if len(ids) >= 2 and len(d.components) == 1:
+        id1, id2 = rng.sample(ids, 2)
+        trials += 1
+        defect = order_one_defect(d, id1, id2, blocks=blocks)
+        if not defect.is_zero():
+            failures.append(f"{_code(d)}: pair ({id1},{id2}) defect {defect}")
+    return trials, failures
+
+
+def _mirror_reverse(d: Diagram) -> Outcome:
+    return 1, [] if c1(mirror(d)) == -c1(reverse(d)) else [_code(d)]
+
+
+def _extended_vanishing(d: Diagram, invariant, min_doubles: int, blocks) -> Outcome:
+    if len(d.double_ids()) < min_doubles:
+        return None
+    v = vassiliev_eval(d, lambda r: invariant(r, blocks=blocks), zero=LaurentPoly2.zero())
+    return 1, [] if v.is_zero() else [f"{_code(d)}: {v}"]
+
+
 def check_move_invariance(trials: int = 500, moves: int = 50, seed: int = 0, *,
                           blocks: Blocks | None = None, max_crossings: int = 8,
                           max_components: int = 3) -> CheckResult:
     """Normalized Z is exactly equal across random move walks."""
-    res = CheckResult("move invariance", trials)
     walk_rng = random.Random(seed ^ 0x5EED)
-    for d in _stream(trials, seed, max_crossings=max_crossings, max_components=max_components):
-        before = z_normalized(d, blocks=blocks)
-        w = random_walk(d, moves, seed=walk_rng.randrange(1 << 30))
-        after = z_normalized(w, blocks=blocks)
-        if before != after:
-            res.record(f"{_code(d)} -> {_code(w)}: {before} != {after}")
-    return res
+    diagrams = _stream(trials, seed, max_crossings=max_crossings, max_components=max_components)
+    return _tally("move invariance", diagrams, lambda d: _move_invariance(
+        d, blocks, moves, walk_rng.randrange(1 << 30)))
 
 
 def check_kink_factors(trials: int = 100, seed: int = 0, *,
                        blocks: Blocks | None = None) -> CheckResult:
     """A single kink multiplies raw Z by exactly 1, x, x^-1 or 1 by type."""
-    res = CheckResult("kink factors", trials * len(KINK_TYPES))
-    rng = random.Random(seed)
-    for d in _stream(trials, seed + 1, max_crossings=6):
-        gaps = [(ci, g) for ci, comp in enumerate(d.components)
-                for g in range(max(len(comp), 1))]
-        ci, g = rng.choice(gaps)
-        base = z_polynomial(d, blocks=blocks)
-        for over_first, sign in KINK_TYPES:
-            kinked = apply(d, MoveEvent("R1_add", (ci, g, over_first, sign)))
-            want = kink_factor(over_first, sign) * base
-            got = z_polynomial(kinked, blocks=blocks)
-            if got != want:
-                res.record(f"{_code(d)} kink ({over_first},{sign:+d}) at {(ci, g)}: "
-                           f"{got} != {want}")
-    return res
+    return _tally("kink factors", _stream(trials, seed + 1, max_crossings=6),
+                  _kink_factors, blocks, random.Random(seed))
 
 
 def check_skein(trials: int = 200, seed: int = 0, *,
                 blocks: Blocks | None = None) -> CheckResult:
     """Z(D+) - x Z(D-) - (1-x) Z(D0) = 0 at every classical crossing."""
-    res = CheckResult("skein relation", 0)
-    for d in _stream(trials, seed, max_crossings=6):
-        for cid in d.classical_ids():
-            res.trials += 1
-            pos = set_sign(d, cid, 1)
-            neg = set_sign(d, cid, -1)
-            zero = smooth(pos, cid)
-            lhs = (z_polynomial(pos, blocks=blocks)
-                   - X * z_polynomial(neg, blocks=blocks)
-                   - (ONE - X) * z_polynomial(zero, blocks=blocks))
-            if not lhs.is_zero():
-                res.record(f"{_code(d)} at crossing {cid}: residual {lhs}")
-    return res
+    return _tally("skein relation", _stream(trials, seed, max_crossings=6), _skein, blocks)
 
 
 def check_disjoint_union(pairs: int = 100, seed: int = 0, *,
                          blocks: Blocks | None = None) -> CheckResult:
-    res = CheckResult("disjoint union", pairs)
     left = _stream(pairs, seed, max_crossings=4, max_components=2)
     right = _stream(pairs, seed + 7, max_crossings=4, max_components=2)
-    for d1, d2 in zip(left, right):
-        u = disjoint_union(d1, d2)
-        prod = z_polynomial(d1, blocks=blocks) * z_polynomial(d2, blocks=blocks)
-        if z_polynomial(u, blocks=blocks) != prod:
-            res.record(f"{_code(d1)} | {_code(d2)}")
-    return res
+    return _tally("disjoint union", zip(left, right), _disjoint_union, blocks)
 
 
 def check_c0_permutation_form(trials: int = 500, seed: int = 0, *,
                               blocks: Blocks | None = None) -> CheckResult:
     """c0 from Z agrees with the companion-permutation determinant."""
-    res = CheckResult("c0 permutation form", 0)
-    for d in _stream(trials, seed):
-        if d.n_classical() == 0 or d.has_empty_component():
-            continue
-        res.trials += 1
-        a = c0(d, blocks=blocks)
-        b = c0_via_tp(d)
-        if a != b:
-            res.record(f"{_code(d)}: {a} != {b}")
-    return res
+    return _tally("c0 permutation form", _stream(trials, seed), _c0_permutation_form, blocks)
 
 
 def check_c0_orientation(trials: int = 500, seed: int = 0, *,
                          blocks: Blocks | None = None) -> CheckResult:
     """c0 does not see orientation reversal."""
-    res = CheckResult("c0 orientation invariance", trials)
-    for d in _stream(trials, seed):
-        if c0(reverse(d), blocks=blocks) != c0(d, blocks=blocks):
-            res.record(_code(d))
-    return res
+    return _tally("c0 orientation invariance", _stream(trials, seed), _c0_orientation, blocks)
 
 
 def check_c0_symmetry(trials: int = 500, seed: int = 0, *,
                       blocks: Blocks | None = None) -> CheckResult:
     """c0(y^-1) = (-1)^components * c0(y)."""
-    res = CheckResult("c0 y-inversion symmetry", trials)
-    for d in _stream(trials, seed):
-        a = c0(d, blocks=blocks)
-        want = substitute_y_inverse(a)
-        got = a if len(d.components) % 2 == 0 else -a
-        if want != got:
-            res.record(f"{_code(d)}: {substitute_y_inverse(a)} vs {got}")
-    return res
+    return _tally("c0 y-inversion symmetry", _stream(trials, seed), _c0_symmetry, blocks)
 
 
 def check_knot_vanishing(trials: int = 500, seed: int = 0, *,
                          blocks: Blocks | None = None) -> CheckResult:
     """c0 = 0 on every one-component code."""
-    res = CheckResult("c0 vanishes on knots", trials)
-    for d in _stream(trials, seed, components=1):
-        v = c0(d, blocks=blocks)
-        if not v.is_zero():
-            res.record(f"{_code(d)}: c0 = {v}")
-    return res
+    return _tally("c0 vanishes on knots", _stream(trials, seed, components=1),
+                  _knot_vanishing, blocks)
 
 
 def check_vassiliev_orders(trials: int = 200, seed: int = 0, *,
                            blocks: Blocks | None = None) -> CheckResult:
     """c0 is order zero everywhere; on knots c1 has the order-one structure."""
-    res = CheckResult("vassiliev orders", 0)
-    rng = random.Random(seed + 13)
-    for d in _stream(trials, seed, max_crossings=6, components=1):
-        ids = d.classical_ids()
-        for cid in ids:
-            res.trials += 1
-            pos, neg = set_sign(d, cid, 1), set_sign(d, cid, -1)
-            if c0(pos, blocks=blocks) != c0(neg, blocks=blocks):
-                res.record(f"{_code(d)}: c0 jumps at {cid}")
-                continue
-            lhs = c1(pos, blocks=blocks) - c1(neg, blocks=blocks)
-            rhs = c0(smooth(pos, cid), blocks=blocks)
-            if lhs != rhs:
-                res.record(f"{_code(d)}: c1 jump at {cid} is {lhs}, smoothing c0 is {rhs}")
-        if len(ids) >= 2:
-            id1, id2 = rng.sample(ids, 2)
-            four = [set_sign(set_sign(d, id1, s1), id2, s2)
-                    for s1 in (1, -1) for s2 in (1, -1)]
-            if all(len(r.components) == 1 for r in four):
-                res.trials += 1
-                defect = order_one_defect(d, id1, id2, blocks=blocks)
-                if not defect.is_zero():
-                    res.record(f"{_code(d)}: pair ({id1},{id2}) defect {defect}")
-    return res
+    return _tally("vassiliev orders", _stream(trials, seed, max_crossings=6, components=1),
+                  _vassiliev_orders, blocks, random.Random(seed + 13))
 
 
 def check_mirror_reverse_conjecture(trials: int = 200, seed: int = 0) -> CheckResult:
@@ -236,11 +280,9 @@ def check_mirror_reverse_conjecture(trials: int = 200, seed: int = 0) -> CheckRe
     c1(mirror(d)) = -c1(reverse(d)) on knot codes.  The general form over
     links is false (the negative virtual Hopf link already breaks it), so
     the fuzz is scoped to one-component codes."""
-    res = CheckResult("c1 mirror/reverse conjecture (knots)", trials, informational=True)
-    for d in _stream(trials, seed, max_crossings=6, components=1):
-        if c1(mirror(d)) != -c1(reverse(d)):
-            res.record(_code(d))
-    return res
+    return _tally("c1 mirror/reverse conjecture (knots)",
+                  _stream(trials, seed, max_crossings=6, components=1),
+                  _mirror_reverse, informational=True)
 
 
 def check_singular_orders(trials: int = 100, seed: int = 0, *, classical: int = 4,
@@ -250,26 +292,13 @@ def check_singular_orders(trials: int = 100, seed: int = 0, *, classical: int = 
     soon as one double point is present, and the extended c1 vanishes on
     singular knots with at least two."""
     rng = random.Random(seed)
-    zero = LaurentPoly2.zero()
-    res0 = CheckResult("extended c0 vanishes", 0)
-    res1 = CheckResult("extended c1 vanishes on singular knots", 0)
-    for _ in range(trials):
-        d = random_diagram(GeneratorConfig(classical, components, doubles,
-                                           seed=rng.randrange(1 << 30)))
-        if doubles >= 1:
-            res0.trials += 1
-            v = vassiliev_eval(d, lambda r: c0(r, blocks=blocks), zero=zero)
-            if not v.is_zero():
-                res0.record(f"{_code(d)}: {v}")
-        if doubles >= 2 and components == 1:
-            res1.trials += 1
-            v = vassiliev_eval(d, lambda r: c1(r, blocks=blocks), zero=zero)
-            if not v.is_zero():
-                res1.record(f"{_code(d)}: {v}")
-    out = [res0]
-    if res1.trials:
-        out.append(res1)
-    return out
+    diagrams = [random_diagram(GeneratorConfig(classical, components, doubles,
+                                               seed=rng.randrange(1 << 30)))
+                for _ in range(trials)]
+    res0 = _tally("extended c0 vanishes", diagrams, _extended_vanishing, c0, 1, blocks)
+    res1 = _tally("extended c1 vanishes on singular knots", diagrams if components == 1 else [],
+                  _extended_vanishing, c1, 2, blocks)
+    return [res0, res1] if res1.trials else [res0]
 
 
 def run_campaign(trials: int = 500, moves: int = 50, seed: int = 0, *,
@@ -293,48 +322,26 @@ def run_campaign(trials: int = 500, moves: int = 50, seed: int = 0, *,
 def run_diagram_checks(d: Diagram, moves: int = 50, seed: int = 0, *,
                        blocks: Blocks | None = None) -> list[CheckResult]:
     """The per-diagram subset of the checklist, applied to one input."""
-    out: list[CheckResult] = []
+    return tally_diagram_checks([(d, seed)], moves, blocks=blocks)
 
-    res = CheckResult("move invariance", 1)
-    w = random_walk(d, moves, seed=seed)
-    if z_normalized(d, blocks=blocks) != z_normalized(w, blocks=blocks):
-        res.record(f"walk endpoint {_code(w)}")
-    out.append(res)
 
-    res = CheckResult("skein relation", 0)
-    for cid in d.classical_ids():
-        res.trials += 1
-        pos = set_sign(d, cid, 1)
-        lhs = (z_polynomial(pos, blocks=blocks)
-               - X * z_polynomial(set_sign(d, cid, -1), blocks=blocks)
-               - (ONE - X) * z_polynomial(smooth(pos, cid), blocks=blocks))
-        if not lhs.is_zero():
-            res.record(f"crossing {cid}: residual {lhs}")
-    out.append(res)
-
-    if d.n_classical() > 0 and not d.has_empty_component():
-        res = CheckResult("c0 permutation form", 1)
-        if c0(d, blocks=blocks) != c0_via_tp(d):
-            res.record(_code(d))
-        out.append(res)
-
-    res = CheckResult("c0 orientation invariance", 1)
-    if c0(reverse(d), blocks=blocks) != c0(d, blocks=blocks):
-        res.record(_code(d))
-    out.append(res)
-
-    res = CheckResult("c0 y-inversion symmetry", 1)
-    a = c0(d, blocks=blocks)
-    if substitute_y_inverse(a) != (a if len(d.components) % 2 == 0 else -a):
-        res.record(_code(d))
-    out.append(res)
-
-    if len(d.components) == 1:
-        res = CheckResult("c0 vanishes on knots", 1)
-        if not c0(d, blocks=blocks).is_zero():
-            res.record(_code(d))
-        out.append(res)
-    return out
+def tally_diagram_checks(cases: Iterable[tuple[Diagram, int]], moves: int = 50, *,
+                         blocks: Blocks | None = None) -> list[CheckResult]:
+    """The per-diagram checks summed over (diagram, walk seed) cases, each
+    listed from the first case it applies to."""
+    results: dict[str, CheckResult] = {}
+    for d, walk_seed in cases:
+        for name, outcome in (
+            ("move invariance", _move_invariance(d, blocks, moves, walk_seed)),
+            ("skein relation", _skein(d, blocks)),
+            ("c0 permutation form", _c0_permutation_form(d, blocks)),
+            ("c0 orientation invariance", _c0_orientation(d, blocks)),
+            ("c0 y-inversion symmetry", _c0_symmetry(d, blocks)),
+            ("c0 vanishes on knots", _knot_vanishing(d, blocks)),
+        ):
+            if outcome is not None:
+                results.setdefault(name, CheckResult(name, 0)).add(outcome)
+    return list(results.values())
 
 
 # ---------------------------------------------------------------------------

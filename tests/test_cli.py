@@ -4,6 +4,7 @@ import pytest
 
 from vconway.cli import main
 from vconway.diagram import format_diagram, parse_diagram
+from vconway.verify import MAX_SHOWN
 
 VHOPF = "component: O1+\ncomponent: U1+\n"
 VTREF = "component: O1+ O2+ U1+ U2+\n"
@@ -132,6 +133,18 @@ def test_verify_mutate_fails_with_counterexample(capsys):
     assert "counterexample:" in out
 
 
+def test_verify_mutate_per_diagram_paths(vhopf_file, capsys):
+    failures = []
+    for argv in (["--random", "3,2,0", "--trials", "5"], [vhopf_file]):
+        assert main(["verify", *argv, "--mutate", "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for c in checks:
+            assert len(c["examples"]) == min(c["failures"], MAX_SHOWN)
+        failures += [c["failures"] for c in checks]
+    # some check failed more often than it may show
+    assert max(failures) > MAX_SHOWN
+
+
 def test_verify_file(vhopf_file, capsys):
     assert main(["verify", vhopf_file, "--moves", "15", "--seed", "3"]) == 0
     assert "result: pass" in capsys.readouterr().out
@@ -207,6 +220,12 @@ def test_search_finds_hit(capsys):
 def test_search_budget_exhausted(capsys):
     assert main(["search", "--max-crossings", "2", "--budget", "5"]) == 1
     assert "no orientation-sensitive knot" in capsys.readouterr().out
+
+
+def test_search_has_no_seed(capsys):
+    # the enumeration is deterministic, so there is no seed to take
+    assert main(["search", "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_random_emit_round_trip(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from vconway.diagram import format_diagram, parse_diagram, reverse
-from vconway.invariants import NEG_BLOCK, POS_BLOCK, c1
+from vconway.invariants import c1
 from vconway.verify import (
     CheckResult,
     check_kink_factors,
@@ -13,13 +13,10 @@ from vconway.verify import (
     enumerate_virtual_knot_codes,
     find_c1_order_defect_link,
     find_noninvertible_knot,
+    mutated_blocks,
     run_campaign,
     run_diagram_checks,
 )
-
-
-def _mutated():
-    return {1: POS_BLOCK, -1: tuple(tuple(-e for e in row) for row in NEG_BLOCK)}
 
 
 def test_small_campaign_passes_and_is_deterministic():
@@ -44,7 +41,7 @@ def test_zero_move_walks_are_legal():
 
 
 def test_mutated_block_is_caught():
-    results = run_campaign(trials=20, moves=10, seed=3, blocks=_mutated())
+    results = run_campaign(trials=20, moves=10, seed=3, blocks=mutated_blocks())
     failing = [r for r in results if not r.informational and not r.passed]
     assert failing
     assert any(r.examples for r in failing)
@@ -74,7 +71,14 @@ def test_run_diagram_checks(vhopf):
     results = run_diagram_checks(vhopf, moves=20, seed=4)
     assert all(r.passed for r in results)
     names = [r.name for r in results]
-    assert "move invariance" in names and "skein relation" in names
+    assert names == ["move invariance", "skein relation", "c0 permutation form",
+                     "c0 orientation invariance", "c0 y-inversion symmetry"]
+    knot = run_diagram_checks(parse_diagram("component: O1+ O2+ U1+ U2+"), moves=5)
+    assert [r.name for r in knot] == names + ["c0 vanishes on knots"]
+    assert all(r.passed for r in knot)
+    # the same names as the campaign's checks of the same properties
+    assert set(names + ["c0 vanishes on knots"]) <= {
+        r.name for r in run_campaign(trials=1, moves=1)}
 
 
 def test_check_result_line():
