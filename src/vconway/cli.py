@@ -32,6 +32,7 @@ from .invariants import MAX_DOUBLE_POINTS, c1, report, skein_terms
 from .invariants import z_polynomial  # noqa: F401
 from .moves import GeneratorConfig, random_diagram
 from .verify import (
+    DEFAULT_MOVES,
     CheckResult,
     check_singular_orders,
     find_noninvertible_knot,
@@ -126,12 +127,13 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     blocks = mutated_blocks() if args.mutate else None
+    moves = DEFAULT_MOVES if args.moves is None else args.moves
     if args.file is not None:
         d = _load(args.file)
         if d.has_doubles():
             raise InputError("verification runs on non-singular diagrams; "
                              "resolve double points first")
-        results = run_diagram_checks(d, moves=args.moves, seed=args.seed,
+        results = run_diagram_checks(d, moves=moves, seed=args.seed,
                                      blocks=blocks)
     elif args.random is not None:
         try:
@@ -146,12 +148,15 @@ def _cmd_verify(args) -> int:
             # each case draws its diagram seed, then its walk seed
             cases = ((random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30))),
                       rng.randrange(1 << 30)) for _ in range(args.trials))
-            results = tally_diagram_checks(cases, args.moves, blocks=blocks)
+            results = tally_diagram_checks(cases, moves, blocks=blocks)
+        elif args.moves is not None:
+            raise InputError("--moves does not apply to --random with double points, "
+                             "which runs no move walk")
         else:
             results = check_singular_orders(args.trials, args.seed, classical=k,
                                             components=c, doubles=m, blocks=blocks)
     else:
-        results = run_campaign(args.trials, args.moves, args.seed, blocks=blocks)
+        results = run_campaign(args.trials, moves, args.seed, blocks=blocks)
     return _print_checks(results, args.format)
 
 
@@ -268,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream")
     p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--moves", type=_positive_int, default=50)
+    p.add_argument("--moves", type=_positive_int, default=None,
+                   help=f"steps of each move walk (default {DEFAULT_MOVES}); "
+                        "not accepted with --random K,C,M for M > 0, which runs no walk")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mutate", action="store_true",
                    help="inject a deliberately wrong crossing block; the "

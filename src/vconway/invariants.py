@@ -34,6 +34,7 @@ sum over sign patterns of (product of signs) * f(resolved diagram).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,6 +77,10 @@ DEFAULT_BLOCKS: Blocks = {1: POS_BLOCK, -1: NEG_BLOCK}
 
 MAX_DOUBLE_POINTS = 20
 
+# Small on purpose: a campaign's repeats come within a few calls of each
+# other, and a larger memo holds more 24+ crossing polynomials for nothing.
+Z_MEMO_SIZE = 32
+
 
 def z_polynomial(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
     """The raw determinant polynomial Z(d) of a classical-only diagram.
@@ -83,11 +88,21 @@ def z_polynomial(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
     `blocks` overrides the per-sign 2 x 2 blocks; the default is the
     pair above.  The override exists so the verification harness can
     demonstrate that a wrong block is caught by the move fuzzer.
+
+    The Z_MEMO_SIZE most recently used values are kept, keyed by the
+    diagram and the blocks by value, so a diagram evaluated again with
+    the same blocks (c1 after c0, D+ or D- equal to D in a skein triple)
+    costs no determinant, and a wrong block never meets a value of the
+    right one.
     """
     if d.has_doubles():
         raise ValueError("resolve double points first: Z is defined on classical diagrams")
-    if blocks is None:
-        blocks = DEFAULT_BLOCKS
+    return _z_memo(d, None if blocks is None else tuple(sorted(blocks.items())))
+
+
+@functools.lru_cache(maxsize=Z_MEMO_SIZE)
+def _z_memo(d: Diagram, block_items: tuple | None) -> LaurentPoly2:
+    blocks = DEFAULT_BLOCKS if block_items is None else dict(block_items)
     n = d.n_classical()
     if n == 0 or d.has_empty_component():
         return ZERO

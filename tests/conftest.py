@@ -1,6 +1,13 @@
 import pytest
 
+from vconway import invariants
 from vconway.diagram import parse_diagram
+
+
+@pytest.fixture(autouse=True)
+def empty_z_memo():
+    # a test that counts determinants must not see Z values memoised by an earlier one
+    invariants._z_memo.cache_clear()
 
 
 @pytest.fixture

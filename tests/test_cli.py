@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vconway import invariants
 from vconway.cli import main
 from vconway.diagram import format_diagram, parse_diagram
 from vconway.verify import MAX_SHOWN
@@ -162,6 +163,47 @@ def test_verify_random_singular(capsys):
     out = capsys.readouterr().out
     assert "extended c0 vanishes" in out
     assert "extended c1 vanishes on singular knots" in out
+
+
+def test_verify_random_singular_rejects_moves(capsys):
+    assert main(["verify", "--random", "2,1,2", "--trials", "3", "--moves", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --moves") and captured.err.count("\n") == 1
+
+
+def test_verify_lists_no_check_without_trials(tmp_path, capsys):
+    empty = tmp_path / "unknot.txt"
+    empty.write_text("component:\n")
+    for argv in (["--random", "0,2,0"], ["--random", "0,1,0"], ["--random", "1,3,0"],
+                 [str(empty)]):
+        assert main(["verify", *argv, "--trials", "5", "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks and all(c["trials"] > 0 for c in checks), argv
+
+
+def test_verify_random_report_order_is_fixed(capsys):
+    names = []
+    for seed in ("0", "1"):
+        assert main(["verify", "--random", "1,2,0", "--trials", "6", "--seed", seed,
+                     "--format", "json"]) == 0
+        names.append([c["name"] for c in json.loads(capsys.readouterr().out)["checks"]])
+    assert names[0] == names[1]
+
+
+def test_verify_output_same_without_memo(monkeypatch, capsys):
+    argv = ["verify", "--trials", "100", "--seed", "9", "--format", "json"]
+    assert main(argv) == 0
+    memoised = capsys.readouterr().out
+    memo = invariants._z_memo
+
+    def cleared(*args):
+        memo.cache_clear()
+        return memo(*args)
+
+    monkeypatch.setattr(invariants, "_z_memo", cleared)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == memoised
 
 
 def test_verify_random_bad_spec(capsys):

@@ -14,7 +14,9 @@ from vconway.diagram import (
     smooth,
     switch,
 )
+from vconway import invariants
 from vconway.invariants import (
+    Z_MEMO_SIZE,
     c0,
     c0_cycle_form,
     c0_via_tp,
@@ -29,6 +31,7 @@ from vconway.invariants import (
 )
 from vconway.laurent import ONE, X, X_INV, LaurentPoly2, eval_x1, normalize_x
 from vconway.moves import GeneratorConfig, random_diagram
+from vconway.verify import mutated_blocks
 
 
 def _sample(count, seed, components=None, max_crossings=6):
@@ -158,13 +161,59 @@ def test_kink_factor_table():
 
 
 # ---------------------------------------------------------------------------
+# the Z memo
+
+
+def _count_dets(monkeypatch):
+    calls = []
+    det = invariants.det
+    monkeypatch.setattr(invariants, "det", lambda m: calls.append(m.n) or det(m))
+    return calls
+
+
+def test_repeated_z_computes_one_det(vtref, monkeypatch):
+    calls = _count_dets(monkeypatch)
+    first = z_polynomial(vtref)
+    assert z_polynomial(vtref) == first
+    assert c0(vtref) == eval_x1(first)
+    assert c1(vtref) == conway(vtref).coeff(1)
+    assert calls == [4]
+    # an equal diagram built anew hits the same entry
+    assert z_polynomial(parse_diagram("component: O1+ O2+ U1+ U2+")) == first
+    assert calls == [4]
+
+
+def test_z_memo_keeps_blocks_apart(monkeypatch):
+    d = parse_diagram("component: O1-\ncomponent: U1-")
+    right = invariants._z_memo.__wrapped__(d, None)
+    wrong = invariants._z_memo.__wrapped__(d, tuple(sorted(mutated_blocks().items())))
+    assert right != wrong
+    calls = _count_dets(monkeypatch)
+    for order in ((None, mutated_blocks()), (mutated_blocks(), None)):
+        invariants._z_memo.cache_clear()
+        got = [z_polynomial(d, blocks=b) for b in order + order]
+        assert got == [right if b is None else wrong for b in order + order]
+    assert calls == [2, 2, 2, 2]
+
+
+def test_z_memo_is_bounded():
+    assert invariants._z_memo.cache_info().maxsize == Z_MEMO_SIZE == 32
+    for d in _sample(3 * Z_MEMO_SIZE, 11):
+        z_polynomial(d)
+        assert invariants._z_memo.cache_info().currsize <= Z_MEMO_SIZE
+    assert invariants._z_memo.cache_info().currsize == Z_MEMO_SIZE
+
+
+# ---------------------------------------------------------------------------
 # singular diagrams and the vassiliev extension
 
 
 def test_z_rejects_singular():
     d = parse_diagram("component: A1 B1")
-    with pytest.raises(ValueError, match="resolve double points first"):
-        z_polynomial(d)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="resolve double points first"):
+            z_polynomial(d)
+    assert invariants._z_memo.cache_info().currsize == 0
 
 
 def test_vassiliev_eval_base_cases(vtref):
