@@ -5,7 +5,10 @@ Commands:
   verify  [<file>] [--random k,c,m]  property campaign, or checks on one input
   skein   <file> --crossing <id>     the three skein terms and their residual
   orient  <file>                     c1 under the four orientation variants
-  search  --max-crossings n          first knot code with orientation-sensitive c1
+  search  [--max-crossings n] [--budget b] [--links]
+                                     first knot code with orientation-sensitive c1;
+                                     --links: first sampled singular link whose
+                                     twice-extended c1 is nonzero
   random  --crossings k --components c [--doubles m] --seed S [--emit]
 
 Exit codes: 0 success, 1 verification failure or exhausted search,
@@ -27,7 +30,7 @@ from .diagram import (
     reverse,
     validate,
 )
-from .invariants import MAX_DOUBLE_POINTS, c1, report, skein_terms
+from .invariants import MAX_DOUBLE_POINTS, c1, report, skein_terms, vassiliev_eval
 # unused here, but perfbench/tracing.py wraps this attribute of the module
 from .invariants import z_polynomial  # noqa: F401
 from .moves import GeneratorConfig, random_diagram
@@ -35,12 +38,15 @@ from .verify import (
     DEFAULT_MOVES,
     CheckResult,
     check_singular_orders,
+    find_c1_order_defect_link,
     find_noninvertible_knot,
     mutated_blocks,
     run_campaign,
-    run_diagram_checks,
     tally_diagram_checks,
 )
+
+# links `vconway search --links` samples unless --budget says otherwise
+LINK_SEARCH_BUDGET = 10000
 
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
              "is specific to knots")
@@ -80,6 +86,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -133,8 +146,7 @@ def _cmd_verify(args) -> int:
         if d.has_doubles():
             raise InputError("verification runs on non-singular diagrams; "
                              "resolve double points first")
-        results = run_diagram_checks(d, moves=moves, seed=args.seed,
-                                     blocks=blocks)
+        results = tally_diagram_checks([(d, args.seed)], moves, blocks=blocks)
     elif args.random is not None:
         try:
             k, c, m = (int(p) for p in args.random.split(","))
@@ -209,13 +221,22 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    hit = find_noninvertible_knot(args.max_crossings, budget=args.budget)
+    k, budget = args.max_crossings, args.budget
+    if args.links:
+        budget = LINK_SEARCH_BUDGET if budget is None else budget
+        hit = find_c1_order_defect_link(k, trials=budget)
+        if hit is not None:
+            d, value, trial = hit
+            hit = d, value, vassiliev_eval(reverse(d), c1), trial + 1
+        miss, noun = "no singular link with nonzero twice-extended c1 found", "links"
+    else:
+        hit = find_noninvertible_knot(k, budget=budget)
+        miss, noun = "no orientation-sensitive knot found", "codes"
     if hit is None:
         if args.format == "json":
             print(json.dumps({"found": False}, indent=2))
         else:
-            print("no orientation-sensitive knot found "
-                  f"(max crossings {args.max_crossings}, budget {args.budget})")
+            print(f"{miss} (max crossings {k}, budget {budget})")
         return 1
     d, a, b, examined = hit
     if args.format == "json":
@@ -227,7 +248,7 @@ def _cmd_search(args) -> int:
             "c1_reversed": b.render(),
         }, indent=2))
     else:
-        print(f"found after {examined} codes:")
+        print(f"found after {examined} {noun}:")
         print(format_diagram(d))
         print(f"c1           {a.render()}")
         print(f"c1 reversed  {b.render()}")
@@ -295,10 +316,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_orient)
 
     p = sub.add_parser("search",
-                       help="exhaustive hunt for an orientation-sensitive c1")
-    p.add_argument("--max-crossings", type=int, default=4)
-    p.add_argument("--budget", type=int, default=None,
-                   help="stop after examining this many codes")
+                       help="exhaustive hunt for an orientation-sensitive c1, "
+                            "or with --links a sampled link where c1 is not order one")
+    p.add_argument("--max-crossings", type=_nonnegative_int, default=4,
+                   help="classical crossings of the enumerated knots or the "
+                        "sampled links (default 4)")
+    p.add_argument("--budget", type=_positive_int, default=None,
+                   help="stop after examining this many codes (default: all) "
+                        f"or sampled links (default {LINK_SEARCH_BUDGET})")
+    p.add_argument("--links", action="store_true",
+                   help="sample 2-component links with 2 double points for a "
+                        "nonzero twice-extended c1 instead of searching knots")
     add_format(p)
     p.set_defaults(fn=_cmd_search)
 

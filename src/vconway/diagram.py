@@ -261,12 +261,6 @@ class SlotPermutation:
             rows[t][s] = ONE
         return PolyMatrix(tuple(tuple(r) for r in rows))
 
-    def transpose(self) -> "SlotPermutation":
-        inv = [0] * (2 * self.n)
-        for s, t in enumerate(self.perm):
-            inv[t] = s
-        return SlotPermutation(self.n, tuple(inv))
-
 
 def _slot_index(rank: dict[int, int], cid: int, side: int) -> int:
     return 2 * rank[cid] + side
@@ -455,24 +449,3 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     for cid, rec in d2.crossings.items():
         table[cid + offset] = Crossing(cid + offset, rec.kind, rec.sign)
     return Diagram(d1.components + comps2, table)
-
-
-def relabeled(d: Diagram, mapping: dict[int, int] | None = None) -> Diagram:
-    """Renumber crossings (default: compact 1..n by first appearance)."""
-    if mapping is None:
-        mapping = {}
-        for comp in d.components:
-            for p in comp:
-                if p.crossing not in mapping:
-                    mapping[p.crossing] = len(mapping) + 1
-        for cid in sorted(d.crossings):
-            if cid not in mapping:
-                mapping[cid] = len(mapping) + 1
-    comps = tuple(
-        tuple(Passage(mapping[p.crossing], p.role) for p in comp) for comp in d.components
-    )
-    table = {
-        mapping[cid]: Crossing(mapping[cid], rec.kind, rec.sign)
-        for cid, rec in d.crossings.items()
-    }
-    return Diagram(comps, table)

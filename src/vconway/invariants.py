@@ -54,6 +54,7 @@ from .laurent import (
 )
 from .diagram import (
     Diagram,
+    SlotPermutation,
     build_P,
     build_TP,
     resolve_double,
@@ -143,6 +144,17 @@ def c0(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
     return eval_x1(z_polynomial(d, blocks=blocks))
 
 
+def _companion_TP(d: Diagram) -> SlotPermutation:
+    """TP of d, once d meets the preconditions of the companion-permutation
+    routes: no double points, a classical crossing, no crossing-free
+    component."""
+    if d.has_doubles():
+        raise ValueError("resolve double points first: c0 is defined on classical diagrams")
+    if d.n_classical() == 0 or d.has_empty_component():
+        raise ValueError("companion-permutation route needs a crossing on every component")
+    return build_TP(d)
+
+
 def c0_via_tp(d: Diagram) -> LaurentPoly2:
     """c0 through the companion permutation: det(diag(y^-1, y, ...) + TP).
 
@@ -150,12 +162,8 @@ def c0_via_tp(d: Diagram) -> LaurentPoly2:
     dependence).  Requires at least one classical crossing and no
     crossing-free component, where the identity holds.
     """
-    if d.has_doubles():
-        raise ValueError("resolve double points first: c0 is defined on classical diagrams")
-    n = d.n_classical()
-    if n == 0 or d.has_empty_component():
-        raise ValueError("companion-permutation route needs a crossing on every component")
-    TP = build_TP(d)
+    TP = _companion_TP(d)
+    n = TP.n
     m = 2 * n
     rows = [[ZERO] * m for _ in range(m)]
     for i in range(n):
@@ -173,12 +181,7 @@ def c0_cycle_form(d: Diagram) -> LaurentPoly2:
     A third route, used only for cross-checking; same preconditions as
     c0_via_tp.
     """
-    if d.has_doubles():
-        raise ValueError("resolve double points first: c0 is defined on classical diagrams")
-    n = d.n_classical()
-    if n == 0 or d.has_empty_component():
-        raise ValueError("companion-permutation route needs a crossing on every component")
-    TP = build_TP(d)
+    TP = _companion_TP(d)
     total = ONE
     for cyc in TP.cycles():
         ey = sum(1 if s & 1 else -1 for s in cyc)

@@ -433,16 +433,6 @@ class PolyMatrix:
         return cls(built)
 
     @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, entries: Iterable[LaurentPoly2]) -> "PolyMatrix":
-        es = list(entries)
-        n = len(es)
-        return cls(tuple(tuple(es[i] if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
     def block_diag(cls, *mats: "PolyMatrix") -> "PolyMatrix":
         n = sum(m.n for m in mats)
         rows = [[ZERO] * n for _ in range(n)]
@@ -463,23 +453,6 @@ class PolyMatrix:
                 for ra, rb in zip(self.rows, other.rows)
             )
         )
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.n != other.n:
-            raise ValueError("matrix size mismatch")
-        n = self.n
-        cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ZERO
-                for a, b in zip(self.rows[i], cols[j]):
-                    if a._t and b._t:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(tuple(out))
 
 
 def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:

@@ -172,29 +172,6 @@ def _removal_sites(d: Diagram) -> tuple[list[tuple], list[tuple], list[tuple]]:
     return r1, r2, r3
 
 
-def enumerate_moves(d: Diagram) -> list[MoveEvent]:
-    """Every applicable move: all removal and third-move sites, and the
-    parameterized families of additions at every gap."""
-    if d.has_doubles():
-        raise ValueError("moves are generated for non-singular diagrams only")
-    out: list[MoveEvent] = []
-    for kind, sites in zip(_REMOVAL_KINDS, _removal_sites(d)):
-        out.extend(MoveEvent(kind, site) for site in sites)
-    gaps = [(ci, g) for ci, comp in enumerate(d.components) for g in _gaps(comp)]
-    for ci, g in gaps:
-        for over_first, sign in KINK_TYPES:
-            out.append(MoveEvent("R1_add", (ci, g, over_first, sign)))
-    for i in range(len(gaps)):
-        for j in range(i + 1, len(gaps)):
-            for role1 in CLASSICAL_ROLES:
-                for parallel in (True, False):
-                    for sign in (1, -1):
-                        out.append(
-                            MoveEvent("R2_add", (gaps[i], gaps[j], role1, parallel, sign))
-                        )
-    return out
-
-
 def _insert(comp: tuple, gap: int, items: tuple) -> tuple:
     return comp[:gap] + items + comp[gap:]
 

@@ -4,7 +4,8 @@ import pytest
 
 from vconway import invariants
 from vconway.cli import main
-from vconway.diagram import format_diagram, parse_diagram
+from vconway.diagram import format_diagram, parse_diagram, reverse, validate
+from vconway.invariants import c1, vassiliev_eval
 from vconway.verify import MAX_SHOWN
 
 VHOPF = "component: O1+\ncomponent: U1+\n"
@@ -182,6 +183,16 @@ def test_verify_lists_no_check_without_trials(tmp_path, capsys):
         assert checks and all(c["trials"] > 0 for c in checks), argv
 
 
+def test_verify_campaign_lists_no_check_without_trials(capsys):
+    # at this seed the one c0 permutation-form diagram has no classical crossing
+    assert main(["verify", "--trials", "1", "--seed", "2", "--moves", "5"]) == 0
+    out = capsys.readouterr().out
+    assert " 0 trials" not in out
+    assert "c0 permutation form" not in out
+    assert "[pass] c0 orientation invariance: 1 trials" in out
+    assert out.endswith("result: pass\n")
+
+
 def test_verify_random_report_order_is_fixed(capsys):
     names = []
     for seed in ("0", "1"):
@@ -268,6 +279,52 @@ def test_search_has_no_seed(capsys):
     # the enumeration is deterministic, so there is no seed to take
     assert main(["search", "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--links"]])
+@pytest.mark.parametrize("bad", [["--max-crossings", "-1"], ["--budget", "0"],
+                                 ["--budget", "-2"]])
+def test_search_rejects_bad_bounds(mode, bad, capsys):
+    assert main(["search", *mode, *bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"integer, got {bad[1]}" in captured.err
+
+
+def test_search_links_finds_hit(capsys):
+    assert main(["search", "--links", "--max-crossings", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "found after 1 links:"  # trial 0
+    d = parse_diagram("\n".join(lines[1:-2]))
+    assert validate(d) == []
+    assert len(d.components) == 2 and len(d.double_ids()) == 2
+    value, reversed_value = vassiliev_eval(d, c1), vassiliev_eval(reverse(d), c1)
+    assert lines[-2] == f"c1           {value.render()}"
+    assert lines[-1] == f"c1 reversed  {reversed_value.render()}"
+    assert value.render() == "y^-2 - 2 + y^2"
+    assert reversed_value.render() == "0"
+
+
+def test_search_links_json(capsys):
+    assert main(["search", "--links", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    d = parse_diagram(payload["code"])
+    assert validate(d) == []
+    assert payload == {
+        "found": True,
+        "examined": 4,
+        "code": format_diagram(d),
+        "c1": vassiliev_eval(d, c1).render(),
+        "c1_reversed": vassiliev_eval(reverse(d), c1).render(),
+    }
+
+
+def test_search_links_budget_exhausted(capsys):
+    assert main(["search", "--links", "--max-crossings", "0", "--budget", "50"]) == 1
+    assert "no singular link" in capsys.readouterr().out
+    assert main(["search", "--links", "--max-crossings", "0", "--budget", "50",
+                 "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"found": False}
 
 
 def test_random_emit_round_trip(capsys):

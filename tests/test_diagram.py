@@ -4,13 +4,13 @@ from vconway.diagram import (
     Crossing,
     Diagram,
     Passage,
+    SlotPermutation,
     build_P,
     build_TP,
     disjoint_union,
     format_diagram,
     mirror,
     parse_diagram,
-    relabeled,
     resolve_double,
     reverse,
     set_sign,
@@ -139,7 +139,9 @@ def test_permutation_matrix_and_transpose(vtref):
         col = [m.rows[r][s] for r in range(slots)]
         assert col[P.perm[s]].render() == "1"
         assert sum(1 for e in col if not e.is_zero()) == 1
-    assert P.transpose().perm == _inv(P.perm)
+    # the inverse permutation has the transposed matrix
+    inverse = SlotPermutation(P.n, _inv(P.perm)).matrix()
+    assert inverse.rows == tuple(zip(*m.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +206,6 @@ def test_disjoint_union_offsets(vhopf, vtref):
     assert len(u.components) == 3
     assert sorted(u.crossings) == [1, 2, 3]
     assert u.n_classical() == 3
-
-
-def test_relabeled_compacts():
-    d = parse_diagram("component: O7+ U9- O12+ U7+ O9- U12+")
-    r = relabeled(d)
-    assert sorted(r.crossings) == [1, 2, 3]
-    assert format_diagram(r) == "component: O1+ U2- O3+ U1+ O2- U3+"
 
 
 def test_diagram_equality_and_hash(vtref):

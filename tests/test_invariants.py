@@ -105,10 +105,13 @@ def test_c0_routes_agree_randomized():
 
 
 def test_c0_via_tp_preconditions():
-    with pytest.raises(ValueError):
-        c0_via_tp(parse_diagram("component:"))
-    with pytest.raises(ValueError):
-        c0_via_tp(parse_diagram("component: O1+ U1+\ncomponent:"))
+    for route in (c0_via_tp, c0_cycle_form):
+        with pytest.raises(ValueError, match="crossing on every component"):
+            route(parse_diagram("component:"))
+        with pytest.raises(ValueError, match="crossing on every component"):
+            route(parse_diagram("component: O1+ U1+\ncomponent:"))
+        with pytest.raises(ValueError, match="resolve double points first"):
+            route(parse_diagram("component: A1 O2+ B1 U2+"))
 
 
 # ---------------------------------------------------------------------------

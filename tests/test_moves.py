@@ -7,9 +7,11 @@ from vconway.diagram import (
     CLASSICAL_ROLES,
     OVER,
     UNDER,
+    Crossing,
+    Diagram,
+    Passage,
     format_diagram,
     parse_diagram,
-    relabeled,
     validate,
 )
 from vconway.invariants import kink_factor, z_normalized, z_polynomial
@@ -19,12 +21,43 @@ from vconway.moves import (
     MoveError,
     MoveEvent,
     apply,
-    enumerate_moves,
     random_diagram,
     random_walk,
 )
 
 R3_TRIPLE = "component: O1+ O2+\ncomponent: U1+ O3+\ncomponent: U2+ U3+"
+
+
+def _relabeled(d):
+    """d with its crossings renumbered 1..n by first appearance."""
+    mapping = {}
+    for comp in d.components:
+        for p in comp:
+            mapping.setdefault(p.crossing, len(mapping) + 1)
+    comps = tuple(tuple(Passage(mapping[p.crossing], p.role) for p in comp)
+                  for comp in d.components)
+    table = {mapping[cid]: Crossing(mapping[cid], rec.kind, rec.sign)
+             for cid, rec in d.crossings.items()}
+    return Diagram(comps, table)
+
+
+def _sites(d, kind):
+    """The removal or third-move sites of one kind, as move events."""
+    r1, r2, r3 = moves._removal_sites(d)
+    sites = {"R1_remove": r1, "R2_remove": r2, "R3": r3}[kind]
+    return [MoveEvent(kind, site) for site in sites]
+
+
+def _all_moves(d):
+    """Every removal and third-move site, and every addition at every gap."""
+    out = [m for kind in ("R1_remove", "R2_remove", "R3") for m in _sites(d, kind)]
+    gaps = [(ci, g) for ci, comp in enumerate(d.components) for g in range(max(len(comp), 1))]
+    out += [MoveEvent("R1_add", (ci, g, over_first, sign))
+            for ci, g in gaps for over_first, sign in KINK_TYPES]
+    out += [MoveEvent("R2_add", (gaps[i], gaps[j], role1, parallel, sign))
+            for i in range(len(gaps)) for j in range(i + 1, len(gaps))
+            for role1 in CLASSICAL_ROLES for parallel in (True, False) for sign in (1, -1)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +105,7 @@ def test_r1_round_trip(vtref):
             assert kinked.n_classical() == 3
             assert validate(kinked) == []
             back = apply(kinked, MoveEvent("R1_remove", (0, gap)))
-            assert relabeled(back) == relabeled(vtref)
+            assert _relabeled(back) == _relabeled(vtref)
 
 
 def test_r1_on_empty_component():
@@ -105,9 +138,9 @@ def test_r2_round_trip(site):
     grown = apply(two, MoveEvent("R2_add", site))
     assert grown.n_classical() == 4
     assert validate(grown) == []
-    removals = [m for m in enumerate_moves(grown) if m.kind == "R2_remove"]
+    removals = _sites(grown, "R2_remove")
     assert removals
-    assert any(relabeled(apply(grown, m)) == relabeled(two) for m in removals)
+    assert any(_relabeled(apply(grown, m)) == _relabeled(two) for m in removals)
 
 
 def test_r2_same_gap_rejected():
@@ -118,7 +151,7 @@ def test_r2_same_gap_rejected():
 
 def test_r3_sites_and_involution():
     d = parse_diagram(R3_TRIPLE)
-    sites = [m for m in enumerate_moves(d) if m.kind == "R3"]
+    sites = _sites(d, "R3")
     assert sites
     z0 = z_normalized(d)
     for m in sites:
@@ -131,7 +164,7 @@ def test_r3_sites_and_involution():
 
 def test_r3_negative_variant():
     d = parse_diagram("component: U1- U2-\ncomponent: O1- U3-\ncomponent: O2- O3-")
-    sites = [m for m in enumerate_moves(d) if m.kind == "R3"]
+    sites = _sites(d, "R3")
     assert sites
     for m in sites:
         assert apply(apply(d, m), m) == d
@@ -156,18 +189,16 @@ def test_enumerated_moves_all_apply():
     rng = random.Random(4)
     for seed in range(12):
         d = random_diagram(GeneratorConfig(2 + seed % 3, 1 + seed % 2, 0, seed=seed))
-        moves = enumerate_moves(d)
-        sample = rng.sample(moves, min(len(moves), 25))
+        every = _all_moves(d)
+        sample = rng.sample(every, min(len(every), 25))
         for m in sample:
             out = apply(d, m)
             assert validate(out) == []
             assert len(out.components) == len(d.components)
 
 
-def test_enumerate_rejects_singular():
+def test_walk_rejects_singular():
     d = parse_diagram("component: A1 B1")
-    with pytest.raises(ValueError):
-        enumerate_moves(d)
     with pytest.raises(ValueError):
         random_walk(d, 3, seed=0)
 

@@ -15,7 +15,7 @@ from vconway.verify import (
     find_noninvertible_knot,
     mutated_blocks,
     run_campaign,
-    run_diagram_checks,
+    tally_diagram_checks,
 )
 
 
@@ -67,13 +67,13 @@ def test_singular_orders_check():
     assert res1[0].passed
 
 
-def test_run_diagram_checks(vhopf):
-    results = run_diagram_checks(vhopf, moves=20, seed=4)
+def test_tally_diagram_checks(vhopf):
+    results = tally_diagram_checks([(vhopf, 4)], moves=20)
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert names == ["move invariance", "skein relation", "c0 permutation form",
                      "c0 orientation invariance", "c0 y-inversion symmetry"]
-    knot = run_diagram_checks(parse_diagram("component: O1+ O2+ U1+ U2+"), moves=5)
+    knot = tally_diagram_checks([(parse_diagram("component: O1+ O2+ U1+ U2+"), 0)], moves=5)
     assert [r.name for r in knot] == names + ["c0 vanishes on knots"]
     assert all(r.passed for r in knot)
     # the same names as the campaign's checks of the same properties
