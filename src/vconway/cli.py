@@ -142,6 +142,9 @@ def _cmd_verify(args) -> int:
     blocks = mutated_blocks() if args.mutate else None
     moves = DEFAULT_MOVES if args.moves is None else args.moves
     if args.file is not None:
+        if args.random is not None:
+            raise InputError("--random does not apply to a diagram file, "
+                             "which is checked itself")
         d = _load(args.file)
         if d.has_doubles():
             raise InputError("verification runs on non-singular diagrams; "
@@ -292,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--random", metavar="K,C,M", default=None,
                    help="generate inputs with K crossings, C components, "
-                        "M double points instead of the mixed default stream")
+                        "M double points instead of the mixed default stream; "
+                        "not accepted with a diagram file")
     p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--moves", type=_positive_int, default=None,
                    help=f"steps of each move walk (default {DEFAULT_MOVES}); "

@@ -332,12 +332,6 @@ def build_TP(d: Diagram) -> SlotPermutation:
 # ---------------------------------------------------------------------------
 
 
-def _replace_crossing(d: Diagram, cid: int, rec: Crossing) -> Diagram:
-    table = dict(d.crossings)
-    table[cid] = rec
-    return Diagram(d.components, table)
-
-
 def switch(d: Diagram, cid: int) -> Diagram:
     """Flip the sign of classical crossing cid and exchange its O and U passages."""
     rec = d.crossings.get(cid)

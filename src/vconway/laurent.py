@@ -171,18 +171,6 @@ class LaurentPoly2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly2":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly2.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shifted(self, dex: int, dey: int) -> "LaurentPoly2":
         """Multiply by the monomial x^dex * y^dey."""
         if not (dex or dey) or not self._t:
@@ -315,10 +303,6 @@ class ConwayPoly:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
         return ZERO
-
-    def degree(self) -> int:
-        """Degree in z, or -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self._coeffs

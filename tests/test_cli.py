@@ -173,6 +173,13 @@ def test_verify_random_singular_rejects_moves(capsys):
     assert captured.err.startswith("error: --moves") and captured.err.count("\n") == 1
 
 
+def test_verify_file_rejects_random(vhopf_file, capsys):
+    assert main(["verify", vhopf_file, "--random", "4,1,2", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --random") and captured.err.count("\n") == 1
+
+
 def test_verify_lists_no_check_without_trials(tmp_path, capsys):
     empty = tmp_path / "unknot.txt"
     empty.write_text("component:\n")

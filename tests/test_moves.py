@@ -26,6 +26,8 @@ from vconway.moves import (
 )
 
 R3_TRIPLE = "component: O1+ O2+\ncomponent: U1+ O3+\ncomponent: U2+ U3+"
+# three kinks on a 6-passage component (windows 0, 2 and 4), then an empty one
+KINKS = "component: O1+ U1+ O2+ U2+ O3+ U3+\ncomponent:"
 
 
 def _relabeled(d):
@@ -181,6 +183,47 @@ def test_stale_sites_rejected(vtref):
         apply(vtref, MoveEvent("R9", ()))
     with pytest.raises(MoveError):
         apply(vtref, MoveEvent("R1_add", (5, 0, True, 1)))
+
+
+@pytest.mark.parametrize(
+    "kind, site",
+    [
+        ("R1_remove", (2, 0)),  # no component 2
+        ("R1_remove", (-1, 0)),
+        ("R1_remove", (0, 6)),  # window t = len
+        ("R1_remove", (0, 99)),
+        ("R1_remove", (0, -1)),
+        ("R1_remove", (0, -2)),  # -2 and -6 alias the kinks at windows 4 and 0
+        ("R1_remove", (0, -6)),
+        ("R1_remove", (1, 0)),  # a window on the empty component
+        ("R2_remove", ((0, 9), (0, 1))),
+        ("R2_remove", ((0, 0), (1, 0))),
+        ("R3", ((0, 0), (0, 2), (0, 99), "L+")),
+        ("R3", ((0, 0), (0, 2), (1, 0), "L+")),
+        ("R1_add", (0, -1, True, 1)),  # negative gap
+        ("R1_add", (1, 1, True, 1)),  # an empty component has gap 0 only
+        ("R1_add", (2, 0, True, 1)),
+        ("R2_add", ((0, -1), (0, 2), "O", True, 1)),
+        ("R2_add", ((0, 1), (1, -1), "U", False, -1)),
+        ("R2_add", ((0, 1), (0, 3), "A", True, 1)),  # not a classical role
+    ],
+)
+def test_malformed_sites_rejected(kind, site):
+    with pytest.raises(MoveError, match="inapplicable move"):
+        apply(parse_diagram(KINKS), MoveEvent(kind, site))
+
+
+def test_walk_calls_no_validate(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(moves, "validate", counting)
+    d0 = random_diagram(GeneratorConfig(6, 2, 0, seed=3))
+    assert validate(random_walk(d0, 50, seed=7)) == []
+    assert calls == []
 
 
 def test_enumerated_moves_all_apply():
@@ -392,6 +435,7 @@ def _walk_states(n_states, seed):
 def test_removal_sites_match_reference_on_walk_states():
     seen = [0, 0, 0]
     for d in _walk_states(2400, seed=8):
+        assert validate(d) == [], format_diagram(d)
         got = moves._removal_sites(d)
         assert got == _ref_removal_sites(d), format_diagram(d)
         for i, sites in enumerate(got):
