@@ -48,6 +48,10 @@ from .verify import (
 # links `vconway search --links` samples unless --budget says otherwise
 LINK_SEARCH_BUDGET = 10000
 
+# largest --max-crossings of `vconway search --links`: a sampled link costs
+# about 50 ms at 24 crossings and 210 ms at 32, and the cost keeps growing
+MAX_LINK_SEARCH_CROSSINGS = 24
+
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
              "is specific to knots")
 
@@ -226,6 +230,9 @@ def _cmd_orient(args) -> int:
 def _cmd_search(args) -> int:
     k, budget = args.max_crossings, args.budget
     if args.links:
+        if k > MAX_LINK_SEARCH_CROSSINGS:
+            raise InputError(f"--links samples links of at most "
+                             f"{MAX_LINK_SEARCH_CROSSINGS} crossings, got {k}")
         budget = LINK_SEARCH_BUDGET if budget is None else budget
         hit = find_c1_order_defect_link(k, trials=budget)
         if hit is not None:
@@ -324,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "or with --links a sampled link where c1 is not order one")
     p.add_argument("--max-crossings", type=_nonnegative_int, default=4,
                    help="classical crossings of the enumerated knots or the "
-                        "sampled links (default 4)")
+                        f"sampled links (default 4; at most "
+                        f"{MAX_LINK_SEARCH_CROSSINGS} with --links)")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="stop after examining this many codes (default: all) "
                         f"or sampled links (default {LINK_SEARCH_BUDGET})")

@@ -216,27 +216,25 @@ def skein_terms(d: Diagram, cid: int, *, blocks: Blocks | None = None):
     return zp, zm, z0, zp - X * zm - (ONE - X) * z0
 
 
-def vassiliev_eval(
-    d: Diagram, f: Callable[[Diagram], object], *, zero=None
-):
+def vassiliev_eval(d: Diagram, f: Callable[[Diagram], LaurentPoly2]) -> LaurentPoly2:
     """Alternating-sum extension of f to diagrams with double points.
 
     Resolves every double point to + or -, weighting each full
-    resolution by the product of its signs.  Values are combined with
-    + and unary -, starting from `zero` (default: Laurent zero).
+    resolution by the product of its signs, and sums the values in the
+    Laurent ring.  `eval_x1` and `expand_conway` are linear, so extended
+    c0, c1 and Conway series all read off one sum of normalized Z.
     """
     doubles = d.double_ids()
     if len(doubles) > MAX_DOUBLE_POINTS:
         raise ValueError(
             f"{len(doubles)} double points exceed the supported maximum of {MAX_DOUBLE_POINTS}"
         )
-    total = ZERO if zero is None else zero
+    total = ZERO
     stack = [(d, 1, 0)]
     while stack:
         cur, weight, idx = stack.pop()
         if idx == len(doubles):
-            val = f(cur)
-            total = total + val if weight > 0 else total + (-val)
+            total = total + f(cur) if weight > 0 else total - f(cur)
             continue
         cid = doubles[idx]
         stack.append((resolve_double(cur, cid, "+"), weight, idx + 1))
@@ -281,18 +279,16 @@ class InvariantReport:
         ]
         if self.double_points:
             lines.append(f"double points       {self.double_points}")
-            lines += [
-                f"c0                  {self.c0.render()}",
-                f"c1                  {self.c1.render()}",
-            ]
         else:
             lines += [
                 f"Z                   {self.z.render()}",
                 f"Z normalized        {self.z_normalized.render()}",
                 f"conway              {self.conway.render()}",
-                f"c0                  {self.c0.render()}",
-                f"c1                  {self.c1.render()}",
             ]
+        lines += [
+            f"c0                  {self.c0.render()}",
+            f"c1                  {self.c1.render()}",
+        ]
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
@@ -312,29 +308,18 @@ class InvariantReport:
 
 
 def report(d: Diagram) -> InvariantReport:
-    """Compute the full report; singular diagrams get extended c0 and c1."""
-    if d.has_doubles():
-        cw = vassiliev_eval(d, conway, zero=ConwayPoly())
-        return InvariantReport(
-            z=ZERO,
-            z_normalized=ZERO,
-            conway=cw,
-            c0=cw.coeff(0),
-            c1=cw.coeff(1),
-            components=len(d.components),
-            classical_crossings=d.n_classical(),
-            double_points=len(d.double_ids()),
-        )
-    z = z_polynomial(d)
-    zn = normalize_x(z)
+    """Compute the full report from one sum of normalized Z over the
+    resolutions of the double points (just normalized Z on a classical
+    diagram); raw Z is reported on classical diagrams only."""
+    zn = vassiliev_eval(d, z_normalized)
     cw = expand_conway(zn)
     return InvariantReport(
-        z=z,
+        z=ZERO if d.has_doubles() else z_polynomial(d),
         z_normalized=zn,
         conway=cw,
-        c0=eval_x1(z),
+        c0=cw.coeff(0),
         c1=cw.coeff(1),
         components=len(d.components),
         classical_crossings=d.n_classical(),
-        double_points=0,
+        double_points=len(d.double_ids()),
     )

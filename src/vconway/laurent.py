@@ -178,17 +178,6 @@ class LaurentPoly2:
         dk = _pack(dex, dey)
         return LaurentPoly2._raw({k + dk: c for k, c in self._t.items()})
 
-    def min_exponents(self) -> tuple[int, int]:
-        """Componentwise minimum of (ex, ey) over the support; zero poly raises."""
-        if not self._t:
-            raise ValueError("undefined exponent: zero polynomial has no support")
-        mex = mey = None
-        for k in self._t:
-            ex, ey = _unpack(k)
-            mex = ex if mex is None else min(mex, ex)
-            mey = ey if mey is None else min(mey, ey)
-        return mex, mey  # type: ignore[return-value]
-
     def render(self) -> str:
         if not self._t:
             return "0"
@@ -277,11 +266,14 @@ def substitute_y_inverse(p: LaurentPoly2) -> LaurentPoly2:
 
 
 class ConwayPoly:
-    """A polynomial in z with coefficients in Z[y^(+-1)].
+    """A read-only view of an x-normalized polynomial as a series in z,
+    with coefficients in Z[y^(+-1)].
 
     Stored as the coefficient tuple (c_0, c_1, ...) with trailing zeros
     trimmed; `reconstruct` substitutes z = 1 - x back and returns the
-    original x-normalized polynomial exactly.
+    original x-normalized polynomial exactly.  It has no arithmetic:
+    sums are taken in the Laurent ring before `expand_conway`, which is
+    linear.
     """
 
     __slots__ = ("_coeffs",)
@@ -324,25 +316,6 @@ class ConwayPoly:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __neg__(self) -> "ConwayPoly":
-        return ConwayPoly(-c for c in self._coeffs)
-
-    def __add__(self, other: "ConwayPoly") -> "ConwayPoly":
-        if not isinstance(other, ConwayPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for k, c in enumerate(b):
-            merged[k] = merged[k] + c
-        return ConwayPoly(merged)
-
-    def __sub__(self, other: "ConwayPoly") -> "ConwayPoly":
-        if not isinstance(other, ConwayPoly):
-            return NotImplemented
-        return self + (-other)
 
     def render(self) -> str:
         if not self._coeffs:
@@ -440,7 +413,14 @@ class PolyMatrix:
 
 
 def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
-    """Exact division in the Laurent ring; raises if the quotient does not exist."""
+    """Exact division in the Laurent ring; raises if the quotient does not exist.
+
+    Long division by lex-leading terms of the packed keys, which multiply
+    in Z[x^(+-1), y^(+-1)], so quotient terms come out in falling order.
+    In each variable an exact quotient's exponents run from the numerator's
+    lowest minus the divisor's lowest to its highest minus the divisor's
+    highest; a term outside that finite box means the division is inexact.
+    """
     dt = den._t
     if not dt:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -456,21 +436,20 @@ def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
                 raise ArithmeticError("non-exact division")
             out[k - dk] = q
         return LaurentPoly2._raw(out)
+    (nx, ny), (dx, dy) = (zip(*map(_unpack, t)) for t in (nt, dt))
+    x_lo, x_hi = min(nx) - min(dx), max(nx) - max(dx)
+    y_lo, y_hi = min(ny) - min(dy), max(ny) - max(dy)
     dk = max(dt)
     dc = dt[dk]
     rem = dict(nt)
     quo: dict[int, int] = {}
-    limit = (len(nt) + 1) * (len(dt) + 1) + 64
-    steps = 0
     while rem:
-        steps += 1
-        if steps > limit:
-            raise ArithmeticError("non-exact division")
         lk = max(rem)
         qc, r = divmod(rem[lk], dc)
-        if r:
-            raise ArithmeticError("non-exact division")
         qk = lk - dk
+        qx, qy = _unpack(qk)
+        if r or not (x_lo <= qx <= x_hi and y_lo <= qy <= y_hi):
+            raise ArithmeticError("non-exact division")
         quo[qk] = qc
         for k, c in dt.items():
             kk = k + qk
@@ -575,33 +554,17 @@ def _unit_pivot(
 def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     """Exact determinant by fraction-free elimination.
 
-    Each row is first scaled by a monomial so its entries have
-    nonnegative exponents (the collected monomial is divided back out
-    at the end), then a Bareiss-style one-step elimination with full
-    pivoting runs in the polynomial subring, where every division by
-    the previous pivot is exact.  Pivots are chosen to keep fill-in
-    low.  `det` calls it on what unit elimination leaves, and the tests
-    use it on whole matrices as an oracle for `det`.
+    Bareiss-style one-step elimination with full pivoting, run directly
+    in the Laurent ring.  Each entry after step k is a (k+1)-minor of the
+    pivoted matrix, so every division by the previous pivot is exact in
+    any integral domain, and Z[x^(+-1), y^(+-1)] is one.  Pivots are
+    chosen to keep fill-in low.  `det` calls it on what unit elimination
+    leaves, and the tests use it on whole matrices as an oracle for `det`.
     """
     n = matrix.n
     if n == 0:
         return ONE
     rows = [list(r) for r in matrix.rows]
-    shift_ex = shift_ey = 0
-    for i in range(n):
-        mex = mey = None
-        for e in rows[i]:
-            if not e._t:
-                continue
-            ex, ey = e.min_exponents()
-            mex = ex if mex is None else min(mex, ex)
-            mey = ey if mey is None else min(mey, ey)
-        if mex is None:
-            return ZERO
-        if mex or mey:
-            rows[i] = [e.shifted(-mex, -mey) for e in rows[i]]
-            shift_ex += mex
-            shift_ey += mey
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -622,8 +585,6 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
                     score = ((row_nnz[i] - 1) * (col_nnz[j] - 1), len(e._t))
                     if best is None or score < best[0]:
                         best = (score, i, j)
-        if best is None:
-            return ZERO
         _, pi, pj = best
         if pi != k:
             rows[k], rows[pi] = rows[pi], rows[k]
@@ -649,11 +610,7 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
                         row_i[j] = _exact_div(piv * a, prev)
         prev = piv
     result = rows[n - 1][n - 1]
-    if sign < 0:
-        result = -result
-    if shift_ex or shift_ey:
-        result = result.shifted(shift_ex, shift_ey)
-    return result
+    return -result if sign < 0 else result
 
 
 def det_cofactor(matrix: PolyMatrix) -> LaurentPoly2:

@@ -192,6 +192,11 @@ def _check_gap(d: Diagram, ci: int, g: int) -> None:
         raise MoveError(f"inapplicable move: no gap {g} in component {ci}")
 
 
+def _check_sign(sign: int) -> None:
+    if sign not in (1, -1):
+        raise MoveError(f"inapplicable move: sign {sign!r} is not +1 or -1")
+
+
 def _drop_windows(comp: tuple, ts: list[int]) -> tuple:
     """comp without the passages of its windows ts."""
     drop = {u for t in ts for u in (t, (t + 1) % len(comp))}
@@ -201,6 +206,7 @@ def _drop_windows(comp: tuple, ts: list[int]) -> tuple:
 def _apply_r1_add(d: Diagram, site: tuple) -> Diagram:
     ci, gap, over_first, sign = site
     _check_gap(d, ci, gap)
+    _check_sign(sign)
     nid = _next_id(d)
     roles = (OVER, UNDER) if over_first else (UNDER, OVER)
     comps = list(d.components)
@@ -227,6 +233,7 @@ def _apply_r2_add(d: Diagram, site: tuple) -> Diagram:
     _check_gap(d, ci2, g2)
     if role1 not in CLASSICAL_ROLES:
         raise MoveError(f"inapplicable move: role {role1!r} is not classical")
+    _check_sign(sign)
     nid = _next_id(d)
     ids = (nid, nid + 1)
     role2 = UNDER if role1 == OVER else OVER

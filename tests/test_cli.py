@@ -3,7 +3,7 @@ import json
 import pytest
 
 from vconway import invariants
-from vconway.cli import main
+from vconway.cli import MAX_LINK_SEARCH_CROSSINGS, main
 from vconway.diagram import format_diagram, parse_diagram, reverse, validate
 from vconway.invariants import c1, vassiliev_eval
 from vconway.verify import MAX_SHOWN
@@ -332,6 +332,20 @@ def test_search_links_budget_exhausted(capsys):
     assert main(["search", "--links", "--max-crossings", "0", "--budget", "50",
                  "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out) == {"found": False}
+
+
+def test_search_links_crossing_ceiling(capsys):
+    assert main(["search", "--links", "--max-crossings", str(MAX_LINK_SEARCH_CROSSINGS + 1),
+                 "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --links samples links of at most "
+                            f"{MAX_LINK_SEARCH_CROSSINGS} crossings, "
+                            f"got {MAX_LINK_SEARCH_CROSSINGS + 1}\n")
+    assert main(["search", "--links", "--max-crossings", str(MAX_LINK_SEARCH_CROSSINGS),
+                 "--budget", "1"]) in (0, 1)
+    # the knot search keeps no such ceiling: it stops at its 3-crossing hit
+    assert main(["search", "--max-crossings", "300"]) == 0
 
 
 def test_random_emit_round_trip(capsys):

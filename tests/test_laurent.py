@@ -87,12 +87,9 @@ def test_product_example():
     assert lhs == 2 * ONE - X - X_INV
 
 
-def test_shifted_and_min_exponents():
+def test_shifted():
     p = mono(1, 2, -1) + mono(3, 0, 4)
     assert p.shifted(1, 1) == mono(1, 3, 0) + mono(3, 1, 5)
-    assert p.min_exponents() == (0, -1)
-    with pytest.raises(ValueError):
-        ZERO.min_exponents()
 
 
 @given(polys, polys, polys)
@@ -199,11 +196,38 @@ def test_conway_reconstruct_round_trip(cs):
     assert expand_conway(p.reconstruct()) == p
 
 
-def test_conway_arithmetic():
-    a = ConwayPoly((Y, ONE))
-    b = ConwayPoly((Y,))
-    assert (a - b).coeffs == (ZERO, ONE)
-    assert (a + (-a)).is_zero()
+# ---------------------------------------------------------------------------
+# exact division
+
+
+def test_exact_div_long_and_negative_quotients():
+    # 80 quotient terms; the quotient's exponents run negative in both variables
+    assert laurent._exact_div(mono(1, 80, 0) - 1, X - 1) == sum(
+        (mono(1, k, 0) for k in range(80)), ZERO)
+    q = sum((mono(1, k - 50, k - 60) for k in range(80)), ZERO)
+    assert laurent._exact_div(mono(1, 30, 20) - mono(1, -50, -60), X * Y - 1) == q
+
+
+@pytest.mark.parametrize("num, den", [
+    (mono(1, 3, 0) + 1, X - 1),  # remainder 2
+    (X + 1, 2 * X + 1),  # leading coefficient does not divide
+    (X * Y + 1, X + Y),  # quotient term leaves the exponent box
+])
+def test_exact_div_rejects_inexact(num, den):
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        laurent._exact_div(num, den)
+
+
+def test_exact_div_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        laurent._exact_div(X, ZERO)
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_exact_div_undoes_multiplication(a, b):
+    if not b.is_zero():
+        assert laurent._exact_div(a * b, b) == a
 
 
 # ---------------------------------------------------------------------------

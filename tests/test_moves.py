@@ -206,6 +206,8 @@ def test_stale_sites_rejected(vtref):
         ("R2_add", ((0, -1), (0, 2), "O", True, 1)),
         ("R2_add", ((0, 1), (1, -1), "U", False, -1)),
         ("R2_add", ((0, 1), (0, 3), "A", True, 1)),  # not a classical role
+        ("R1_add", (0, 0, True, 2)),  # a sign other than +1 or -1
+        ("R2_add", ((0, 1), (0, 3), "O", True, 0)),
     ],
 )
 def test_malformed_sites_rejected(kind, site):

@@ -1,7 +1,8 @@
 import pytest
 
 from vconway.diagram import format_diagram, parse_diagram, reverse
-from vconway.invariants import c1
+from vconway import verify
+from vconway.invariants import c1, vassiliev_eval
 from vconway.verify import (
     CheckResult,
     check_kink_factors,
@@ -65,6 +66,21 @@ def test_singular_orders_check():
     res1 = check_singular_orders(10, seed=11, classical=3, components=2, doubles=1)
     assert [r.name for r in res1] == ["extended c0 vanishes"]
     assert res1[0].passed
+
+
+def test_singular_orders_sum_once_per_diagram(monkeypatch):
+    calls = []
+
+    def counting(d, f, **kwargs):
+        calls.append(d)
+        return vassiliev_eval(d, f, **kwargs)
+
+    monkeypatch.setattr(verify, "vassiliev_eval", counting)
+    res = check_singular_orders(6, seed=10, classical=3, components=1, doubles=2)
+    assert [r.trials for r in res] == [6, 6] and len(calls) == 6
+    calls.clear()
+    assert check_singular_orders(6, seed=10, classical=3, doubles=0)[0].trials == 0
+    assert calls == []
 
 
 def test_tally_diagram_checks(vhopf):
