@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure or exhausted search,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -30,7 +31,7 @@ from .diagram import (
     reverse,
     validate,
 )
-from .invariants import MAX_DOUBLE_POINTS, c1, report, skein_terms, vassiliev_eval
+from .invariants import MAX_DOUBLE_POINTS, c1, mutated_blocks, report, skein_terms, vassiliev_eval
 # unused here, but perfbench/tracing.py wraps this attribute of the module
 from .invariants import z_polynomial  # noqa: F401
 from .moves import GeneratorConfig, random_diagram
@@ -40,7 +41,6 @@ from .verify import (
     check_singular_orders,
     find_c1_order_defect_link,
     find_noninvertible_knot,
-    mutated_blocks,
     run_campaign,
     tally_diagram_checks,
 )
@@ -48,9 +48,9 @@ from .verify import (
 # links `vconway search --links` samples unless --budget says otherwise
 LINK_SEARCH_BUDGET = 10000
 
-# largest --max-crossings of `vconway search --links`: a sampled link costs
-# about 50 ms at 24 crossings and 210 ms at 32, and the cost keeps growing
-MAX_LINK_SEARCH_CROSSINGS = 24
+# most crossings of a diagram sampled by `verify --random` or `search --links`:
+# one verify trial takes 0.9 s at 24 crossings and 38 s at 40
+MAX_SAMPLED_CROSSINGS = 24
 
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
              "is specific to knots")
@@ -84,6 +84,11 @@ def _check_double_points(m: int) -> None:
     if m > MAX_DOUBLE_POINTS:
         raise InputError(f"{m} double points exceed the supported maximum "
                          f"of {MAX_DOUBLE_POINTS}")
+
+
+def _check_sampled_crossings(what: str, k: int) -> None:
+    if k > MAX_SAMPLED_CROSSINGS:
+        raise InputError(f"{what} of at most {MAX_SAMPLED_CROSSINGS} crossings, got {k}")
 
 
 def _positive_int(text: str) -> int:
@@ -143,39 +148,42 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    blocks = mutated_blocks() if args.mutate else None
     moves = DEFAULT_MOVES if args.moves is None else args.moves
-    if args.file is not None:
-        if args.random is not None:
-            raise InputError("--random does not apply to a diagram file, "
-                             "which is checked itself")
-        d = _load(args.file)
-        if d.has_doubles():
-            raise InputError("verification runs on non-singular diagrams; "
-                             "resolve double points first")
-        results = tally_diagram_checks([(d, args.seed)], moves, blocks=blocks)
-    elif args.random is not None:
-        try:
-            k, c, m = (int(p) for p in args.random.split(","))
-            GeneratorConfig(k, c, m)  # rejects negative counts
-        except ValueError as exc:
-            raise InputError(f"bad --random spec {args.random!r}: "
-                             "expected crossings,components,doubles") from exc
-        _check_double_points(m)
-        if m == 0:
-            rng = random.Random(args.seed)
-            # each case draws its diagram seed, then its walk seed
-            cases = ((random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30))),
-                      rng.randrange(1 << 30)) for _ in range(args.trials))
-            results = tally_diagram_checks(cases, moves, blocks=blocks)
-        elif args.moves is not None:
-            raise InputError("--moves does not apply to --random with double points, "
-                             "which runs no move walk")
+    with mutated_blocks() if args.mutate else contextlib.nullcontext():
+        if args.file is not None:
+            if args.random is not None:
+                raise InputError("--random does not apply to a diagram file, "
+                                 "which is checked itself")
+            d = _load(args.file)
+            if not d.components:
+                raise InputError(f"{args.file} has no component to check")
+            if d.has_doubles():
+                raise InputError("verification runs on non-singular diagrams; "
+                                 "resolve double points first")
+            results = tally_diagram_checks([(d, args.seed)], moves)
+        elif args.random is not None:
+            try:
+                k, c, m = (int(p) for p in args.random.split(","))
+                GeneratorConfig(k, c, m)  # rejects negative counts
+            except ValueError as exc:
+                raise InputError(f"bad --random spec {args.random!r}: "
+                                 "expected crossings,components,doubles") from exc
+            _check_double_points(m)
+            _check_sampled_crossings("--random samples diagrams", k)
+            if m == 0:
+                rng = random.Random(args.seed)
+                # each case draws its diagram seed, then its walk seed
+                cases = ((random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30))),
+                          rng.randrange(1 << 30)) for _ in range(args.trials))
+                results = tally_diagram_checks(cases, moves)
+            elif args.moves is not None:
+                raise InputError("--moves does not apply to --random with double points, "
+                                 "which runs no move walk")
+            else:
+                results = check_singular_orders(args.trials, args.seed, classical=k,
+                                                components=c, doubles=m)
         else:
-            results = check_singular_orders(args.trials, args.seed, classical=k,
-                                            components=c, doubles=m, blocks=blocks)
-    else:
-        results = run_campaign(args.trials, moves, args.seed, blocks=blocks)
+            results = run_campaign(args.trials, moves, args.seed)
     return _print_checks(results, args.format)
 
 
@@ -230,9 +238,7 @@ def _cmd_orient(args) -> int:
 def _cmd_search(args) -> int:
     k, budget = args.max_crossings, args.budget
     if args.links:
-        if k > MAX_LINK_SEARCH_CROSSINGS:
-            raise InputError(f"--links samples links of at most "
-                             f"{MAX_LINK_SEARCH_CROSSINGS} crossings, got {k}")
+        _check_sampled_crossings("--links samples links", k)
         budget = LINK_SEARCH_BUDGET if budget is None else budget
         hit = find_c1_order_defect_link(k, trials=budget)
         if hit is not None:
@@ -303,15 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", metavar="K,C,M", default=None,
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream; "
-                        "not accepted with a diagram file")
+                        f"K at most {MAX_SAMPLED_CROSSINGS}; not accepted with a diagram file")
     p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--moves", type=_positive_int, default=None,
                    help=f"steps of each move walk (default {DEFAULT_MOVES}); "
                         "not accepted with --random K,C,M for M > 0, which runs no walk")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mutate", action="store_true",
-                   help="inject a deliberately wrong crossing block; the "
-                        "campaign must then fail")
+                   help="run every check with a deliberately wrong crossing block; "
+                        "the campaign must then fail")
     add_format(p)
     p.set_defaults(fn=_cmd_verify)
 
@@ -332,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-crossings", type=_nonnegative_int, default=4,
                    help="classical crossings of the enumerated knots or the "
                         f"sampled links (default 4; at most "
-                        f"{MAX_LINK_SEARCH_CROSSINGS} with --links)")
+                        f"{MAX_SAMPLED_CROSSINGS} with --links)")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="stop after examining this many codes (default: all) "
                         f"or sampled links (default {LINK_SEARCH_BUDGET})")

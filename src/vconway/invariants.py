@@ -34,6 +34,7 @@ sum over sign patterns of (product of signs) * f(resolved diagram).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Callable
@@ -72,38 +73,49 @@ NEG_BLOCK: tuple[tuple[LaurentPoly2, ...], ...] = (
     (-Y_INV, ONE - LaurentPoly2.monomial(1, -1, 0)),
 )
 
-Blocks = dict[int, tuple[tuple[LaurentPoly2, ...], ...]]
+DEFAULT_BLOCKS = {1: POS_BLOCK, -1: NEG_BLOCK}
+_blocks = DEFAULT_BLOCKS  # what Z is built from; see mutated_blocks()
 
-DEFAULT_BLOCKS: Blocks = {1: POS_BLOCK, -1: NEG_BLOCK}
+
+@contextlib.contextmanager
+def mutated_blocks():
+    """Build Z with a deliberately wrong (negated) negative block inside the
+    `with` body.  The memo is emptied on entry and on exit, also on an
+    exception, so no Z value crosses between the right block and the wrong
+    one.  This is module state, not thread-safe; the package starts no threads."""
+    global _blocks
+    _blocks = {1: POS_BLOCK, -1: tuple(tuple(-e for e in row) for row in NEG_BLOCK)}
+    _z_memo.cache_clear()
+    try:
+        yield
+    finally:
+        _blocks = DEFAULT_BLOCKS
+        _z_memo.cache_clear()
+
 
 MAX_DOUBLE_POINTS = 20
 
 # Small on purpose: a campaign's repeats come within a few calls of each
 # other, and a larger memo holds more 24+ crossing polynomials for nothing.
 Z_MEMO_SIZE = 32
+_MINUS_ONE = -ONE  # added at each entry of P: subtracting ONE would negate a copy
 
 
-def z_polynomial(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
+def z_polynomial(d: Diagram) -> LaurentPoly2:
     """The raw determinant polynomial Z(d) of a classical-only diagram.
 
-    `blocks` overrides the per-sign 2 x 2 blocks; the default is the
-    pair above.  The override exists so the verification harness can
-    demonstrate that a wrong block is caught by the move fuzzer.
-
-    The Z_MEMO_SIZE most recently used values are kept, keyed by the
-    diagram and the blocks by value, so a diagram evaluated again with
-    the same blocks (c1 after c0, D+ or D- equal to D in a skein triple)
-    costs no determinant, and a wrong block never meets a value of the
-    right one.
+    M is made of the crossing pair above; inside `mutated_blocks()` its
+    negative block is wrong.  The Z_MEMO_SIZE most recently used values are
+    kept, keyed by the diagram, so a diagram evaluated again (c1 after
+    c0, D+ or D- equal to D in a skein triple) costs no determinant.
     """
     if d.has_doubles():
         raise ValueError("resolve double points first: Z is defined on classical diagrams")
-    return _z_memo(d, None if blocks is None else tuple(sorted(blocks.items())))
+    return _z_memo(d)
 
 
 @functools.lru_cache(maxsize=Z_MEMO_SIZE)
-def _z_memo(d: Diagram, block_items: tuple | None) -> LaurentPoly2:
-    blocks = DEFAULT_BLOCKS if block_items is None else dict(block_items)
+def _z_memo(d: Diagram) -> LaurentPoly2:
     n = d.n_classical()
     if n == 0 or d.has_empty_component():
         return ZERO
@@ -112,36 +124,36 @@ def _z_memo(d: Diagram, block_items: tuple | None) -> LaurentPoly2:
     m = 2 * n
     rows = [[ZERO] * m for _ in range(m)]
     for i, cid in enumerate(ids):
-        blk = blocks[d.crossings[cid].sign]
+        blk = _blocks[d.crossings[cid].sign]
         rows[2 * i][2 * i] = blk[0][0]
         rows[2 * i][2 * i + 1] = blk[0][1]
         rows[2 * i + 1][2 * i] = blk[1][0]
         rows[2 * i + 1][2 * i + 1] = blk[1][1]
     for s, t in enumerate(P.perm):
-        rows[t][s] = rows[t][s] - ONE
+        rows[t][s] = rows[t][s] + _MINUS_ONE
     value = det(PolyMatrix(tuple(tuple(r) for r in rows)))
     if (n + len(d.components)) % 2:
         value = -value
     return value
 
 
-def z_normalized(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
+def z_normalized(d: Diagram) -> LaurentPoly2:
     """Z with its lowest x-exponent shifted to 0; invariant under all the moves."""
-    return normalize_x(z_polynomial(d, blocks=blocks))
+    return normalize_x(z_polynomial(d))
 
 
-def conway(d: Diagram, *, blocks: Blocks | None = None) -> ConwayPoly:
+def conway(d: Diagram) -> ConwayPoly:
     """The normalized Z rewritten in z = 1 - x."""
-    return expand_conway(z_normalized(d, blocks=blocks))
+    return expand_conway(z_normalized(d))
 
 
-def c0(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
+def c0(d: Diagram) -> LaurentPoly2:
     """Constant Conway coefficient, computed as Z at x = 1.
 
     Substituting x = 1 commutes with the x-normalization shift, so
     this equals conway(d).coeff(0) without expanding.
     """
-    return eval_x1(z_polynomial(d, blocks=blocks))
+    return eval_x1(z_polynomial(d))
 
 
 def _companion_TP(d: Diagram) -> SlotPermutation:
@@ -190,9 +202,9 @@ def c0_cycle_form(d: Diagram) -> LaurentPoly2:
     return total
 
 
-def c1(d: Diagram, *, blocks: Blocks | None = None) -> LaurentPoly2:
+def c1(d: Diagram) -> LaurentPoly2:
     """Linear Conway coefficient of the normalized Z."""
-    return conway(d, blocks=blocks).coeff(1)
+    return conway(d).coeff(1)
 
 
 def kink_factor(over_first: bool, sign: int) -> LaurentPoly2:
@@ -206,13 +218,13 @@ def kink_factor(over_first: bool, sign: int) -> LaurentPoly2:
     return LaurentPoly2.monomial(1, -1, 0) if not over_first else ONE
 
 
-def skein_terms(d: Diagram, cid: int, *, blocks: Blocks | None = None):
+def skein_terms(d: Diagram, cid: int):
     """Z of D+, D- and D0 at classical crossing `cid`, and the skein residual
     Z(D+) - x Z(D-) - (1 - x) Z(D0), which is 0 on every diagram."""
     pos = set_sign(d, cid, 1)
-    zp = z_polynomial(pos, blocks=blocks)
-    zm = z_polynomial(set_sign(d, cid, -1), blocks=blocks)
-    z0 = z_polynomial(smooth(pos, cid), blocks=blocks)
+    zp = z_polynomial(pos)
+    zm = z_polynomial(set_sign(d, cid, -1))
+    z0 = z_polynomial(smooth(pos, cid))
     return zp, zm, z0, zp - X * zm - (ONE - X) * z0
 
 
@@ -242,7 +254,7 @@ def vassiliev_eval(d: Diagram, f: Callable[[Diagram], LaurentPoly2]) -> LaurentP
     return total
 
 
-def order_one_defect(d: Diagram, id1: int, id2: int, *, blocks: Blocks | None = None) -> LaurentPoly2:
+def order_one_defect(d: Diagram, id1: int, id2: int) -> LaurentPoly2:
     """Second finite difference of c1 at two crossings:
     c1(++) - c1(+-) - c1(-+) + c1(--) with both crossings forced to the
     given signs.  Vanishes on knot diagrams; can be nonzero on links."""
@@ -254,7 +266,7 @@ def order_one_defect(d: Diagram, id1: int, id2: int, *, blocks: Blocks | None = 
             raise ValueError(f"no classical crossing {cid}")
 
     def at(s1: int, s2: int) -> LaurentPoly2:
-        return c1(set_sign(set_sign(d, id1, s1), id2, s2), blocks=blocks)
+        return c1(set_sign(set_sign(d, id1, s1), id2, s2))
 
     return at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)
 

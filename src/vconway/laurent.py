@@ -508,10 +508,10 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
             cols[j].discard(r)
         for i in below:
             row_i = rows[i]
-            # a_ic * p^-1, where p^-1 = pc * x^-a*y^-b because pc is +-1
-            f = LaurentPoly2._raw({k - pk: v * pc for k, v in row_i.pop(c)._t.items()})
+            # -a_ic * p^-1, where p^-1 = pc * x^-a*y^-b because pc is +-1
+            f = LaurentPoly2._raw({k - pk: -v * pc for k, v in row_i.pop(c)._t.items()})
             for j, b in pivot_row.items():
-                upd = row_i.get(j, _ZERO) - f * b
+                upd = row_i.get(j, _ZERO) + f * b
                 if upd._t:
                     row_i[j] = upd
                     cols[j].add(i)

@@ -355,6 +355,8 @@ def random_walk(
         raise ValueError(f"a walk needs a non-negative number of steps, got {steps}")
     if d.has_doubles():
         raise ValueError("moves are generated for non-singular diagrams only")
+    if not d.components:
+        raise ValueError("a walk needs a component to put a kink in")
     rng = random.Random(seed)
     cap = max_crossings if max_crossings is not None else d.n_classical() + 4
     cur = d

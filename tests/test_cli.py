@@ -3,7 +3,7 @@ import json
 import pytest
 
 from vconway import invariants
-from vconway.cli import MAX_LINK_SEARCH_CROSSINGS, main
+from vconway.cli import MAX_SAMPLED_CROSSINGS, main
 from vconway.diagram import format_diagram, parse_diagram, reverse, validate
 from vconway.invariants import c1, vassiliev_eval
 from vconway.verify import MAX_SHOWN
@@ -180,6 +180,43 @@ def test_verify_file_rejects_random(vhopf_file, capsys):
     assert captured.err.startswith("error: --random") and captured.err.count("\n") == 1
 
 
+def test_verify_file_without_component(tmp_path, capsys):
+    empty = tmp_path / "e.gauss"
+    empty.write_text("# nothing\n")
+    for seed in ("0", "1"):
+        assert main(["verify", str(empty), "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {empty} has no component to check\n"
+    # compute still reports the empty diagram
+    assert main(["compute", str(empty)]) == 0
+    assert capsys.readouterr().out.startswith("components          0\n")
+
+
+def test_verify_random_crossing_ceiling(capsys):
+    k = MAX_SAMPLED_CROSSINGS + 1
+    assert main(["verify", "--random", f"{k},1,0", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --random samples diagrams of at most "
+                            f"{MAX_SAMPLED_CROSSINGS} crossings, got {k}\n")
+
+
+def test_verify_mutate_leaves_right_blocks(monkeypatch, capsys):
+    d = parse_diagram("component: O1-\ncomponent: U1-")
+    before = invariants.z_polynomial(d)
+    assert invariants._z_memo.cache_info().currsize == 1  # warm
+    argv = ["verify", "--trials", "5", "--seed", "0", "--mutate", "--format", "json"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    calls = []
+    det = invariants.det
+    monkeypatch.setattr(invariants, "det", lambda m: calls.append(m.n) or det(m))
+    # the memo was emptied on exit, so the right value is computed anew
+    assert invariants.z_polynomial(d) == before
+    assert calls == [2]
+
+
 def test_verify_lists_no_check_without_trials(tmp_path, capsys):
     empty = tmp_path / "unknot.txt"
     empty.write_text("component:\n")
@@ -335,14 +372,14 @@ def test_search_links_budget_exhausted(capsys):
 
 
 def test_search_links_crossing_ceiling(capsys):
-    assert main(["search", "--links", "--max-crossings", str(MAX_LINK_SEARCH_CROSSINGS + 1),
+    assert main(["search", "--links", "--max-crossings", str(MAX_SAMPLED_CROSSINGS + 1),
                  "--budget", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: --links samples links of at most "
-                            f"{MAX_LINK_SEARCH_CROSSINGS} crossings, "
-                            f"got {MAX_LINK_SEARCH_CROSSINGS + 1}\n")
-    assert main(["search", "--links", "--max-crossings", str(MAX_LINK_SEARCH_CROSSINGS),
+                            f"{MAX_SAMPLED_CROSSINGS} crossings, "
+                            f"got {MAX_SAMPLED_CROSSINGS + 1}\n")
+    assert main(["search", "--links", "--max-crossings", str(MAX_SAMPLED_CROSSINGS),
                  "--budget", "1"]) in (0, 1)
     # the knot search keeps no such ceiling: it stops at its 3-crossing hit
     assert main(["search", "--max-crossings", "300"]) == 0

@@ -23,6 +23,7 @@ from vconway.invariants import (
     c1,
     conway,
     kink_factor,
+    mutated_blocks,
     order_one_defect,
     report,
     vassiliev_eval,
@@ -31,7 +32,6 @@ from vconway.invariants import (
 )
 from vconway.laurent import ONE, X, X_INV, LaurentPoly2, eval_x1, normalize_x
 from vconway.moves import GeneratorConfig, random_diagram
-from vconway.verify import mutated_blocks
 
 
 def _sample(count, seed, components=None, max_crossings=6):
@@ -188,15 +188,28 @@ def test_repeated_z_computes_one_det(vtref, monkeypatch):
 
 def test_z_memo_keeps_blocks_apart(monkeypatch):
     d = parse_diagram("component: O1-\ncomponent: U1-")
-    right = invariants._z_memo.__wrapped__(d, None)
-    wrong = invariants._z_memo.__wrapped__(d, tuple(sorted(mutated_blocks().items())))
-    assert right != wrong
     calls = _count_dets(monkeypatch)
-    for order in ((None, mutated_blocks()), (mutated_blocks(), None)):
-        invariants._z_memo.cache_clear()
-        got = [z_polynomial(d, blocks=b) for b in order + order]
-        assert got == [right if b is None else wrong for b in order + order]
-    assert calls == [2, 2, 2, 2]
+    right = z_polynomial(d)
+    with mutated_blocks():
+        # the memo was emptied on entry: the wrong block costs a new det
+        wrong = z_polynomial(d)
+        assert z_polynomial(d) == wrong
+    assert wrong != right
+    # and emptied again on exit: the right value is computed anew
+    assert z_polynomial(d) == right
+    assert calls == [2, 2, 2]
+
+
+def test_mutated_blocks_restored_on_exception(monkeypatch):
+    d = parse_diagram("component: O1-\ncomponent: U1-")
+    right = z_polynomial(d)
+    with pytest.raises(RuntimeError, match="inside"):
+        with mutated_blocks():
+            assert z_polynomial(d) != right
+            raise RuntimeError("raised inside")
+    calls = _count_dets(monkeypatch)
+    assert z_polynomial(d) == right
+    assert calls == [2]
 
 
 def test_z_memo_is_bounded():

@@ -248,6 +248,13 @@ def test_walk_rejects_singular():
         random_walk(d, 3, seed=0)
 
 
+def test_walk_rejects_no_component():
+    d = parse_diagram("")
+    for seed in (0, 1):
+        with pytest.raises(ValueError, match="component"):
+            random_walk(d, 5, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # walks
 

@@ -2,7 +2,7 @@ import pytest
 
 from vconway.diagram import format_diagram, parse_diagram, reverse
 from vconway import verify
-from vconway.invariants import c1, vassiliev_eval
+from vconway.invariants import c1, mutated_blocks, vassiliev_eval
 from vconway.verify import (
     CheckResult,
     check_kink_factors,
@@ -14,7 +14,6 @@ from vconway.verify import (
     enumerate_virtual_knot_codes,
     find_c1_order_defect_link,
     find_noninvertible_knot,
-    mutated_blocks,
     run_campaign,
     tally_diagram_checks,
 )
@@ -42,7 +41,8 @@ def test_zero_move_walks_are_legal():
 
 
 def test_mutated_block_is_caught():
-    results = run_campaign(trials=20, moves=10, seed=3, blocks=mutated_blocks())
+    with mutated_blocks():
+        results = run_campaign(trials=20, moves=10, seed=3)
     failing = [r for r in results if not r.informational and not r.passed]
     assert failing
     assert any(r.examples for r in failing)
