@@ -51,7 +51,7 @@ identity down.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .laurent import ONE, ZERO, PolyMatrix
@@ -97,7 +97,7 @@ class Diagram:
     """An immutable signed Gauss code: components of passages plus a crossing table."""
 
     components: tuple[tuple[Passage, ...], ...]
-    crossings: dict[int, Crossing] = field(compare=False)
+    crossings: dict[int, Crossing]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "crossings", dict(self.crossings))
@@ -119,11 +119,6 @@ class Diagram:
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings.values() if c.kind == "x")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self.components == other.components and self.crossings == other.crossings
 
     def __hash__(self) -> int:
         return hash((self.components, tuple(sorted(self.crossings.items(), key=lambda kv: kv[0]))))
@@ -262,10 +257,6 @@ class SlotPermutation:
         return PolyMatrix(tuple(tuple(r) for r in rows))
 
 
-def _slot_index(rank: dict[int, int], cid: int, side: int) -> int:
-    return 2 * rank[cid] + side
-
-
 def _entry_side(role: str, sign: int) -> int:
     # 0 = l, 1 = r; see the slot convention in the module docstring
     if role == OVER:
@@ -299,8 +290,8 @@ def build_P(d: Diagram) -> SlotPermutation:
     for p, q in _consecutive_passages(d):
         sp = d.crossings[p.crossing].sign
         sq = d.crossings[q.crossing].sign
-        src = _slot_index(rank, q.crossing, _entry_side(q.role, sq))
-        dst = _slot_index(rank, p.crossing, _exit_side(p.role, sp))
+        src = 2 * rank[q.crossing] + _entry_side(q.role, sq)
+        dst = 2 * rank[p.crossing] + _exit_side(p.role, sp)
         perm[src] = dst
     return SlotPermutation(n, tuple(perm))
 
@@ -321,8 +312,8 @@ def build_TP(d: Diagram) -> SlotPermutation:
     for p, q in _consecutive_passages(d):
         sp = d.crossings[p.crossing].sign
         sq = d.crossings[q.crossing].sign
-        src = _slot_index(rank, p.crossing, _exit_side(p.role, sp))
-        dst = _slot_index(rank, q.crossing, _exit_side(q.role, sq))
+        src = 2 * rank[p.crossing] + _exit_side(p.role, sp)
+        dst = 2 * rank[q.crossing] + _exit_side(q.role, sq)
         perm[src] = dst
     return SlotPermutation(n, tuple(perm))
 
@@ -393,16 +384,12 @@ def smooth(d: Diagram, cid: int) -> Diagram:
     return Diagram(tuple(comps), table)
 
 
-def resolve_double(d: Diagram, cid: int, how: str) -> Diagram:
-    """Resolve double point cid: '+' to a positive crossing with the A-passage
-    on top, '-' to its switch, '0' to the oriented smoothing."""
+def resolve_double(d: Diagram, cid: int) -> Diagram:
+    """Resolve double point cid to a positive crossing with the A passage on
+    top.  Its switch is the negative resolution."""
     rec = d.crossings.get(cid)
     if rec is None or rec.kind != "d":
         raise ValueError(f"crossing {cid} is not a double point of this diagram")
-    if how == "0":
-        return smooth(d, cid)
-    if how not in ("+", "-"):
-        raise ValueError(f"resolution must be '+', '-' or '0', got {how!r}")
     role_map = {FIRST: OVER, SECOND: UNDER}
     comps = tuple(
         tuple(
@@ -410,8 +397,7 @@ def resolve_double(d: Diagram, cid: int, how: str) -> Diagram:
         )
         for comp in d.components
     )
-    plus = Diagram(comps, {**d.crossings, cid: Crossing(cid, "x", 1)})
-    return plus if how == "+" else switch(plus, cid)
+    return Diagram(comps, {**d.crossings, cid: Crossing(cid, "x", 1)})
 
 
 def reverse(d: Diagram) -> Diagram:
@@ -421,16 +407,11 @@ def reverse(d: Diagram) -> Diagram:
 
 
 def mirror(d: Diagram) -> Diagram:
-    """Mirror image: every classical crossing changes sign and swaps O with U."""
-    flip = {OVER: UNDER, UNDER: OVER, FIRST: FIRST, SECOND: SECOND}
-    comps = tuple(
-        tuple(Passage(p.crossing, flip[p.role]) for p in comp) for comp in d.components
-    )
-    table = {
-        cid: (Crossing(cid, "x", -rec.sign) if rec.kind == "x" else rec)
-        for cid, rec in d.crossings.items()
-    }
-    return Diagram(comps, table)
+    """Mirror image: every classical crossing is switched, so it changes sign
+    and swaps O with U; double points stay as they are."""
+    for cid in d.classical_ids():
+        d = switch(d, cid)
+    return d
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:

@@ -61,6 +61,7 @@ from .diagram import (
     resolve_double,
     set_sign,
     smooth,
+    switch,
 )
 
 # 2 x 2 crossing blocks; the negative block is the inverse of the positive one.
@@ -114,24 +115,28 @@ def z_polynomial(d: Diagram) -> LaurentPoly2:
     return _z_memo(d)
 
 
+def _slot_matrix(blocks: list[tuple[tuple[LaurentPoly2, ...], ...]], perm: SlotPermutation,
+                 entry: LaurentPoly2) -> PolyMatrix:
+    """The 2n x 2n matrix with the 2 x 2 `blocks` down the diagonal, one per
+    crossing by rank, plus `entry` in row perm[s] of each column s."""
+    m = 2 * perm.n
+    rows = [[ZERO] * m for _ in range(m)]
+    for i, blk in enumerate(blocks):
+        rows[2 * i][2 * i : 2 * i + 2] = blk[0]
+        rows[2 * i + 1][2 * i : 2 * i + 2] = blk[1]
+    for s, t in enumerate(perm.perm):
+        rows[t][s] = rows[t][s] + entry
+    return PolyMatrix(tuple(tuple(r) for r in rows))
+
+
 @functools.lru_cache(maxsize=Z_MEMO_SIZE)
 def _z_memo(d: Diagram) -> LaurentPoly2:
     n = d.n_classical()
     if n == 0 or d.has_empty_component():
         return ZERO
     P = build_P(d)
-    ids = d.classical_ids()
-    m = 2 * n
-    rows = [[ZERO] * m for _ in range(m)]
-    for i, cid in enumerate(ids):
-        blk = _blocks[d.crossings[cid].sign]
-        rows[2 * i][2 * i] = blk[0][0]
-        rows[2 * i][2 * i + 1] = blk[0][1]
-        rows[2 * i + 1][2 * i] = blk[1][0]
-        rows[2 * i + 1][2 * i + 1] = blk[1][1]
-    for s, t in enumerate(P.perm):
-        rows[t][s] = rows[t][s] + _MINUS_ONE
-    value = det(PolyMatrix(tuple(tuple(r) for r in rows)))
+    blocks = [_blocks[d.crossings[cid].sign] for cid in d.classical_ids()]
+    value = det(_slot_matrix(blocks, P, _MINUS_ONE))
     if (n + len(d.components)) % 2:
         value = -value
     return value
@@ -175,15 +180,7 @@ def c0_via_tp(d: Diagram) -> LaurentPoly2:
     crossing-free component, where the identity holds.
     """
     TP = _companion_TP(d)
-    n = TP.n
-    m = 2 * n
-    rows = [[ZERO] * m for _ in range(m)]
-    for i in range(n):
-        rows[2 * i][2 * i] = Y_INV
-        rows[2 * i + 1][2 * i + 1] = Y
-    for s, t in enumerate(TP.perm):
-        rows[t][s] = rows[t][s] + ONE
-    return det(PolyMatrix(tuple(tuple(r) for r in rows)))
+    return det(_slot_matrix([((Y_INV, ZERO), (ZERO, Y))] * TP.n, TP, ONE))
 
 
 def c0_cycle_form(d: Diagram) -> LaurentPoly2:
@@ -249,21 +246,19 @@ def vassiliev_eval(d: Diagram, f: Callable[[Diagram], LaurentPoly2]) -> LaurentP
             total = total + f(cur) if weight > 0 else total - f(cur)
             continue
         cid = doubles[idx]
-        stack.append((resolve_double(cur, cid, "+"), weight, idx + 1))
-        stack.append((resolve_double(cur, cid, "-"), -weight, idx + 1))
+        pos = resolve_double(cur, cid)
+        stack.append((pos, weight, idx + 1))
+        stack.append((switch(pos, cid), -weight, idx + 1))
     return total
 
 
 def order_one_defect(d: Diagram, id1: int, id2: int) -> LaurentPoly2:
     """Second finite difference of c1 at two crossings:
     c1(++) - c1(+-) - c1(-+) + c1(--) with both crossings forced to the
-    given signs.  Vanishes on knot diagrams; can be nonzero on links."""
+    given signs.  Vanishes on knot diagrams; can be nonzero on links.
+    Raises ValueError unless id1 and id2 are two distinct classical crossings."""
     if id1 == id2:
         raise ValueError(f"need two distinct crossings, got {id1} twice")
-    for cid in (id1, id2):
-        rec = d.crossings.get(cid)
-        if rec is None or rec.kind != "x":
-            raise ValueError(f"no classical crossing {cid}")
 
     def at(s1: int, s2: int) -> LaurentPoly2:
         return c1(set_sign(set_sign(d, id1, s1), id2, s2))

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .diagram import (
+    Crossing,
     Diagram,
+    Passage,
     disjoint_union,
     format_diagram,
     mirror,
@@ -334,31 +336,25 @@ def tally_diagram_checks(cases: Iterable[tuple[Diagram, int]],
 def _role_sequences(n: int):
     """All one-component sequences of n crossings, each passed once over and
     once under, ids numbered by first appearance.  Yields tuples of
-    (id, role) pairs."""
-    seq: list[tuple[int, str]] = []
-    open_roles: dict[int, str] = {}
+    (id, role) pairs.
 
-    def rec(nxt: int):
+    Each step either opens crossing `nxt` (as O, then as U) or closes one of
+    the open crossings in its other role.  Closing the k-th open crossing
+    passes open[k+1:] + open[:k] down, so the crossings still open rotate.
+    This order fixes which code the search finds first."""
+
+    def rec(seq: tuple, open_: list, nxt: int):
         if len(seq) == 2 * n:
-            if not open_roles:
-                yield tuple(seq)
+            yield seq
             return
         if nxt <= n:
             for role in ("O", "U"):
-                seq.append((nxt, role))
-                open_roles[nxt] = role
-                yield from rec(nxt + 1)
-                del open_roles[nxt]
-                seq.pop()
-        for cid in list(open_roles):
-            role = "U" if open_roles[cid] == "O" else "O"
-            seq.append((cid, role))
-            del open_roles[cid]
-            yield from rec(nxt)
-            open_roles[cid] = "O" if role == "U" else "U"
-            seq.pop()
+                yield from rec(seq + ((nxt, role),), open_ + [(nxt, role)], nxt + 1)
+        for k, (cid, role) in enumerate(open_):
+            yield from rec(seq + ((cid, "U" if role == "O" else "O"),),
+                           open_[k + 1:] + open_[:k], nxt)
 
-    yield from rec(1)
+    yield from rec((), [], 1)
 
 
 def _first_appearance_form(seq: tuple) -> tuple:
@@ -372,20 +368,14 @@ def _first_appearance_form(seq: tuple) -> tuple:
 
 
 def _rotation_minimal(seq: tuple) -> bool:
-    base = _first_appearance_form(seq)
-    L = len(seq)
-    for r in range(1, L):
-        rot = _first_appearance_form(seq[r:] + seq[:r])
-        if rot < base:
-            return False
-    return True
+    """Whether seq, already in first-appearance form, is no greater than the
+    first-appearance form of any of its rotations."""
+    return all(seq <= _first_appearance_form(seq[r:] + seq[:r]) for r in range(1, len(seq)))
 
 
 def enumerate_virtual_knot_codes(max_crossings: int):
     """All one-component signed codes with up to the given number of
     classical crossings, one representative per rotation class."""
-    from .diagram import Crossing, Passage
-
     yield Diagram(((),), {})
     for n in range(1, max_crossings + 1):
         for seq in _role_sequences(n):

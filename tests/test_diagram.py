@@ -182,16 +182,10 @@ def test_smooth_merge_preserves_arc_order():
 
 def test_resolve_double():
     d = parse_diagram("component: A1 O2+ B1 U2+")
-    pos = resolve_double(d, 1, "+")
-    assert pos.crossings[1].kind == "x" and pos.crossings[1].sign == 1
-    neg = resolve_double(d, 1, "-")
-    assert neg.crossings[1].sign == -1
-    sm = resolve_double(d, 1, "0")
-    assert 1 not in sm.crossings
+    pos = resolve_double(d, 1)
+    assert format_diagram(pos) == "component: O1+ O2+ U1+ U2+"
     with pytest.raises(ValueError):
-        resolve_double(d, 1, "x")
-    with pytest.raises(ValueError):
-        resolve_double(d, 2, "+")
+        resolve_double(d, 2)
 
 
 def test_reverse_mirror_involutions(vtref, chain3):
@@ -199,6 +193,8 @@ def test_reverse_mirror_involutions(vtref, chain3):
         assert reverse(reverse(d)) == d
         assert mirror(mirror(d)) == d
     assert mirror(vtref).writhe() == -vtref.writhe()
+    singular = parse_diagram("component: O1+ A2 U1+ B2")
+    assert format_diagram(mirror(singular)) == "component: U1- A2 O1- B2"
 
 
 def test_disjoint_union_offsets(vhopf, vtref):
@@ -213,3 +209,5 @@ def test_diagram_equality_and_hash(vtref):
     assert vtref == again
     assert hash(vtref) == hash(again)
     assert vtref != switch(vtref, 1)
+    # same components, different crossing table
+    assert parse_diagram("component: O1+ U1+") != parse_diagram("component: O1- U1-")

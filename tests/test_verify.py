@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from vconway.diagram import format_diagram, parse_diagram, reverse
@@ -115,6 +117,14 @@ def test_enumeration_counts():
     for n in range(5):
         sizes[n] = sum(1 for _ in enumerate_virtual_knot_codes(n))
     assert sizes == {0: 1, 1: 3, 2: 19, 3: 195, 4: 3683}
+
+
+def test_enumeration_order_is_pinned():
+    # the order decides which code the search reports first
+    codes = [format_diagram(d) for d in enumerate_virtual_knot_codes(4)]
+    assert len(codes) == 3683
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert digest == "7362f8890ea6bd55053921ced363a5e2eb49f98373930cc4d7a66c9e087575a8"
 
 
 def test_enumeration_yields_valid_knots():
