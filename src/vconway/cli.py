@@ -52,6 +52,12 @@ LINK_SEARCH_BUDGET = 10000
 # one verify trial takes 0.9 s at 24 crossings and 38 s at 40
 MAX_SAMPLED_CROSSINGS = 24
 
+# most classical crossings a diagram file may have for `compute`, `skein`,
+# `orient` and `verify FILE`, counting each double point, which every
+# resolution makes classical: one Z took 0.15-0.3 s at 64 crossings and
+# 2.5-15 s at 96
+MAX_CLASSICAL_CROSSINGS = 64
+
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
              "is specific to knots")
 
@@ -76,6 +82,9 @@ def _load(path: str) -> Diagram:
     if problems:
         raise InputError("; ".join(problems))
     _check_double_points(len(d.double_ids()))
+    if len(d.crossings) > MAX_CLASSICAL_CROSSINGS:
+        raise InputError(f"{len(d.crossings)} crossings exceed the supported maximum "
+                         f"of {MAX_CLASSICAL_CROSSINGS}")
     return d
 
 

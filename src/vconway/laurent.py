@@ -12,6 +12,19 @@ coefficients.  Internally the pair (ex, ey) is packed into one integer
 (ex * 2^32 + ey) so that exponent addition during multiplication is a
 single integer add; the empty mapping is the zero polynomial.
 
+Large products and quotients use Kronecker substitution (Schoenhage
+1982; Harvey, J. Symb. Comp. 44, 2009): a polynomial becomes one
+integer, its value at x = 2^B, y = 2^(B*w), where w is wide enough that
+no row of x-exponents spills into the next.  Its terms are digits of
+B = 8, 16, 32 or 64 bits, each holding a coefficient offset by 2^(B-1),
+so one bigint product or `divmod` does the whole ring operation and
+`to_bytes` reads the digits back.  A packed quotient is used only once
+its product with the divisor is shown to give the numerator; failing
+that, the digits widen once and then long division decides.  The
+schoolbook loops stay for small operands, for coefficients too wide for
+64-bit digits and for sparse operands whose box of slots would dwarf
+their term count.
+
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
 " - ".  A monomial prints as `x^a*y^b`, omitting a factor whose
@@ -26,13 +39,27 @@ polynomial prints as "0".  Examples:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Iterable, Mapping
 
 _SHIFT = 1 << 32
+_MASK = _SHIFT - 1
 _HALF = 1 << 31
 _EXP_LIMIT = 1 << 30
+
+# term pairs len(a) * len(b) from which products and quotients are packed;
+# times at 24 crossings were flat for thresholds from 50 to 400
+_PACK_PAIRS = 150
+# most digit slots a packed operand may take per term pair, so that a
+# sparse (x^(2^29) + y) * (y^(2^29) + x) stays on the schoolbook path
+_SLOTS_PER_PAIR = 8
+# unsigned array typecode for each digit width in bytes
+_DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _pack(ex: int, ey: int) -> int:
@@ -44,6 +71,111 @@ def _pack(ex: int, ey: int) -> int:
 def _unpack(key: int) -> tuple[int, int]:
     ey = ((key + _HALF) % _SHIFT) - _HALF
     return (key - ey) >> 32, ey
+
+
+_Spread = tuple[list[int], list[int], list[int]]
+
+
+def _spread(t: dict[int, int]) -> _Spread:
+    """The x-exponents, y-exponents and coefficients of packed terms, in step."""
+    ys = [((k + _HALF) & _MASK) - _HALF for k in t]
+    return [(k - y) >> 32 for k, y in zip(t, ys)], ys, list(t.values())
+
+
+def _digit_bytes(bound: int) -> int | None:
+    """Bytes of the narrowest digit that holds every coefficient of
+    magnitude at most `bound` (offset by half its range), or None when
+    not even 8 bytes do."""
+    bits = bound.bit_length() + 1
+    for nb in (1, 2, 4, 8):
+        if bits <= 8 * nb:
+            return nb
+    return None
+
+
+def _offset(nb: int, slots: int) -> int:
+    """The packed integer whose every digit is 2^(8*nb - 1)."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
+
+
+def _to_int(spread: _Spread, x0: int, y0: int, w: int, h: int, nb: int) -> int:
+    """Pack terms with exponents from (x0, y0) into h rows of w digits of nb bytes.
+
+    The term x^a*y^b goes to digit (a - x0) + w*(b - y0).  The caller
+    guarantees that every term fits and every coefficient is below
+    2^(8*nb - 1) in magnitude.
+    """
+    half = 1 << (8 * nb - 1)
+    digits = array(_DIGIT_CODES[nb], [half]) * (w * h)
+    for x, y, c in zip(*spread):
+        digits[x - x0 + w * (y - y0)] = half + c
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return int.from_bytes(digits, "little") - _offset(nb, w * h)
+
+
+def _from_int(v: int, x0: int, y0: int, w: int, h: int, nb: int,
+              cols: int) -> dict[int, int] | None:
+    """Unpack `v` as h rows of w digits of nb bytes, the inverse of `_to_int`.
+
+    None if `v` needs more digits than that, or has a nonzero digit in a
+    column at or beyond `cols`.
+    """
+    half = 1 << (8 * nb - 1)
+    slots = w * h
+    try:
+        raw = (v + _offset(nb, slots)).to_bytes(nb * slots, "little")
+    except OverflowError:
+        return None
+    digits = array(_DIGIT_CODES[nb], raw)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    if cols < w:
+        pad = array(_DIGIT_CODES[nb], [half]) * (w - cols)
+        if any(digits[s + cols:s + w] != pad for s in range(0, slots, w)):
+            return None
+    base = x0 * _SHIFT + y0
+    keys = chain.from_iterable(range(base + r, base + r + w * _SHIFT, _SHIFT) for r in range(h))
+    return {k: d - half for k, d in zip(keys, digits) if d != half}
+
+
+def _mul_schoolbook(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two packed-key term dicts, one term pair at a time."""
+    out: dict[int, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            v = out.get(k, 0) + ca * cb
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """The product of two term dicts as one bigint product.
+
+    Each operand is packed with rows of w slots, w the product's x-span,
+    so no row of the product spills into the next.  A product
+    coefficient is at most min(l1(a)*max|b|, l1(b)*max|a|) in magnitude,
+    which sets the digit width.  None, for the schoolbook loop, when
+    that needs more than 64 bits or the slots exceed `_SLOTS_PER_PAIR`
+    per term pair.
+    """
+    sa, sb = _spread(a), _spread(b)
+    (ax, ay, ac), (bx, by, bc) = sa, sb
+    ax0, ay0, bx0, by0 = min(ax), min(ay), min(bx), min(by)
+    ha, hb = max(ay) - ay0 + 1, max(by) - by0 + 1
+    w = max(ax) - ax0 + max(bx) - bx0 + 1
+    if w * (ha + hb - 1) > _SLOTS_PER_PAIR * len(a) * len(b):
+        return None
+    ma, mb = list(map(abs, ac)), list(map(abs, bc))
+    nb = _digit_bytes(min(sum(ma) * max(mb), sum(mb) * max(ma)))
+    if nb is None:
+        return None
+    prod = _to_int(sa, ax0, ay0, w, ha, nb) * _to_int(sb, bx0, by0, w, hb, nb)
+    return _from_int(prod, ax0 + bx0, ay0 + by0, w, ha + hb - 1, nb, w)
 
 
 class LaurentPoly2:
@@ -143,6 +275,8 @@ class LaurentPoly2:
         return LaurentPoly2.const(other) + (-self)
 
     def __mul__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
+        """The product; packed into one bigint product from `_PACK_PAIRS`
+        term pairs on, unless `_mul_packed` declines, schoolbook otherwise."""
         if isinstance(other, int):
             if not other:
                 return _ZERO
@@ -158,16 +292,11 @@ class LaurentPoly2:
         if len(b) == 1:
             (kb, cb), = b.items()
             return LaurentPoly2._raw({k + kb: c * cb for k, c in a.items()})
-        out: dict[int, int] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return LaurentPoly2._raw(out)
+        if len(a) * len(b) >= _PACK_PAIRS:
+            out = _mul_packed(a, b)
+            if out is not None:
+                return LaurentPoly2._raw(out)
+        return LaurentPoly2._raw(_mul_schoolbook(a, b))
 
     __rmul__ = __mul__
 
@@ -412,53 +541,141 @@ class PolyMatrix:
         )
 
 
+class _Divider:
+    """Exact division by one divisor, set up once for many numerators.
+
+    `_bareiss` divides every entry of step k by the same previous pivot,
+    so the divisor's exponent box, its unpacked terms, its norms and its
+    packed forms are computed once per step.  In each variable an exact
+    quotient's exponents run from the numerator's lowest minus the
+    divisor's lowest to its highest minus the divisor's highest; a
+    quotient that leaves that box means the division is inexact.
+    """
+
+    __slots__ = ("_t", "_spread", "_box", "_max", "_l1", "_ints")
+
+    def __init__(self, den: LaurentPoly2):
+        t = den._t
+        if not t:
+            raise ZeroDivisionError("division by the zero polynomial")
+        self._t = t
+        xs, ys, cs = self._spread = _spread(t)
+        self._box = min(xs), max(xs), min(ys), max(ys)
+        mags = list(map(abs, cs))
+        self._max, self._l1 = max(mags), sum(mags)
+        self._ints: dict[tuple[int, int], int] = {}
+
+    def __call__(self, num: LaurentPoly2) -> LaurentPoly2:
+        """num / den; raises `ArithmeticError` if the quotient does not exist."""
+        nt, dt = num._t, self._t
+        if not nt:
+            return ZERO
+        if len(dt) == 1:
+            (dk, dc), = dt.items()
+            if dt == ONE._t:  # Bareiss step 0
+                return num
+            out: dict[int, int] = {}
+            for k, c in nt.items():
+                q, r = divmod(c, dc)
+                if r:
+                    raise ArithmeticError("non-exact division")
+                out[k - dk] = q
+            return LaurentPoly2._raw(out)
+        spread = xs, ys, _ = _spread(nt)
+        dx0, dx1, dy0, dy1 = self._box
+        nx0, ny0 = min(xs), min(ys)
+        w, h = max(xs) - nx0 + 1, max(ys) - ny0 + 1
+        box = nx0 - dx0, nx0 + w - 1 - dx1, ny0 - dy0, ny0 + h - 1 - dy1
+        if box[0] > box[1] or box[2] > box[3]:
+            raise ArithmeticError("non-exact division")
+        pairs = len(nt) * len(dt)
+        if pairs >= _PACK_PAIRS and w * h <= _SLOTS_PER_PAIR * pairs:
+            quo = self._packed(spread, w, h, box)
+            if quo is not None:
+                return LaurentPoly2._raw(quo)
+        return LaurentPoly2._raw(self._long(nt, box))
+
+    def _int(self, w: int, nb: int) -> int:
+        """The divisor packed with rows of w digits of nb bytes."""
+        v = self._ints.get((w, nb))
+        if v is None:
+            dx0, _, dy0, dy1 = self._box
+            v = self._ints[w, nb] = _to_int(self._spread, dx0, dy0, w, dy1 - dy0 + 1, nb)
+        return v
+
+    def _packed(self, spread: _Spread, w: int, h: int,
+                box: tuple[int, int, int, int]) -> dict[int, int] | None:
+        """The quotient from one bigint `divmod`, or None for long division.
+
+        The numerator (w by h, w its x-span) and the divisor are packed
+        with rows of w slots and digits wide enough for both.
+        Evaluation is a ring homomorphism, so a nonzero remainder proves
+        the division inexact.  A zero remainder only says that the
+        decoded quotient q matches at this one evaluation point.  So q
+        must lie in the exponent box, and is accepted when q * den
+        provably has digits in range (then it equals the numerator digit
+        for digit), or when a packed multiply-back at a width that holds
+        q * den gives the numerator.  Otherwise the digits widen once,
+        and then the caller falls back to long division.
+        """
+        x_lo, x_hi, y_lo, y_hi = box
+        nx0, ny0 = x_lo + self._box[0], y_lo + self._box[2]
+        hq = y_hi - y_lo + 1
+        nmax = max(map(abs, spread[2]))
+        nb = _digit_bytes(max(nmax, self._max))
+        for _ in range(2):
+            if nb is None:
+                return None
+            q, r = divmod(_to_int(spread, nx0, ny0, w, h, nb), self._int(w, nb))
+            if r:
+                raise ArithmeticError("non-exact division")
+            quo = _from_int(q, x_lo, y_lo, w, hq, nb, x_hi - x_lo + 1)
+            if quo is not None:
+                qs = _spread(quo)
+                mags = list(map(abs, qs[2]))
+                back = _digit_bytes(max(min(sum(mags) * self._max, self._l1 * max(mags)), nmax))
+                if back is not None and (back <= nb or (
+                        _to_int(qs, x_lo, y_lo, w, hq, back) * self._int(w, back)
+                        == _to_int(spread, nx0, ny0, w, h, back))):
+                    return quo
+            nb = 2 * nb if nb < 8 else None
+        return None
+
+    def _long(self, nt: dict[int, int], box: tuple[int, int, int, int]) -> dict[int, int]:
+        """Schoolbook long division by lex-leading terms of the packed
+        keys, which multiply in the ring, so quotient terms come out in
+        falling order and each is checked against the box."""
+        x_lo, x_hi, y_lo, y_hi = box
+        dt = self._t
+        dk = max(dt)
+        dc = dt[dk]
+        rem = dict(nt)
+        quo: dict[int, int] = {}
+        while rem:
+            lk = max(rem)
+            qc, r = divmod(rem[lk], dc)
+            qk = lk - dk
+            qx, qy = _unpack(qk)
+            if r or not (x_lo <= qx <= x_hi and y_lo <= qy <= y_hi):
+                raise ArithmeticError("non-exact division")
+            quo[qk] = qc
+            for k, c in dt.items():
+                kk = k + qk
+                v = rem.get(kk, 0) - c * qc
+                if v:
+                    rem[kk] = v
+                else:
+                    rem.pop(kk, None)
+        return quo
+
+
 def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
     """Exact division in the Laurent ring; raises if the quotient does not exist.
 
-    Long division by lex-leading terms of the packed keys, which multiply
-    in Z[x^(+-1), y^(+-1)], so quotient terms come out in falling order.
-    In each variable an exact quotient's exponents run from the numerator's
-    lowest minus the divisor's lowest to its highest minus the divisor's
-    highest; a term outside that finite box means the division is inexact.
+    The one-shot form of `_Divider`: packed `divmod` with a checked
+    quotient from `_PACK_PAIRS` term pairs on, long division otherwise.
     """
-    dt = den._t
-    if not dt:
-        raise ZeroDivisionError("division by the zero polynomial")
-    nt = num._t
-    if not nt:
-        return ZERO
-    if len(dt) == 1:
-        (dk, dc), = dt.items()
-        out: dict[int, int] = {}
-        for k, c in nt.items():
-            q, r = divmod(c, dc)
-            if r:
-                raise ArithmeticError("non-exact division")
-            out[k - dk] = q
-        return LaurentPoly2._raw(out)
-    (nx, ny), (dx, dy) = (zip(*map(_unpack, t)) for t in (nt, dt))
-    x_lo, x_hi = min(nx) - min(dx), max(nx) - max(dx)
-    y_lo, y_hi = min(ny) - min(dy), max(ny) - max(dy)
-    dk = max(dt)
-    dc = dt[dk]
-    rem = dict(nt)
-    quo: dict[int, int] = {}
-    while rem:
-        lk = max(rem)
-        qc, r = divmod(rem[lk], dc)
-        qk = lk - dk
-        qx, qy = _unpack(qk)
-        if r or not (x_lo <= qx <= x_hi and y_lo <= qy <= y_hi):
-            raise ArithmeticError("non-exact division")
-        quo[qk] = qc
-        for k, c in dt.items():
-            kk = k + qk
-            v = rem.get(kk, 0) - c * qc
-            if v:
-                rem[kk] = v
-            else:
-                rem.pop(kk, None)
-    return LaurentPoly2._raw(quo)
+    return _Divider(den)(num)
 
 
 def det(matrix: PolyMatrix) -> LaurentPoly2:
@@ -558,7 +775,11 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     in the Laurent ring.  Each entry after step k is a (k+1)-minor of the
     pivoted matrix, so every division by the previous pivot is exact in
     any integral domain, and Z[x^(+-1), y^(+-1)] is one.  Pivots are
-    chosen to keep fill-in low.  `det` calls it on what unit elimination
+    chosen to keep fill-in low.  Each step sets up one `_Divider` for its
+    previous pivot and divides all its entries by it.  On the dense
+    residuals of large diagrams most products and quotients take the
+    packed path, and every packed quotient is checked against its
+    numerator before it is used.  `det` calls it on what unit elimination
     leaves, and the tests use it on whole matrices as an oracle for `det`.
     """
     n = matrix.n
@@ -595,19 +816,19 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
             sign = -sign
         piv = rows[k][k]
         row_k = rows[k]
+        div = _Divider(prev)
         for i in range(k + 1, n):
             row_i = rows[i]
             aik = row_i[k]
             if aik._t:
                 for j in range(k + 1, n):
-                    num = piv * row_i[j] - aik * row_k[j]
-                    row_i[j] = _exact_div(num, prev) if num._t else ZERO
+                    row_i[j] = div(piv * row_i[j] - aik * row_k[j])
                 row_i[k] = ZERO
             else:
                 for j in range(k + 1, n):
                     a = row_i[j]
                     if a._t:
-                        row_i[j] = _exact_div(piv * a, prev)
+                        row_i[j] = div(piv * a)
         prev = piv
     result = rows[n - 1][n - 1]
     return -result if sign < 0 else result

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from vconway import invariants
-from vconway.cli import MAX_SAMPLED_CROSSINGS, main
+from vconway.cli import MAX_CLASSICAL_CROSSINGS, MAX_SAMPLED_CROSSINGS, main
 from vconway.diagram import format_diagram, parse_diagram, reverse, validate
 from vconway.invariants import c1, vassiliev_eval
+from vconway.moves import GeneratorConfig, random_diagram
 from vconway.verify import MAX_SHOWN
 
 VHOPF = "component: O1+\ncomponent: U1+\n"
@@ -89,6 +90,29 @@ def test_compute_too_many_double_points(tmp_path, capsys):
     assert main(["compute", str(p)]) == 2
     err = capsys.readouterr().err
     assert err == "error: 21 double points exceed the supported maximum of 20\n"
+
+
+def test_compute_at_crossing_ceiling(tmp_path, capsys):
+    p = tmp_path / "k64.txt"
+    p.write_text(format_diagram(random_diagram(GeneratorConfig(MAX_CLASSICAL_CROSSINGS, 2, 0, seed=0))))
+    assert main(["compute", str(p), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classical_crossings"] == MAX_CLASSICAL_CROSSINGS
+
+
+def test_crossing_ceiling_rejects_before_z(tmp_path, capsys, monkeypatch):
+    k = MAX_CLASSICAL_CROSSINGS + 1
+    p = tmp_path / "k65.txt"
+    p.write_text(format_diagram(random_diagram(GeneratorConfig(k, 1, 0, seed=0))))
+
+    def no_z(matrix):
+        raise AssertionError("Z computed above the crossing ceiling")
+
+    monkeypatch.setattr(invariants, "det", no_z)
+    for argv in (["compute"], ["verify"], ["orient"], ["skein", "--crossing", "1"]):
+        assert main(argv[:1] + [str(p)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {k} crossings exceed the supported maximum of {MAX_CLASSICAL_CROSSINGS}\n"
 
 
 def test_verify_random_too_many_double_points(capsys):

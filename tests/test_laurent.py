@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,127 @@ def test_exact_div_undoes_multiplication(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Kronecker-packed products and quotients
+
+
+def test_digit_typecodes():
+    # each digit width maps to an unsigned array typecode of exactly that size
+    assert sorted(laurent._DIGIT_CODES) == [1, 2, 4, 8]
+    for nb, code in laurent._DIGIT_CODES.items():
+        assert code in "BHILQ"
+        assert array(code).itemsize == nb
+
+
+@pytest.mark.parametrize("bound, nb", [
+    (0, 1), (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8),
+    (2**63 - 1, 8), (2**63, None),
+])
+def test_digit_bytes(bound, nb):
+    assert laurent._digit_bytes(bound) == nb
+
+
+def near(bits):
+    """Coefficients of magnitude between 2^(bits-1) and 2^bits, either sign."""
+    return st.builds(lambda m, s: m * s, st.integers(2 ** (bits - 1), 2 ** bits),
+                     st.sampled_from((1, -1)))
+
+
+def dense_polys(bits):
+    # exponents in a 4 x 4 box, at least 6 terms, so no product is too sparse to pack
+    small = st.integers(min_value=-2, max_value=1)
+    return st.dictionaries(st.tuples(small, small), near(bits), min_size=6, max_size=12).map(
+        LaurentPoly2)
+
+
+# coefficient bits that put the product bound into 1-, 2-, 4- and 8-byte
+# digits, and beyond 64 bits, where packing declines
+@pytest.mark.parametrize("bits, nb", [(1, 1), (5, 2), (13, 4), (29, 8), (33, None)])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_product_matches_schoolbook(bits, nb, data):
+    a, b = data.draw(dense_polys(bits)), data.draw(dense_polys(bits))
+    ma, mb = [abs(c) for c in a._t.values()], [abs(c) for c in b._t.values()]
+    assert laurent._digit_bytes(min(sum(ma) * max(mb), sum(mb) * max(ma))) == nb
+    expect = laurent._mul_schoolbook(a._t, b._t)
+    got = laurent._mul_packed(a._t, b._t)
+    assert got == (None if nb is None else expect)
+    assert (a * b)._t == expect
+
+
+@pytest.mark.parametrize("n, nb", [(127, 1), (128, 2)])
+def test_packed_product_at_digit_boundary(n, nb):
+    # the square of 1 + x + ... + x^(n-1) has middle coefficient n, exactly its bound
+    a = sum((mono(1, i, 0) for i in range(n)), ZERO)
+    assert laurent._digit_bytes(n) == nb
+    assert laurent._mul_packed(a._t, a._t) == laurent._mul_schoolbook(a._t, a._t)
+
+
+@pytest.mark.parametrize("bits", [1, 5, 13, 29, 33])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_division_undoes_multiplication(bits, data):
+    a, b = data.draw(dense_polys(bits)), data.draw(dense_polys(bits))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_PACK_PAIRS", 0)
+        assert laurent._exact_div(a * b, b) == a
+
+
+def spy_long_division(monkeypatch):
+    calls = []
+    long = laurent._Divider._long
+    monkeypatch.setattr(laurent, "_PACK_PAIRS", 0)
+    monkeypatch.setattr(laurent._Divider, "_long",
+                        lambda self, nt, box: calls.append(nt) or long(self, nt, box))
+    return calls
+
+
+def test_packed_division_rejects_by_remainder(monkeypatch):
+    # x^3 + 1 at x = 2^8 leaves remainder 2 modulo 2^8 - 1
+    calls = spy_long_division(monkeypatch)
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        laurent._exact_div(mono(1, 3, 0) + 1, X - 1)
+    assert not calls
+
+
+@pytest.mark.parametrize("digits, long_calls", [
+    ((30000, 30000, 5535), 0),  # quotient 30000 - 5536*x fails; 32-bit digits leave a remainder
+    ((2**62, 2**62, 2**63 - 1), 1),  # 64-bit digits cannot widen; long division decides
+])
+def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_calls):
+    # the digit sum is 2^B - 1 for the B-bit digits picked, so at x = 2^B the
+    # numerator is divisible by 1 - 2^B although 1 - x does not divide it
+    bits = 8 * laurent._digit_bytes(max(digits))
+    assert sum(digits) == 2**bits - 1
+    assert sum(c << (bits * i) for i, c in enumerate(digits)) % (1 - 2**bits) == 0
+    num = sum((mono(c, i, 0) for i, c in enumerate(digits)), ZERO)
+    calls = spy_long_division(monkeypatch)
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        laurent._exact_div(num, ONE - X)
+    assert len(calls) == long_calls
+
+
+def test_packed_division_widens_for_a_wide_quotient(monkeypatch):
+    # the numerator's largest coefficient, 13260, picks 2-byte digits; the
+    # quotient's 48620 = C(18, 9) needs 4, which one widening reaches
+    q = ONE
+    for _ in range(18):
+        q = LaurentPoly2._raw(laurent._mul_schoolbook(q._t, (ONE + X)._t))
+    num = LaurentPoly2._raw(laurent._mul_schoolbook(q._t, (ONE - X)._t))
+    assert max(num._t.values()) == 13260 and max(q._t.values()) == 48620
+    calls = spy_long_division(monkeypatch)
+    assert laurent._exact_div(num, ONE - X) == q
+    assert not calls
+
+
+def test_sparse_product_is_not_packed(monkeypatch):
+    # a packed product would need about 2^58 slots
+    monkeypatch.setattr(laurent, "_PACK_PAIRS", 0)
+    a, b = mono(1, 2**29, 0) + Y, mono(1, 0, 2**29) + X
+    assert laurent._mul_packed(a._t, b._t) is None
+    assert a * b == mono(1, 2**29, 2**29) + mono(1, 2**29 + 1, 0) + mono(1, 0, 2**29 + 1) + X * Y
+
+
+# ---------------------------------------------------------------------------
 # matrices and determinants
 
 
@@ -380,17 +502,33 @@ def test_det_singular_cases():
     assert det_cofactor(dup) == ZERO
 
 
-def test_det_matches_bareiss_on_diagram_matrices(monkeypatch):
+def diagram_matrices():
     # the matrices that z_polynomial and c0_via_tp hand to det
     mats = []
-    monkeypatch.setattr(invariants, "det", lambda m: mats.append(m) or det(m))
-    for seed, (k, c) in enumerate([(16, 1), (20, 2), (24, 3), (24, 1)]):
-        d = random_diagram(GeneratorConfig(k, c, 0, seed=seed))
-        invariants.z_polynomial(d)
-        invariants.c0_via_tp(d)
+    invariants._z_memo.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "det", lambda m: mats.append(m) or det(m))
+        for seed, (k, c) in enumerate([(16, 1), (20, 2), (24, 3), (24, 1)]):
+            d = random_diagram(GeneratorConfig(k, c, 0, seed=seed))
+            invariants.z_polynomial(d)
+            invariants.c0_via_tp(d)
     assert [m.n for m in mats] == [32, 32, 40, 40, 48, 48, 48, 48]
-    for m in mats:
+    return mats
+
+
+def test_det_matches_bareiss_on_diagram_matrices():
+    for m in diagram_matrices():
         assert det(m) == _bareiss(m)
+
+
+@pytest.mark.parametrize("pairs", [0, 10**9], ids=["packed", "schoolbook"])
+def test_det_oracles_agree_on_either_path(monkeypatch, pairs):
+    # every product and quotient packed, or none: the determinants stay the same
+    mats = diagram_matrices()
+    expect = [det(m) for m in mats]
+    monkeypatch.setattr(laurent, "_PACK_PAIRS", pairs)
+    assert [det(m) for m in mats] == [_bareiss(m) for m in mats] == expect
+    test_det_matches_cofactor_on_mixed_matrices()
 
 
 def test_det_cofactor_size_limit():
