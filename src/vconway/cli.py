@@ -286,6 +286,15 @@ def _cmd_random(args) -> int:
                               seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    # the same ceilings as a diagram file, so `random --emit` output fits `compute`
+    n = args.crossings + args.doubles
+    if n > MAX_CLASSICAL_CROSSINGS:
+        raise InputError(f"{n} crossings and double points exceed the supported "
+                         f"maximum of {MAX_CLASSICAL_CROSSINGS}")
+    _check_double_points(args.doubles)
+    if args.components > MAX_CLASSICAL_CROSSINGS:
+        raise InputError(f"{args.components} components exceed the supported "
+                         f"maximum of {MAX_CLASSICAL_CROSSINGS}")
     d = random_diagram(cfg)
     if args.emit:
         print(format_diagram(d))
@@ -358,9 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("random", help="generate a reproducible random diagram")
-    p.add_argument("--crossings", type=int, required=True)
-    p.add_argument("--components", type=int, required=True)
-    p.add_argument("--doubles", type=int, default=0)
+    p.add_argument("--crossings", type=int, required=True,
+                   help=f"classical crossings; at most {MAX_CLASSICAL_CROSSINGS} "
+                        "together with --doubles")
+    p.add_argument("--components", type=int, required=True,
+                   help=f"at most {MAX_CLASSICAL_CROSSINGS}")
+    p.add_argument("--doubles", type=int, default=0,
+                   help=f"double points (default 0, at most {MAX_DOUBLE_POINTS})")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--emit", action="store_true",
                    help="print the diagram in the input file format")

@@ -20,10 +20,9 @@ B = 8, 16, 32 or 64 bits, each holding a coefficient offset by 2^(B-1),
 so one bigint product or `divmod` does the whole ring operation and
 `to_bytes` reads the digits back.  A packed quotient is used only once
 its product with the divisor is shown to give the numerator; failing
-that, the digits widen once and then long division decides.  The
-schoolbook loops stay for small operands, for coefficients too wide for
-64-bit digits and for sparse operands whose box of slots would dwarf
-their term count.
+that, long division decides.  The schoolbook loops stay for small
+operands, for coefficients too wide for 64-bit digits and for sparse
+operands whose box of slots would dwarf their term count.
 
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
@@ -475,18 +474,20 @@ def expand_conway(p: LaurentPoly2) -> ConwayPoly:
     substituting x = 1 - z term by term keeps everything exact.
     """
     coeffs: list[dict[int, int]] = []
+    rows: dict[int, list[int]] = {}
     for k, c in p._t.items():
         ex, ey = _unpack(k)
         if ex < 0:
             raise ValueError("not x-normalized: negative x-exponent in conway expansion")
         while len(coeffs) <= ex:
             coeffs.append({})
+        row = rows.get(ex)
+        if row is None:
+            # x^ex = (1 - z)^ex contributes comb(ex, j) * (-1)^j at z^j
+            row = rows[ex] = [-comb(ex, j) if j & 1 else comb(ex, j) for j in range(ex + 1)]
         ykey = _pack(0, ey)
-        # x^ex = (1 - z)^ex contributes comb(ex, j) * (-1)^j at z^j
-        for j in range(ex + 1):
-            add = c * comb(ex, j) * (-1 if j & 1 else 1)
-            bucket = coeffs[j]
-            v = bucket.get(ykey, 0) + add
+        for bucket, b in zip(coeffs, row):
+            v = bucket.get(ykey, 0) + c * b
             if v:
                 bucket[ykey] = v
             else:
@@ -541,141 +542,91 @@ class PolyMatrix:
         )
 
 
-class _Divider:
-    """Exact division by one divisor, set up once for many numerators.
+def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
+    """num / den in the Laurent ring; raises `ArithmeticError` if the
+    quotient does not exist.
 
-    `_bareiss` divides every entry of step k by the same previous pivot,
-    so the divisor's exponent box, its unpacked terms, its norms and its
-    packed forms are computed once per step.  In each variable an exact
-    quotient's exponents run from the numerator's lowest minus the
-    divisor's lowest to its highest minus the divisor's highest; a
-    quotient that leaves that box means the division is inexact.
+    In each variable an exact quotient's exponents run from the
+    numerator's lowest minus the divisor's lowest to its highest minus
+    the divisor's highest; a quotient that leaves that box means the
+    division is inexact.  From `_PACK_PAIRS` term pairs on, the
+    numerator (w by h, w its x-span) and the divisor are packed with
+    rows of w slots and digits wide enough for both, and one bigint
+    `divmod` gives the quotient.  Evaluation is a ring homomorphism, so
+    a nonzero remainder proves the division inexact.  A zero remainder
+    only says that the decoded quotient q matches at this one evaluation
+    point.  So q must lie in the box, and is accepted when q * den
+    provably has digits in range (then it equals the numerator digit for
+    digit), or when a packed multiply-back gives the numerator.
+    Everything else goes to long division.
     """
-
-    __slots__ = ("_t", "_spread", "_box", "_max", "_l1", "_ints")
-
-    def __init__(self, den: LaurentPoly2):
-        t = den._t
-        if not t:
-            raise ZeroDivisionError("division by the zero polynomial")
-        self._t = t
-        xs, ys, cs = self._spread = _spread(t)
-        self._box = min(xs), max(xs), min(ys), max(ys)
-        mags = list(map(abs, cs))
-        self._max, self._l1 = max(mags), sum(mags)
-        self._ints: dict[tuple[int, int], int] = {}
-
-    def __call__(self, num: LaurentPoly2) -> LaurentPoly2:
-        """num / den; raises `ArithmeticError` if the quotient does not exist."""
-        nt, dt = num._t, self._t
-        if not nt:
-            return ZERO
-        if len(dt) == 1:
-            (dk, dc), = dt.items()
-            if dt == ONE._t:  # Bareiss step 0
-                return num
-            out: dict[int, int] = {}
-            for k, c in nt.items():
-                q, r = divmod(c, dc)
-                if r:
-                    raise ArithmeticError("non-exact division")
-                out[k - dk] = q
-            return LaurentPoly2._raw(out)
-        spread = xs, ys, _ = _spread(nt)
-        dx0, dx1, dy0, dy1 = self._box
-        nx0, ny0 = min(xs), min(ys)
-        w, h = max(xs) - nx0 + 1, max(ys) - ny0 + 1
-        box = nx0 - dx0, nx0 + w - 1 - dx1, ny0 - dy0, ny0 + h - 1 - dy1
-        if box[0] > box[1] or box[2] > box[3]:
-            raise ArithmeticError("non-exact division")
-        pairs = len(nt) * len(dt)
-        if pairs >= _PACK_PAIRS and w * h <= _SLOTS_PER_PAIR * pairs:
-            quo = self._packed(spread, w, h, box)
-            if quo is not None:
-                return LaurentPoly2._raw(quo)
-        return LaurentPoly2._raw(self._long(nt, box))
-
-    def _int(self, w: int, nb: int) -> int:
-        """The divisor packed with rows of w digits of nb bytes."""
-        v = self._ints.get((w, nb))
-        if v is None:
-            dx0, _, dy0, dy1 = self._box
-            v = self._ints[w, nb] = _to_int(self._spread, dx0, dy0, w, dy1 - dy0 + 1, nb)
-        return v
-
-    def _packed(self, spread: _Spread, w: int, h: int,
-                box: tuple[int, int, int, int]) -> dict[int, int] | None:
-        """The quotient from one bigint `divmod`, or None for long division.
-
-        The numerator (w by h, w its x-span) and the divisor are packed
-        with rows of w slots and digits wide enough for both.
-        Evaluation is a ring homomorphism, so a nonzero remainder proves
-        the division inexact.  A zero remainder only says that the
-        decoded quotient q matches at this one evaluation point.  So q
-        must lie in the exponent box, and is accepted when q * den
-        provably has digits in range (then it equals the numerator digit
-        for digit), or when a packed multiply-back at a width that holds
-        q * den gives the numerator.  Otherwise the digits widen once,
-        and then the caller falls back to long division.
-        """
-        x_lo, x_hi, y_lo, y_hi = box
-        nx0, ny0 = x_lo + self._box[0], y_lo + self._box[2]
-        hq = y_hi - y_lo + 1
-        nmax = max(map(abs, spread[2]))
-        nb = _digit_bytes(max(nmax, self._max))
-        for _ in range(2):
-            if nb is None:
-                return None
-            q, r = divmod(_to_int(spread, nx0, ny0, w, h, nb), self._int(w, nb))
+    nt, dt = num._t, den._t
+    if not dt:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not nt:
+        return ZERO
+    if len(dt) == 1:
+        if dt == ONE._t:  # Bareiss step 0
+            return num
+        (dk, dc), = dt.items()
+        out: dict[int, int] = {}
+        for k, c in nt.items():
+            q, r = divmod(c, dc)
             if r:
                 raise ArithmeticError("non-exact division")
-            quo = _from_int(q, x_lo, y_lo, w, hq, nb, x_hi - x_lo + 1)
-            if quo is not None:
-                qs = _spread(quo)
-                mags = list(map(abs, qs[2]))
-                back = _digit_bytes(max(min(sum(mags) * self._max, self._l1 * max(mags)), nmax))
-                if back is not None and (back <= nb or (
-                        _to_int(qs, x_lo, y_lo, w, hq, back) * self._int(w, back)
-                        == _to_int(spread, nx0, ny0, w, h, back))):
-                    return quo
-            nb = 2 * nb if nb < 8 else None
-        return None
-
-    def _long(self, nt: dict[int, int], box: tuple[int, int, int, int]) -> dict[int, int]:
-        """Schoolbook long division by lex-leading terms of the packed
-        keys, which multiply in the ring, so quotient terms come out in
-        falling order and each is checked against the box."""
-        x_lo, x_hi, y_lo, y_hi = box
-        dt = self._t
-        dk = max(dt)
-        dc = dt[dk]
-        rem = dict(nt)
-        quo: dict[int, int] = {}
-        while rem:
-            lk = max(rem)
-            qc, r = divmod(rem[lk], dc)
-            qk = lk - dk
-            qx, qy = _unpack(qk)
-            if r or not (x_lo <= qx <= x_hi and y_lo <= qy <= y_hi):
+            out[k - dk] = q
+        return LaurentPoly2._raw(out)
+    spread, dspread = _spread(nt), _spread(dt)
+    (xs, ys, cs), (dxs, dys, dcs) = spread, dspread
+    nx0, ny0, dx0, dy0, dy1 = min(xs), min(ys), min(dxs), min(dys), max(dys)
+    box = x_lo, x_hi, y_lo, y_hi = nx0 - dx0, max(xs) - max(dxs), ny0 - dy0, max(ys) - dy1
+    if x_lo > x_hi or y_lo > y_hi:
+        raise ArithmeticError("non-exact division")
+    w, h = max(xs) - nx0 + 1, max(ys) - ny0 + 1
+    pairs = len(nt) * len(dt)
+    if pairs >= _PACK_PAIRS and w * h <= _SLOTS_PER_PAIR * pairs:
+        dmags = list(map(abs, dcs))
+        nb = _digit_bytes(max(max(map(abs, cs)), max(dmags)))
+        if nb is not None:
+            q, r = divmod(_to_int(spread, nx0, ny0, w, h, nb),
+                          _to_int(dspread, dx0, dy0, w, dy1 - dy0 + 1, nb))
+            if r:
                 raise ArithmeticError("non-exact division")
-            quo[qk] = qc
-            for k, c in dt.items():
-                kk = k + qk
-                v = rem.get(kk, 0) - c * qc
-                if v:
-                    rem[kk] = v
-                else:
-                    rem.pop(kk, None)
-        return quo
+            quo = _from_int(q, x_lo, y_lo, w, y_hi - y_lo + 1, nb, x_hi - x_lo + 1)
+            if quo is not None:
+                qmags = list(map(abs, quo.values()))
+                bound = min(sum(qmags) * max(dmags), sum(dmags) * max(qmags))
+                if bound < 1 << (8 * nb - 1) or _mul_packed(quo, dt) == nt:
+                    return LaurentPoly2._raw(quo)
+    return LaurentPoly2._raw(_long_div(nt, dt, box))
 
 
-def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
-    """Exact division in the Laurent ring; raises if the quotient does not exist.
-
-    The one-shot form of `_Divider`: packed `divmod` with a checked
-    quotient from `_PACK_PAIRS` term pairs on, long division otherwise.
-    """
-    return _Divider(den)(num)
+def _long_div(nt: dict[int, int], dt: dict[int, int],
+              box: tuple[int, int, int, int]) -> dict[int, int]:
+    """Schoolbook long division by lex-leading terms of the packed keys,
+    which multiply in the ring, so quotient terms come out in falling
+    order and each is checked against the exponent box."""
+    x_lo, x_hi, y_lo, y_hi = box
+    dk = max(dt)
+    dc = dt[dk]
+    rem = dict(nt)
+    quo: dict[int, int] = {}
+    while rem:
+        lk = max(rem)
+        qc, r = divmod(rem[lk], dc)
+        qk = lk - dk
+        qx, qy = _unpack(qk)
+        if r or not (x_lo <= qx <= x_hi and y_lo <= qy <= y_hi):
+            raise ArithmeticError("non-exact division")
+        quo[qk] = qc
+        for k, c in dt.items():
+            kk = k + qk
+            v = rem.get(kk, 0) - c * qc
+            if v:
+                rem[kk] = v
+            else:
+                rem.pop(kk, None)
+    return quo
 
 
 def det(matrix: PolyMatrix) -> LaurentPoly2:
@@ -775,12 +726,12 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     in the Laurent ring.  Each entry after step k is a (k+1)-minor of the
     pivoted matrix, so every division by the previous pivot is exact in
     any integral domain, and Z[x^(+-1), y^(+-1)] is one.  Pivots are
-    chosen to keep fill-in low.  Each step sets up one `_Divider` for its
-    previous pivot and divides all its entries by it.  On the dense
-    residuals of large diagrams most products and quotients take the
-    packed path, and every packed quotient is checked against its
-    numerator before it is used.  `det` calls it on what unit elimination
-    leaves, and the tests use it on whole matrices as an oracle for `det`.
+    chosen to keep fill-in low.  Each step divides all its entries by its
+    previous pivot with `_exact_div`.  On the dense residuals of large
+    diagrams most products and quotients take the packed path, and every
+    packed quotient is checked against its numerator before it is used.
+    `det` calls it on what unit elimination leaves, and the tests use it
+    on whole matrices as an oracle for `det`.
     """
     n = matrix.n
     if n == 0:
@@ -816,19 +767,18 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
             sign = -sign
         piv = rows[k][k]
         row_k = rows[k]
-        div = _Divider(prev)
         for i in range(k + 1, n):
             row_i = rows[i]
             aik = row_i[k]
             if aik._t:
                 for j in range(k + 1, n):
-                    row_i[j] = div(piv * row_i[j] - aik * row_k[j])
+                    row_i[j] = _exact_div(piv * row_i[j] - aik * row_k[j], prev)
                 row_i[k] = ZERO
             else:
                 for j in range(k + 1, n):
                     a = row_i[j]
                     if a._t:
-                        row_i[j] = div(piv * a)
+                        row_i[j] = _exact_div(piv * a, prev)
         prev = piv
     result = rows[n - 1][n - 1]
     return -result if sign < 0 else result

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from vconway import invariants
+from vconway import cli, invariants
 from vconway.cli import MAX_CLASSICAL_CROSSINGS, MAX_SAMPLED_CROSSINGS, main
 from vconway.diagram import format_diagram, parse_diagram, reverse, validate
-from vconway.invariants import c1, vassiliev_eval
+from vconway.invariants import MAX_DOUBLE_POINTS, c1, vassiliev_eval
 from vconway.moves import GeneratorConfig, random_diagram
 from vconway.verify import MAX_SHOWN
 
@@ -426,6 +426,48 @@ def test_random_summary(capsys):
 def test_random_bad_config(capsys):
     assert main(["random", "--crossings", "-1", "--components", "1",
                  "--seed", "0"]) == 2
+
+
+BIG = 10**9
+SUM = "crossings and double points exceed the supported maximum of"
+
+
+@pytest.mark.parametrize("crossings, components, doubles, err", [
+    (BIG, 1, 0, f"{BIG} {SUM} {MAX_CLASSICAL_CROSSINGS}"),
+    (MAX_CLASSICAL_CROSSINGS + 1, 1, 0, f"{MAX_CLASSICAL_CROSSINGS + 1} {SUM} {MAX_CLASSICAL_CROSSINGS}"),
+    (MAX_CLASSICAL_CROSSINGS, 1, 1, f"{MAX_CLASSICAL_CROSSINGS + 1} {SUM} {MAX_CLASSICAL_CROSSINGS}"),
+    (0, 1, BIG, f"{BIG} {SUM} {MAX_CLASSICAL_CROSSINGS}"),
+    (0, 1, MAX_DOUBLE_POINTS + 1,
+     f"{MAX_DOUBLE_POINTS + 1} double points exceed the supported maximum of {MAX_DOUBLE_POINTS}"),
+    (0, BIG, 0, f"{BIG} components exceed the supported maximum of {MAX_CLASSICAL_CROSSINGS}"),
+    (0, MAX_CLASSICAL_CROSSINGS + 1, 0,
+     f"{MAX_CLASSICAL_CROSSINGS + 1} components exceed the supported maximum of {MAX_CLASSICAL_CROSSINGS}"),
+], ids=["crossings-big", "crossings-over", "sum-over", "doubles-big", "doubles-over",
+        "components-big", "components-over"])
+def test_random_ceilings_reject_before_generating(crossings, components, doubles, err,
+                                                  capsys, monkeypatch):
+    def no_diagram(cfg):
+        raise AssertionError("diagram generated above a ceiling")
+
+    monkeypatch.setattr(cli, "random_diagram", no_diagram)
+    assert main(["random", "--crossings", str(crossings), "--components", str(components),
+                 "--doubles", str(doubles), "--seed", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("crossings, components, doubles", [
+    (MAX_CLASSICAL_CROSSINGS, MAX_CLASSICAL_CROSSINGS, 0),
+    (MAX_CLASSICAL_CROSSINGS - MAX_DOUBLE_POINTS, 1, MAX_DOUBLE_POINTS),
+])
+def test_random_at_ceilings_emits_a_compute_input(crossings, components, doubles,
+                                                  tmp_path, capsys):
+    assert main(["random", "--crossings", str(crossings), "--components", str(components),
+                 "--doubles", str(doubles), "--seed", "0", "--emit"]) == 0
+    p = tmp_path / "d.txt"
+    p.write_text(capsys.readouterr().out)
+    d = cli._load(str(p))  # the checks `compute` makes before it computes Z
+    assert (d.n_classical(), len(d.components), len(d.double_ids())) == (
+        crossings, components, doubles)
 
 
 def test_unknown_command():

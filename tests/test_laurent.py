@@ -297,12 +297,25 @@ def test_packed_division_undoes_multiplication(bits, data):
         assert laurent._exact_div(a * b, b) == a
 
 
+@pytest.mark.parametrize("bits", [1, 5, 13, 29])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_division_rejects_a_monomial_remainder(bits, data):
+    # a * b + e leaves remainder e, and no b of two or more terms divides a monomial
+    a, b = data.draw(dense_polys(bits)), data.draw(dense_polys(bits))
+    e = mono(data.draw(near(bits)), data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_PACK_PAIRS", 0)
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            laurent._exact_div(a * b + e, b)
+
+
 def spy_long_division(monkeypatch):
     calls = []
-    long = laurent._Divider._long
+    long = laurent._long_div
     monkeypatch.setattr(laurent, "_PACK_PAIRS", 0)
-    monkeypatch.setattr(laurent._Divider, "_long",
-                        lambda self, nt, box: calls.append(nt) or long(self, nt, box))
+    monkeypatch.setattr(laurent, "_long_div",
+                        lambda nt, dt, box: calls.append(nt) or long(nt, dt, box))
     return calls
 
 
@@ -315,8 +328,8 @@ def test_packed_division_rejects_by_remainder(monkeypatch):
 
 
 @pytest.mark.parametrize("digits, long_calls", [
-    ((30000, 30000, 5535), 0),  # quotient 30000 - 5536*x fails; 32-bit digits leave a remainder
-    ((2**62, 2**62, 2**63 - 1), 1),  # 64-bit digits cannot widen; long division decides
+    ((30000, 30000, 5535), 1),  # quotient 30000 - 5536*x fails; long division decides
+    ((2**62, 2**62, 2**63 - 1), 1),  # the multiply-back needs over 64 bits; long division decides
 ])
 def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_calls):
     # the digit sum is 2^B - 1 for the B-bit digits picked, so at x = 2^B the
@@ -331,9 +344,9 @@ def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_call
     assert len(calls) == long_calls
 
 
-def test_packed_division_widens_for_a_wide_quotient(monkeypatch):
-    # the numerator's largest coefficient, 13260, picks 2-byte digits; the
-    # quotient's 48620 = C(18, 9) needs 4, which one widening reaches
+def test_packed_division_leaves_a_wide_quotient_to_long_division(monkeypatch):
+    # the numerator's largest coefficient, 13260, picks 2-byte digits, in
+    # which the quotient's 48620 = C(18, 9) does not fit
     q = ONE
     for _ in range(18):
         q = LaurentPoly2._raw(laurent._mul_schoolbook(q._t, (ONE + X)._t))
@@ -341,7 +354,7 @@ def test_packed_division_widens_for_a_wide_quotient(monkeypatch):
     assert max(num._t.values()) == 13260 and max(q._t.values()) == 48620
     calls = spy_long_division(monkeypatch)
     assert laurent._exact_div(num, ONE - X) == q
-    assert not calls
+    assert len(calls) == 1
 
 
 def test_sparse_product_is_not_packed(monkeypatch):
