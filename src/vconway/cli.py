@@ -11,8 +11,11 @@ Commands:
                                      twice-extended c1 is nonzero
   random  --crossings k --components c [--doubles m] --seed S [--emit]
 
-Exit codes: 0 success, 1 verification failure or exhausted search,
-2 input error.  `--format json` prints a stable machine-readable form.
+Exit codes: 0 success, 1 verification failure or exhausted search, 2 input
+error: a diagram file that cannot be read, parsed or validated, or that has
+double points where verify, skein and orient need none; or a count above its
+ceiling (the MAX_* constants), refused before any work.
+`--format json` prints a stable machine-readable form.
 """
 
 from __future__ import annotations
@@ -48,14 +51,23 @@ from .verify import (
 # links `vconway search --links` samples unless --budget says otherwise
 LINK_SEARCH_BUDGET = 10000
 
+# most links `search --links` may sample: 100,000 links of 0 crossings, none
+# a hit, took 50 s
+MAX_LINK_SEARCH_BUDGET = 100000
+
+# most `verify --trials`: the default 500 took 3.2 s and 10,000 took 60 s
+MAX_TRIALS = 10000
+
+# most `verify --moves` per walk: 100 trials of 1,000 moves took 4.9 s
+MAX_MOVES = 1000
+
 # most crossings of a diagram sampled by `verify --random` or `search --links`:
 # one verify trial takes 0.9 s at 24 crossings and 38 s at 40
 MAX_SAMPLED_CROSSINGS = 24
 
-# most classical crossings a diagram file may have for `compute`, `skein`,
-# `orient` and `verify FILE`, counting each double point, which every
-# resolution makes classical: one Z took 0.15-0.3 s at 64 crossings and
-# 2.5-15 s at 96
+# most crossings of a diagram file, each double point counted (a resolution
+# makes it classical), and most components `random` and `verify --random`
+# draw: one Z took 0.15-0.3 s at 64 crossings and 2.5-15 s at 96
 MAX_CLASSICAL_CROSSINGS = 64
 
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
@@ -66,7 +78,8 @@ class InputError(Exception):
     pass
 
 
-def _load(path: str) -> Diagram:
+def _load(path: str, *, classical: bool = False) -> Diagram:
+    """Every rule of a diagram file; `classical` also refuses double points."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -81,23 +94,16 @@ def _load(path: str) -> Diagram:
     problems = validate(d)
     if problems:
         raise InputError("; ".join(problems))
-    _check_double_points(len(d.double_ids()))
-    if len(d.crossings) > MAX_CLASSICAL_CROSSINGS:
-        raise InputError(f"{len(d.crossings)} crossings exceed the supported maximum "
-                         f"of {MAX_CLASSICAL_CROSSINGS}")
+    _check_max(len(d.double_ids()), "double points", MAX_DOUBLE_POINTS)
+    _check_max(len(d.crossings), "crossings", MAX_CLASSICAL_CROSSINGS)
+    if classical and d.has_doubles():
+        raise InputError(f"{path} has double points; resolve them first")
     return d
 
 
-def _check_double_points(m: int) -> None:
-    # the extension to double points sums over 2^m resolutions
-    if m > MAX_DOUBLE_POINTS:
-        raise InputError(f"{m} double points exceed the supported maximum "
-                         f"of {MAX_DOUBLE_POINTS}")
-
-
-def _check_sampled_crossings(what: str, k: int) -> None:
-    if k > MAX_SAMPLED_CROSSINGS:
-        raise InputError(f"{what} of at most {MAX_SAMPLED_CROSSINGS} crossings, got {k}")
+def _check_max(count: int, what: str, limit: int) -> None:
+    if count > limit:
+        raise InputError(f"{count} {what} exceed the supported maximum of {limit}")
 
 
 def _positive_int(text: str) -> int:
@@ -157,18 +163,17 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_max(args.trials, "trials", MAX_TRIALS)
     moves = DEFAULT_MOVES if args.moves is None else args.moves
+    _check_max(moves, "moves per walk", MAX_MOVES)
     with mutated_blocks() if args.mutate else contextlib.nullcontext():
         if args.file is not None:
             if args.random is not None:
                 raise InputError("--random does not apply to a diagram file, "
                                  "which is checked itself")
-            d = _load(args.file)
+            d = _load(args.file, classical=True)
             if not d.components:
                 raise InputError(f"{args.file} has no component to check")
-            if d.has_doubles():
-                raise InputError("verification runs on non-singular diagrams; "
-                                 "resolve double points first")
             results = tally_diagram_checks([(d, args.seed)], moves)
         elif args.random is not None:
             try:
@@ -177,8 +182,9 @@ def _cmd_verify(args) -> int:
             except ValueError as exc:
                 raise InputError(f"bad --random spec {args.random!r}: "
                                  "expected crossings,components,doubles") from exc
-            _check_double_points(m)
-            _check_sampled_crossings("--random samples diagrams", k)
+            _check_max(m, "double points", MAX_DOUBLE_POINTS)
+            _check_max(k, "crossings for --random", MAX_SAMPLED_CROSSINGS)
+            _check_max(c, "components for --random", MAX_CLASSICAL_CROSSINGS)
             if m == 0:
                 rng = random.Random(args.seed)
                 # each case draws its diagram seed, then its walk seed
@@ -197,10 +203,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_skein(args) -> int:
-    d = _load(args.file)
-    if d.has_doubles():
-        raise InputError("skein triples need a non-singular diagram; "
-                         "resolve double points first")
+    d = _load(args.file, classical=True)
     cid = args.crossing
     rec = d.crossings.get(cid)
     if rec is None or rec.kind != "x":
@@ -224,10 +227,7 @@ def _cmd_skein(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    d = _load(args.file)
-    if d.has_doubles():
-        raise InputError("orientation table needs a non-singular diagram; "
-                         "resolve double points first")
+    d = _load(args.file, classical=True)
     rows = [
         ("original", d),
         ("reversed", reverse(d)),
@@ -247,8 +247,9 @@ def _cmd_orient(args) -> int:
 def _cmd_search(args) -> int:
     k, budget = args.max_crossings, args.budget
     if args.links:
-        _check_sampled_crossings("--links samples links", k)
+        _check_max(k, "crossings for --links", MAX_SAMPLED_CROSSINGS)
         budget = LINK_SEARCH_BUDGET if budget is None else budget
+        _check_max(budget, "links for --budget", MAX_LINK_SEARCH_BUDGET)
         hit = find_c1_order_defect_link(k, trials=budget)
         if hit is not None:
             d, value, trial = hit
@@ -287,14 +288,10 @@ def _cmd_random(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     # the same ceilings as a diagram file, so `random --emit` output fits `compute`
-    n = args.crossings + args.doubles
-    if n > MAX_CLASSICAL_CROSSINGS:
-        raise InputError(f"{n} crossings and double points exceed the supported "
-                         f"maximum of {MAX_CLASSICAL_CROSSINGS}")
-    _check_double_points(args.doubles)
-    if args.components > MAX_CLASSICAL_CROSSINGS:
-        raise InputError(f"{args.components} components exceed the supported "
-                         f"maximum of {MAX_CLASSICAL_CROSSINGS}")
+    _check_max(args.crossings + args.doubles, "crossings and double points",
+               MAX_CLASSICAL_CROSSINGS)
+    _check_max(args.doubles, "double points", MAX_DOUBLE_POINTS)
+    _check_max(args.components, "components", MAX_CLASSICAL_CROSSINGS)
     d = random_diagram(cfg)
     if args.emit:
         print(format_diagram(d))
@@ -327,10 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", metavar="K,C,M", default=None,
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream; "
-                        f"K at most {MAX_SAMPLED_CROSSINGS}; not accepted with a diagram file")
-    p.add_argument("--trials", type=_positive_int, default=500)
+                        f"K at most {MAX_SAMPLED_CROSSINGS}, C at most {MAX_CLASSICAL_CROSSINGS}, "
+                        f"M at most {MAX_DOUBLE_POINTS}; not accepted with a diagram file")
+    p.add_argument("--trials", type=_positive_int, default=500,
+                   help=f"default 500, at most {MAX_TRIALS}")
     p.add_argument("--moves", type=_positive_int, default=None,
-                   help=f"steps of each move walk (default {DEFAULT_MOVES}); "
+                   help=f"steps of each move walk (default {DEFAULT_MOVES}, at most {MAX_MOVES}); "
                         "not accepted with --random K,C,M for M > 0, which runs no walk")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mutate", action="store_true",
@@ -358,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"sampled links (default 4; at most "
                         f"{MAX_SAMPLED_CROSSINGS} with --links)")
     p.add_argument("--budget", type=_positive_int, default=None,
-                   help="stop after examining this many codes (default: all) "
-                        f"or sampled links (default {LINK_SEARCH_BUDGET})")
+                   help="stop after examining this many codes (default: all) or sampled "
+                        f"links (default {LINK_SEARCH_BUDGET}, at most {MAX_LINK_SEARCH_BUDGET})")
     p.add_argument("--links", action="store_true",
                    help="sample 2-component links with 2 double points for a "
                         "nonzero twice-extended c1 instead of searching knots")

@@ -94,7 +94,10 @@ def mutated_blocks():
         _z_memo.cache_clear()
 
 
-MAX_DOUBLE_POINTS = 20
+# most double points `vassiliev_eval` resolves, 2^m diagrams in all: `compute`
+# took 32 s on a 64-crossing file with m = 6 (58 crossings, 2 components), and
+# `verify --random 24,1,m --trials 1` 0.7 / 2.8 / 22 s at m = 6 / 8 / 10
+MAX_DOUBLE_POINTS = 6
 
 # Small on purpose: a campaign's repeats come within a few calls of each
 # other, and a larger memo holds more 24+ crossing polynomials for nothing.

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_compute_too_many_double_points(tmp_path, capsys):
     p.write_text("component: " + " ".join(f"A{i} B{i}" for i in range(1, 22)) + "\n")
     assert main(["compute", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: 21 double points exceed the supported maximum of 20\n"
+    assert err == f"error: 21 double points exceed the supported maximum of {MAX_DOUBLE_POINTS}\n"
 
 
 def test_compute_at_crossing_ceiling(tmp_path, capsys):
@@ -222,8 +223,8 @@ def test_verify_random_crossing_ceiling(capsys):
     assert main(["verify", "--random", f"{k},1,0", "--trials", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: --random samples diagrams of at most "
-                            f"{MAX_SAMPLED_CROSSINGS} crossings, got {k}\n")
+    assert captured.err == (f"error: {k} crossings for --random exceed the supported "
+                            f"maximum of {MAX_SAMPLED_CROSSINGS}\n")
 
 
 def test_verify_mutate_leaves_right_blocks(monkeypatch, capsys):
@@ -400,9 +401,8 @@ def test_search_links_crossing_ceiling(capsys):
                  "--budget", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: --links samples links of at most "
-                            f"{MAX_SAMPLED_CROSSINGS} crossings, "
-                            f"got {MAX_SAMPLED_CROSSINGS + 1}\n")
+    assert captured.err == (f"error: {MAX_SAMPLED_CROSSINGS + 1} crossings for --links "
+                            f"exceed the supported maximum of {MAX_SAMPLED_CROSSINGS}\n")
     assert main(["search", "--links", "--max-crossings", str(MAX_SAMPLED_CROSSINGS),
                  "--budget", "1"]) in (0, 1)
     # the knot search keeps no such ceiling: it stops at its 3-crossing hit
@@ -468,6 +468,73 @@ def test_random_at_ceilings_emits_a_compute_input(crossings, components, doubles
     d = cli._load(str(p))  # the checks `compute` makes before it computes Z
     assert (d.n_classical(), len(d.components), len(d.double_ids())) == (
         crossings, components, doubles)
+
+
+# each count ceiling, with the other counts of its command kept small
+COUNT_CEILINGS = [
+    (["verify", "--moves", "3", "--trials"], "MAX_TRIALS", "trials"),
+    (["verify", "--trials", "2", "--moves"], "MAX_MOVES", "moves per walk"),
+    (["search", "--links", "--max-crossings", "0", "--budget"], "MAX_LINK_SEARCH_BUDGET",
+     "links for --budget"),
+]
+COUNT_IDS = ["trials", "moves", "links-budget"]
+
+
+@pytest.mark.parametrize("argv, name, what", COUNT_CEILINGS, ids=COUNT_IDS)
+@pytest.mark.parametrize("over", ["big", "over"])
+def test_count_ceilings_reject_before_any_work(argv, name, what, over, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above a ceiling")
+
+    for fn in ("run_campaign", "tally_diagram_checks", "check_singular_orders",
+               "find_c1_order_defect_link", "random_diagram"):
+        monkeypatch.setattr(cli, fn, no_work)
+    limit = getattr(cli, name)
+    n = BIG if over == "big" else limit + 1
+    assert main([*argv, str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {n} {what} exceed the supported maximum of {limit}\n"
+
+
+@pytest.mark.parametrize("argv, name, what", COUNT_CEILINGS, ids=COUNT_IDS)
+def test_count_ceilings_admit_the_limit(argv, name, what, capsys, monkeypatch):
+    monkeypatch.setattr(cli, name, 2)
+    # the link search at 0 crossings finds nothing and exits 1
+    assert main([*argv, "2"]) == (1 if argv[0] == "search" else 0)
+    assert main([*argv, "3"]) == 2
+    assert capsys.readouterr().err == f"error: 3 {what} exceed the supported maximum of 2\n"
+
+
+def test_verify_random_component_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_diagram", lambda cfg: pytest.fail("diagram sampled"))
+    for c in (BIG, MAX_CLASSICAL_CROSSINGS + 1):
+        assert main(["verify", "--random", f"2,{c},0", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (f"error: {c} components for --random exceed the "
+                                           f"supported maximum of {MAX_CLASSICAL_CROSSINGS}\n")
+
+
+def test_classical_commands_refuse_double_points(tmp_path, capsys):
+    p = tmp_path / "singular.txt"
+    p.write_text(SINGULAR)
+    for argv in (["verify"], ["orient"], ["skein", "--crossing", "2"]):
+        assert main(argv[:1] + [str(p)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p} has double points; resolve them first\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["search", "--max-crossings", "2", "--budget", "5"], 1),
+    (["verify", "--trials", str(BIG)], 2),
+    (["--help"], 0),
+])
+def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+    # the console script `vconway` calls entry()
+    monkeypatch.setattr(sys, "argv", ["vconway", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
 
 
 def test_unknown_command():

@@ -88,6 +88,13 @@ def test_product_example():
     assert lhs == 2 * ONE - X - X_INV
 
 
+def test_exponent_out_of_range():
+    mono(1, 2**30 - 1, 1 - 2**30)  # the extremes still fit
+    for ex, ey in ((2**30, 0), (0, -2**30)):
+        with pytest.raises(OverflowError, match="out of supported range"):
+            mono(1, ex, ey)
+
+
 def test_shifted():
     p = mono(1, 2, -1) + mono(3, 0, 4)
     assert p.shifted(1, 1) == mono(1, 3, 0) + mono(3, 1, 5)
@@ -213,6 +220,8 @@ def test_exact_div_long_and_negative_quotients():
     (mono(1, 3, 0) + 1, X - 1),  # remainder 2
     (X + 1, 2 * X + 1),  # leading coefficient does not divide
     (X * Y + 1, X + Y),  # quotient term leaves the exponent box
+    (3 * X, LaurentPoly2.const(2)),  # a monomial divisor leaves a remainder
+    (X, ONE + mono(1, 2, 0)),  # the divisor is wider than the numerator: empty box
 ])
 def test_exact_div_rejects_inexact(num, den):
     with pytest.raises(ArithmeticError, match="non-exact"):
@@ -342,6 +351,24 @@ def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_call
     with pytest.raises(ArithmeticError, match="non-exact"):
         laurent._exact_div(num, ONE - X)
     assert len(calls) == long_calls
+
+
+@pytest.mark.parametrize("num, den", [
+    # 127*x^2 + 8 = 129 * 64520 at x = 2^8, and 64520 has a nonzero digit in
+    # a third column, beyond the quotient's two
+    (mono(127, 2, 0) + 8, X - 127),
+    # at x = 2^8, y = 2^16 the quotient is 64522, more than its two digits hold
+    (mono(127, 1, 1) + Y + 10 * X, Y - 127 * X),
+])
+def test_packed_division_rejects_an_undecodable_quotient(monkeypatch, num, den):
+    decoded = []
+    from_int = laurent._from_int
+    monkeypatch.setattr(laurent, "_from_int",
+                        lambda *args: decoded.append(from_int(*args)) or decoded[-1])
+    calls = spy_long_division(monkeypatch)
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        laurent._exact_div(num, den)
+    assert decoded == [None] and len(calls) == 1
 
 
 def test_packed_division_leaves_a_wide_quotient_to_long_division(monkeypatch):

@@ -208,11 +208,27 @@ def test_stale_sites_rejected(vtref):
         ("R2_add", ((0, 1), (0, 3), "A", True, 1)),  # not a classical role
         ("R1_add", (0, 0, True, 2)),  # a sign other than +1 or -1
         ("R2_add", ((0, 1), (0, 3), "O", True, 0)),
+        ("R2_remove", ((0, 0), (0, 2))),  # windows O1 U1 and O2 U2: no bigon
+        ("R3", ((0, 0), (0, 2), (0, 4), "X+")),  # unknown variant
+        ("R3", ((0, 0), (0, 2), (0, 0), "L+")),  # a window twice
     ],
 )
 def test_malformed_sites_rejected(kind, site):
     with pytest.raises(MoveError, match="inapplicable move"):
         apply(parse_diagram(KINKS), MoveEvent(kind, site))
+
+
+@pytest.mark.parametrize(
+    "kind, site",
+    [
+        ("R2_remove", ((0, 0), (0, 4))),  # over O1 O2 but under U2 U3
+        ("R3", ((0, 0), (0, 4), (0, 2), "L+")),  # U2 where the pattern needs U1
+    ],
+)
+def test_sites_over_the_wrong_crossings_rejected(kind, site):
+    # KINKS has no two over passages in a row, which these patterns start from
+    with pytest.raises(MoveError, match="inapplicable move"):
+        apply(parse_diagram("component: O1+ O2+ O3+ U1+ U2+ U3+"), MoveEvent(kind, site))
 
 
 def test_walk_calls_no_validate(monkeypatch):
@@ -279,6 +295,10 @@ def test_walk_respects_crossing_cap():
         cur = random_walk(cur, 1, seed=rng.randrange(1 << 30), max_crossings=5)
         # the escape hatch may overshoot by one kink when stuck, never more
         assert cur.n_classical() <= 6
+    # O1+ O2+ U1+ U2+ has no removal site, so at its cap only a kink applies
+    stuck = parse_diagram("component: O1+ O2+ U1+ U2+")
+    for seed in range(4):
+        assert random_walk(stuck, 1, seed=seed, max_crossings=2).n_classical() == 3
 
 
 def test_walk_preserves_normalized_z():
