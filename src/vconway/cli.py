@@ -58,7 +58,7 @@ MAX_LINK_SEARCH_BUDGET = 100000
 # most `verify --trials`: the default 500 took 3.2 s and 10,000 took 60 s
 MAX_TRIALS = 10000
 
-# most `verify --moves` per walk: 100 trials of 1,000 moves took 4.9 s
+# most `verify --moves` per walk: 100 trials of 1,000 moves took 2.1-2.3 s
 MAX_MOVES = 1000
 
 # most crossings of a diagram sampled by `verify --random` or `search --links`:
@@ -163,7 +163,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_max(args.trials, "trials", MAX_TRIALS)
+    trials = 500 if args.trials is None else args.trials
+    _check_max(trials, "trials", MAX_TRIALS)
     moves = DEFAULT_MOVES if args.moves is None else args.moves
     _check_max(moves, "moves per walk", MAX_MOVES)
     with mutated_blocks() if args.mutate else contextlib.nullcontext():
@@ -171,6 +172,9 @@ def _cmd_verify(args) -> int:
             if args.random is not None:
                 raise InputError("--random does not apply to a diagram file, "
                                  "which is checked itself")
+            if args.trials is not None:
+                raise InputError("--trials does not apply to a diagram file, "
+                                 "which is checked along one walk")
             d = _load(args.file, classical=True)
             if not d.components:
                 raise InputError(f"{args.file} has no component to check")
@@ -189,16 +193,16 @@ def _cmd_verify(args) -> int:
                 rng = random.Random(args.seed)
                 # each case draws its diagram seed, then its walk seed
                 cases = ((random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30))),
-                          rng.randrange(1 << 30)) for _ in range(args.trials))
+                          rng.randrange(1 << 30)) for _ in range(trials))
                 results = tally_diagram_checks(cases, moves)
             elif args.moves is not None:
                 raise InputError("--moves does not apply to --random with double points, "
                                  "which runs no move walk")
             else:
-                results = check_singular_orders(args.trials, args.seed, classical=k,
+                results = check_singular_orders(trials, args.seed, classical=k,
                                                 components=c, doubles=m)
         else:
-            results = run_campaign(args.trials, moves, args.seed)
+            results = run_campaign(trials, moves, args.seed)
     return _print_checks(results, args.format)
 
 
@@ -326,8 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "M double points instead of the mixed default stream; "
                         f"K at most {MAX_SAMPLED_CROSSINGS}, C at most {MAX_CLASSICAL_CROSSINGS}, "
                         f"M at most {MAX_DOUBLE_POINTS}; not accepted with a diagram file")
-    p.add_argument("--trials", type=_positive_int, default=500,
-                   help=f"default 500, at most {MAX_TRIALS}")
+    p.add_argument("--trials", type=_positive_int, default=None,
+                   help=f"default 500, at most {MAX_TRIALS}; not accepted with a diagram file, "
+                        "which is checked along one walk")
     p.add_argument("--moves", type=_positive_int, default=None,
                    help=f"steps of each move walk (default {DEFAULT_MOVES}, at most {MAX_MOVES}); "
                         "not accepted with --random K,C,M for M > 0, which runs no walk")

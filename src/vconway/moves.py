@@ -24,13 +24,23 @@ A gap g means insertion before position g; cyclic gaps are
 0 .. len-1 (an empty component has the single gap 0).  A window t
 covers positions t and (t+1) mod len.
 
-All removal and third-move sites come from one pass over the windows
-(`_removal_sites`) that indexes them by passage and by crossing pair: a
-valid code holds each passage once, so a site's other windows are
-dictionary lookups instead of scans over every window.  The order of
-each site list is part of the contract, the order a scan in window order
-gives: walks draw from these lists with a seeded rng, so the order makes
-a walk, and every `verify` result, reproducible from its seed.
+Moves are made on one mutable code (`_Code`): each component a list of
+int passage keys 4·crossing + role, a sign table, and a site index kept
+current by three edits (insert a strand pair at a gap, delete a window's
+pair, swap a window).  A window is named by its first passage; the index
+holds successor and predecessor maps over the passages, the R1_remove,
+R2_remove and R3 site sets, and the sites of each window.  An edit
+changes at most three windows and re-indexes only those: a valid code
+holds each passage once, so a window's sites are dictionary lookups, not
+scans.  A walk converts its diagram once, steps on the code and builds
+one Diagram at the end; `apply` makes the same edits on a code built from
+its diagram, after checking the site.
+
+Positions (ci, t) are read only when a site list is wanted, and each list
+is sorted into window order (component, then position; R3 sites by
+variant first).  That order is part of the contract: walks draw from
+these lists with a seeded rng, so the order makes a walk, and every
+`verify` result, reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -83,112 +93,288 @@ KINK_TYPES: tuple[tuple[bool, int], ...] = ((True, 1), (False, 1), (False, -1), 
 # the kinds of the three lists `_removal_sites` returns
 _REMOVAL_KINDS = ("R1_remove", "R2_remove", "R3")
 
-
-def _gaps(comp: tuple) -> range:
-    return range(max(len(comp), 1))
-
-
-def _next_id(d: Diagram) -> int:
-    return max(d.crossings, default=0) + 1
-
+# passage keys: 4 * crossing + role, the roles O, U, A, B read as 0, 1, 2, 3
+_ROLE_KEY = {OVER: 0, UNDER: 1, FIRST: 2, SECOND: 3}
+_KEY_ROLE = (OVER, UNDER, FIRST, SECOND)
+_O, _U = _ROLE_KEY[OVER], _ROLE_KEY[UNDER]
 
 # R3 window patterns per variant: three windows given as ((role, key), (role, key))
-# over abstract crossing keys 0, 1, 2, plus the common sign.  Window 1 holds
-# keys 0 and 1; window 2 holds one of them and introduces key 2.
+# over abstract crossing keys 0, 1, 2, plus the common sign.  Any two of the
+# windows share exactly one key, so one window of a site locates the other two.
 _R3_PATTERNS = {
-    "L+": ((("O", 0), ("O", 1)), (("U", 0), ("O", 2)), (("U", 1), ("U", 2)), 1),
-    "R+": ((("O", 0), ("O", 1)), (("O", 2), ("U", 1)), (("U", 2), ("U", 0)), 1),
-    "L-": ((("U", 0), ("U", 1)), (("O", 0), ("U", 2)), (("O", 1), ("O", 2)), -1),
-    "R-": ((("U", 0), ("U", 1)), (("U", 2), ("O", 1)), (("O", 2), ("O", 0)), -1),
+    "L+": (((_O, 0), (_O, 1)), ((_U, 0), (_O, 2)), ((_U, 1), (_U, 2)), 1),
+    "R+": (((_O, 0), (_O, 1)), ((_O, 2), (_U, 1)), ((_U, 2), (_U, 0)), 1),
+    "L-": (((_U, 0), (_U, 1)), ((_O, 0), (_U, 2)), ((_O, 1), (_O, 2)), -1),
+    "R-": (((_U, 0), (_U, 1)), ((_U, 2), (_O, 1)), ((_O, 2), (_O, 0)), -1),
 }
+_R3_RANK = {variant: i for i, variant in enumerate(_R3_PATTERNS)}
+
+# swapping a variant's three windows leaves the opposite-handed pattern
+_R3_FLIP = {"L+": "R+", "R+": "L+", "L-": "R-", "R-": "L-"}
+
+
+def _r3_slots() -> dict[tuple[int, int, int], list[tuple[str, int, tuple]]]:
+    """(first role, second role, sign) of a window -> (variant, slot j, windows)
+    of every pattern slot such a window can fill."""
+    slots: dict = {}
+    for variant, (*windows, sign) in _R3_PATTERNS.items():
+        for j, ((ra, _), (rb, _)) in enumerate(windows):
+            slots.setdefault((ra, rb, sign), []).append((variant, j, tuple(windows)))
+    return slots
+
+
+_R3_SLOTS = _r3_slots()
+
+# the windows of a site of each kind; an R3 site carries its variant last
+_N_WINDOWS = {"R1_remove": 1, "R2_remove": 2, "R3": 3}
+
+
+class _Code:
+    """A mutable Gauss code that keeps its removal and third-move sites current.
+
+    `comps` holds each component as a list of passage keys and `sign` maps
+    every crossing id to its sign (None for a double point), in the order of
+    the diagram's crossing table.  A window is named by its first passage:
+    `nxt` and `prv` link each passage to its neighbours along its component (a
+    one-passage component links its passage to itself and has no window).
+    `sites` holds the sites of each kind as tuples of window names, and `at`
+    holds the (kind, site) pairs of each window.  The three edits below change
+    at most three windows each and re-index only those.
+    """
+
+    __slots__ = ("comps", "sign", "comp_of", "nxt", "prv", "sites", "at")
+
+    def __init__(self, d: Diagram) -> None:
+        self.comps = [[4 * p.crossing + _ROLE_KEY[p.role] for p in comp] for comp in d.components]
+        self.sign = {cid: rec.sign for cid, rec in d.crossings.items()}
+        self.comp_of = {k: ci for ci, comp in enumerate(self.comps) for k in comp}
+        self.nxt: dict[int, int] = {}
+        self.prv: dict[int, int] = {}
+        for comp in self.comps:
+            if comp:
+                self._link(*comp, comp[0])
+        self.sites: dict[str, set[tuple]] = {kind: set() for kind in _REMOVAL_KINDS}
+        self.at: dict[int, set[tuple[str, tuple]]] = {}
+        for w in self.nxt:
+            self._find(w)
+
+    def diagram(self) -> Diagram:
+        comps = tuple(
+            tuple(Passage(k >> 2, _KEY_ROLE[k & 3]) for k in comp) for comp in self.comps
+        )
+        table = {cid: Crossing(cid, "d" if s is None else "x", s) for cid, s in self.sign.items()}
+        return Diagram(comps, table)
+
+    # -- the site index
+
+    def _link(self, *keys: int) -> None:
+        for p, q in zip(keys, keys[1:]):
+            self.nxt[p] = q
+            self.prv[q] = p
+
+    def _add(self, kind: str, site: tuple) -> None:
+        if site not in self.sites[kind]:
+            self.sites[kind].add(site)
+            for w in site[: _N_WINDOWS[kind]]:
+                self.at.setdefault(w, set()).add((kind, site))
+
+    def _drop(self, w: int) -> None:
+        """Forget every site that has window w."""
+        for kind, site in self.at.pop(w, ()):
+            self.sites[kind].remove(site)
+            for u in site[: _N_WINDOWS[kind]]:
+                if u != w:
+                    self.at[u].remove((kind, site))
+
+    def _find(self, a: int) -> None:
+        """Index every site that has window a; a valid code holds each passage
+        once, so the site's other windows are dictionary lookups."""
+        b = self.nxt[a]
+        if a == b or (a | b) & 2:
+            return  # no window, or one through a double point
+        ca, cb = a >> 2, b >> 2
+        if ca == cb:
+            self._add("R1_remove", (a,))
+            return
+        s = self.sign[ca]
+        if s != self.sign[cb]:
+            if (a ^ b) & 1 == 0:  # O-O or U-U; a site names its over-window first
+                for p, q in ((a ^ 1, b ^ 1), (b ^ 1, a ^ 1)):
+                    if self.nxt.get(p) == q:
+                        self._add("R2_remove", (p, a) if a & 1 else (a, p))
+            return
+        for variant, j, windows in _R3_SLOTS.get((a & 1, b & 1, s), ()):
+            site = self._r3_site(variant, j, windows, s, a, b)
+            if site is not None:
+                self._add("R3", site)
+
+    def _r3_site(self, variant: str, j: int, windows: tuple, s: int,
+                 a: int, b: int) -> tuple | None:
+        """The `variant` site whose window j is a -> b, if the code holds it."""
+        (_, ka), (_, kb) = windows[j]
+        ids = {ka: a >> 2, kb: b >> 2}
+        starts = [a, a, a]
+        for i in ((1, 2), (0, 2), (0, 1))[j]:
+            (r1, k1), (r2, k2) = windows[i]
+            if k1 in ids:
+                p = 4 * ids[k1] + r1
+                q = self.nxt.get(p)
+                if q is None or q & 3 != r2 or ids.setdefault(k2, q >> 2) != q >> 2:
+                    return None
+            else:
+                p = self.prv.get(4 * ids[k2] + r2)
+                if p is None or p & 3 != r1:
+                    return None
+                ids[k1] = p >> 2
+            starts[i] = p
+        if len(set(ids.values())) < 3 or any(self.sign[c] != s for c in ids.values()):
+            return None
+        return (*starts, variant)
+
+    # -- the three edits
+
+    def insert(self, ci: int, g: int, k1: int, k2: int) -> None:
+        """Put passages k1, k2 at gap g of component ci."""
+        comp = self.comps[ci]
+        self.comp_of[k1] = self.comp_of[k2] = ci
+        if comp:
+            x, y = comp[g - 1], comp[g]
+            self._drop(x)
+            self._link(x, k1, k2, y)
+            around: tuple[int, ...] = (x, k1, k2)
+        else:
+            self._link(k1, k2, k1)
+            around = (k1, k2)
+        comp[g:g] = (k1, k2)
+        for w in around:
+            self._find(w)
+
+    def delete(self, a: int) -> None:
+        """Take out the two passages of window a."""
+        b = self.nxt[a]
+        x, y = self.prv[a], self.nxt[b]
+        for w in (x, a, b):
+            self._drop(w)
+        comp = self.comps[self.comp_of.pop(a)]
+        del self.comp_of[b]
+        i = comp.index(a)
+        if i + 1 < len(comp):
+            del comp[i : i + 2]
+        else:
+            del comp[i], comp[0]
+        for k in (a, b):
+            del self.nxt[k], self.prv[k]
+        if comp:
+            self._link(x, y)
+            self._find(x)
+
+    def swap(self, a: int) -> None:
+        """Exchange the two passages of window a."""
+        b = self.nxt[a]
+        x, y = self.prv[a], self.nxt[b]
+        comp = self.comps[self.comp_of[a]]
+        i = comp.index(a)
+        j = (i + 1) % len(comp)
+        comp[i], comp[j] = b, a
+        if x == b:
+            return  # a two-passage cycle reads the same either way round
+        for w in (x, a, b):
+            self._drop(w)
+        self._link(x, b, a, y)
+        for w in (x, a, b):
+            self._find(w)
+
+    # -- moves in terms of the edits
+
+    def add_kink(self, ci: int, g: int, over_first: bool, sign: int) -> None:
+        """A first-move kink at gap g of component ci; new ids follow the largest."""
+        cid = max(self.sign, default=0) + 1
+        self.sign[cid] = sign
+        o, u = 4 * cid + _O, 4 * cid + _U
+        self.insert(ci, g, *((o, u) if over_first else (u, o)))
+
+    def add_bigon(self, gap1: tuple[int, int], gap2: tuple[int, int],
+                  role1: str, parallel: bool, sign: int) -> None:
+        """A second-move pair of crossings, strand 1 at gap1 and strand 2 at gap2."""
+        c = max(self.sign, default=0) + 1
+        self.sign[c] = sign
+        self.sign[c + 1] = -sign
+        r1 = _ROLE_KEY[role1]
+        r2 = r1 ^ 1
+        strand1 = (4 * c + r1, 4 * c + 4 + r1)
+        strand2 = (4 * c + r2, 4 * c + 4 + r2) if parallel else (4 * c + 4 + r2, 4 * c + r2)
+        inserts = [(gap1, strand1), (gap2, strand2)]
+        # same component: the later gap first, so the earlier gap stays in place
+        inserts.sort(key=lambda it: (it[0][0], -it[0][1]))
+        for (ci, g), strand in inserts:
+            self.insert(ci, g, *strand)
+
+    def remove(self, kind: str, site: tuple) -> None:
+        """Make a removal or third move at a site given by window names."""
+        if kind == "R3":
+            for w in site[:3]:
+                self.swap(w)
+            return
+        gone = {site[0] >> 2, self.nxt[site[0]] >> 2}
+        for w in site:
+            self.delete(w)
+        for cid in gone:
+            del self.sign[cid]
+
+    def gap(self, i: int) -> tuple[int, int]:
+        """Gap i in the order (component, gap)."""
+        for ci, comp in enumerate(self.comps):
+            n = len(comp) or 1
+            if i < n:
+                return ci, i
+            i -= n
+        raise IndexError(i)
+
+    # -- site listings in (ci, t) positions
+
+    def _pos(self, k: int) -> tuple[int, int]:
+        ci = self.comp_of[k]
+        return ci, self.comps[ci].index(k)
+
+    def listing(self, kind: str) -> list[tuple]:
+        """The sites of one kind in window order, R3 sites by variant first."""
+        pos = self._pos
+        if kind == "R1_remove":
+            return sorted(self.sites[kind], key=lambda s: pos(s[0]))
+        if kind == "R2_remove":
+            return sorted(self.sites[kind], key=lambda s: (pos(s[0]), pos(s[1])))
+        return sorted(self.sites[kind], key=lambda s: (_R3_RANK[s[3]], pos(s[0])))
+
+    def removal_sites(self) -> tuple[list[tuple], list[tuple], list[tuple]]:
+        """Every site listing with windows as (ci, t) positions."""
+        pos = self._pos
+        r1, r2, r3 = (self.listing(kind) for kind in _REMOVAL_KINDS)
+        return (
+            [pos(w) for w, in r1],
+            [(pos(w1), pos(w2)) for w1, w2 in r2],
+            [(pos(w1), pos(w2), pos(w3), v) for w1, w2, w3, v in r3],
+        )
 
 
 def _removal_sites(d: Diagram) -> tuple[list[tuple], list[tuple], list[tuple]]:
-    """The R1_remove, R2_remove and R3 sites of a valid code, from one pass.
-
-    The pass visits every window whose two passages are classical, in window
-    order (component, then position).  It indexes each window of two
-    opposite-signed crossings by that pair, and each window of two distinct
-    same-signed crossings by its first and by its last passage.  A valid code
-    holds each passage exactly once, so the under-window partners of an R2
-    over-window and the second and third windows of an R3 site are dictionary
-    lookups, not scans.  Windows touching a double point are skipped.  Every
-    list is in window order, R3 sites by variant first.
-    """
-    sign = {cid: rec.sign for cid, rec in d.crossings.items() if rec.kind == "x"}
-    r1: list[tuple] = []
-    r2_over = []  # O-O windows of opposite-signed crossings
-    r2_under: dict[tuple[int, int], list[tuple[int, int]]] = {}  # U-U ones, by crossing pair
-    r3_first = {1: [], -1: []}  # O-O windows signed + +, U-U windows signed - -
-    # (role, crossing) of a same-signed window's first (last) passage -> its
-    # (ci, t) and the (role, crossing) of its other passage
-    first: dict[tuple[str, int], tuple[int, int, str, int]] = {}
-    last: dict[tuple[str, int], tuple[int, int, str, int]] = {}
-    for ci, comp in enumerate(d.components):
-        if len(comp) < 2:
-            continue
-        for t, (p, q) in enumerate(zip(comp, comp[1:] + comp[:1])):
-            a, b = p.crossing, q.crossing
-            if a not in sign or b not in sign:
-                continue
-            pr, qr = p.role, q.role
-            if a == b:  # a valid code passes one crossing once over, once under
-                r1.append((ci, t))
-                continue
-            s = sign[a]
-            if s != sign[b]:
-                if pr == qr == OVER:
-                    r2_over.append((ci, t, a, b))
-                elif pr == qr:
-                    r2_under.setdefault((min(a, b), max(a, b)), []).append((ci, t))
-                continue
-            first[pr, a] = (ci, t, qr, b)
-            last[qr, b] = (ci, t, pr, a)
-            if pr == qr and (s > 0) == (pr == OVER):
-                r3_first[s].append((ci, t, a, b))
-
-    r2 = [
-        ((ci, t), w)
-        for ci, t, a, b in r2_over
-        for w in r2_under.get((min(a, b), max(a, b)), ())
-    ]
-
-    r3: list[tuple] = []
-    for variant, (_, w2pat, w3pat, s) in _R3_PATTERNS.items():
-        (ra, ka), (rb, kb) = w2pat
-        (r3a, k3a), (r3b, k3b) = w3pat
-        # window 2 is found through its slot that holds key 0 or 1.  In a valid
-        # code its other slot then holds a third crossing in the pattern's role:
-        # crossing c0 or c1 there would repeat a passage of window 1, and the
-        # other role one of window 3.
-        index, (role, k) = (first, (ra, ka)) if kb == 2 else (last, (rb, kb))
-        for ci1, t1, c0, c1 in r3_first[s]:
-            w2 = index.get((role, (c0, c1)[k]))
-            if w2 is None:
-                continue
-            key = (c0, c1, w2[3])
-            w3 = first.get((r3a, key[k3a]))
-            if w3 is not None and w3[2] == r3b and w3[3] == key[k3b]:
-                r3.append(((ci1, t1), w2[:2], w3[:2], variant))
-    return r1, r2, r3
+    """The R1_remove, R2_remove and R3 sites of a valid code, each list in
+    window order (component, then position), R3 sites by variant first.
+    Windows touching a double point are skipped."""
+    return _Code(d).removal_sites()
 
 
-def _insert(comp: tuple, gap: int, items: tuple) -> tuple:
-    return comp[:gap] + items + comp[gap:]
-
-
-def _window(d: Diagram, ci: int, t: int) -> tuple[Passage, Passage]:
-    """The two passages of window t of component ci, or MoveError if d has none."""
-    if not 0 <= ci < len(d.components):
+def _window(code: _Code, ci: int, t: int) -> tuple[int, int]:
+    """The two passage keys of window t of component ci, or MoveError if there is none."""
+    if not 0 <= ci < len(code.comps):
         raise MoveError(f"inapplicable move: no component {ci}")
-    comp = d.components[ci]
+    comp = code.comps[ci]
     if len(comp) < 2 or not 0 <= t < len(comp):
         raise MoveError(f"inapplicable move: no window {t} in component {ci}")
     return comp[t], comp[(t + 1) % len(comp)]
 
 
-def _check_gap(d: Diagram, ci: int, g: int) -> None:
-    if not 0 <= ci < len(d.components) or g not in _gaps(d.components[ci]):
+def _check_gap(code: _Code, ci: int, g: int) -> None:
+    if not 0 <= ci < len(code.comps) or g not in range(len(code.comps[ci]) or 1):
         raise MoveError(f"inapplicable move: no gap {g} in component {ci}")
 
 
@@ -197,136 +383,59 @@ def _check_sign(sign: int) -> None:
         raise MoveError(f"inapplicable move: sign {sign!r} is not +1 or -1")
 
 
-def _drop_windows(comp: tuple, ts: list[int]) -> tuple:
-    """comp without the passages of its windows ts."""
-    drop = {u for t in ts for u in (t, (t + 1) % len(comp))}
-    return tuple(x for k, x in enumerate(comp) if k not in drop)
-
-
-def _apply_r1_add(d: Diagram, site: tuple) -> Diagram:
-    ci, gap, over_first, sign = site
-    _check_gap(d, ci, gap)
-    _check_sign(sign)
-    nid = _next_id(d)
-    roles = (OVER, UNDER) if over_first else (UNDER, OVER)
-    comps = list(d.components)
-    comps[ci] = _insert(comps[ci], gap, (Passage(nid, roles[0]), Passage(nid, roles[1])))
-    return Diagram(tuple(comps), {**d.crossings, nid: Crossing(nid, "x", sign)})
-
-
-def _apply_r1_remove(d: Diagram, site: tuple) -> Diagram:
-    ci, t = site
-    p, q = _window(d, ci, t)
-    if p.crossing != q.crossing or {p.role, q.role} != set(CLASSICAL_ROLES):
-        raise MoveError(f"inapplicable move: window {t} is not a kink")
-    comps = list(d.components)
-    comps[ci] = _drop_windows(comps[ci], [t])
-    table = {k: v for k, v in d.crossings.items() if k != p.crossing}
-    return Diagram(tuple(comps), table)
-
-
-def _apply_r2_add(d: Diagram, site: tuple) -> Diagram:
-    (ci1, g1), (ci2, g2), role1, parallel, sign = site
-    if (ci1, g1) == (ci2, g2):
-        raise MoveError("inapplicable move: second-move strands need two distinct gaps")
-    _check_gap(d, ci1, g1)
-    _check_gap(d, ci2, g2)
-    if role1 not in CLASSICAL_ROLES:
-        raise MoveError(f"inapplicable move: role {role1!r} is not classical")
-    _check_sign(sign)
-    nid = _next_id(d)
-    ids = (nid, nid + 1)
-    role2 = UNDER if role1 == OVER else OVER
-    strand1 = (Passage(ids[0], role1), Passage(ids[1], role1))
-    if parallel:
-        strand2 = (Passage(ids[0], role2), Passage(ids[1], role2))
-    else:
-        strand2 = (Passage(ids[1], role2), Passage(ids[0], role2))
-    comps = list(d.components)
-    inserts = [((ci1, g1), strand1), ((ci2, g2), strand2)]
-    # same component: apply the later gap first so the earlier index stays valid
-    inserts.sort(key=lambda it: (it[0][0], -it[0][1]))
-    for (ci, g), items in inserts:
-        comps[ci] = _insert(comps[ci], g, items)
-    table = dict(d.crossings)
-    table[ids[0]] = Crossing(ids[0], "x", sign)
-    table[ids[1]] = Crossing(ids[1], "x", -sign)
-    return Diagram(tuple(comps), table)
-
-
-def _apply_r2_remove(d: Diagram, site: tuple) -> Diagram:
-    (ci1, t1), (ci2, t2) = site
-    w1, w2 = _window(d, ci1, t1), _window(d, ci2, t2)
-    if not (w1[0].role == OVER and w1[1].role == OVER and w2[0].role == UNDER and w2[1].role == UNDER):
-        raise MoveError("inapplicable move: second-move cancellation pattern absent")
-    ids1 = {w1[0].crossing, w1[1].crossing}
-    if len(ids1) != 2 or {w2[0].crossing, w2[1].crossing} != ids1:
-        raise MoveError("inapplicable move: windows do not pair the same two crossings")
-    a, b = w1[0].crossing, w1[1].crossing
-    if d.crossings[a].sign != -d.crossings[b].sign:
-        raise MoveError("inapplicable move: crossings must have opposite signs")
-    comps = list(d.components)
-    drop = {ci1: [t1]}
-    drop.setdefault(ci2, []).append(t2)
-    for ci, ts in drop.items():
-        comps[ci] = _drop_windows(comps[ci], ts)
-    table = {k: v for k, v in d.crossings.items() if k not in ids1}
-    return Diagram(tuple(comps), table)
-
-
-# swapping a variant's three windows leaves the opposite-handed pattern
-_R3_FLIP = {"L+": "R+", "R+": "L+", "L-": "R-", "R-": "L-"}
-
-
-def _r3_pattern_holds(d: Diagram, pairs: list, variant: str) -> bool:
+def _r3_pattern_holds(code: _Code, pairs: list, variant: str) -> bool:
     """Whether the windows' passage pairs carry the variant's pattern."""
-    w1pat, w2pat, w3pat, sign = _R3_PATTERNS[variant]
+    *windows, sign = _R3_PATTERNS[variant]
     key: dict[int, int] = {}
-    for pair, pat in zip(pairs, (w1pat, w2pat, w3pat)):
-        for pas, (role, kk) in zip(pair, pat):
-            if pas.role != role or d.crossings[pas.crossing].sign != sign:
+    for pair, pat in zip(pairs, windows):
+        for k, (role, kk) in zip(pair, pat):
+            cid = k >> 2
+            if k & 3 != role or code.sign[cid] != sign:
                 return False
             if kk in key:
-                if key[kk] != pas.crossing:
+                if key[kk] != cid:
                     return False
             else:
-                if pas.crossing in key.values():
+                if cid in key.values():
                     return False
-                key[kk] = pas.crossing
+                key[kk] = cid
     return len(key) == 3
 
 
-def _apply_r3(d: Diagram, site: tuple) -> Diagram:
+def _checked_site(code: _Code, kind: str, site: tuple) -> tuple:
+    """A removal or third-move site in window names, once it is seen to fit."""
+    if kind == "R1_remove":
+        ci, t = site
+        a, b = _window(code, ci, t)
+        if a >> 2 != b >> 2 or {a & 3, b & 3} != {_O, _U}:
+            raise MoveError(f"inapplicable move: window {t} is not a kink")
+        return (a,)
+    if kind == "R2_remove":
+        (ci1, t1), (ci2, t2) = site
+        w1, w2 = _window(code, ci1, t1), _window(code, ci2, t2)
+        if tuple(k & 3 for k in w1 + w2) != (_O, _O, _U, _U):
+            raise MoveError("inapplicable move: second-move cancellation pattern absent")
+        ids1 = {k >> 2 for k in w1}
+        if len(ids1) != 2 or {k >> 2 for k in w2} != ids1:
+            raise MoveError("inapplicable move: windows do not pair the same two crossings")
+        if code.sign[w1[0] >> 2] != -code.sign[w1[1] >> 2]:
+            raise MoveError("inapplicable move: crossings must have opposite signs")
+        return w1[0], w2[0]
     (ci1, t1), (ci2, t2), (ci3, t3), variant = site
     if variant not in _R3_PATTERNS:
         raise MoveError(f"inapplicable move: unknown third-move variant {variant!r}")
     windows = ((ci1, t1), (ci2, t2), (ci3, t3))
     if len(set(windows)) != 3:
         raise MoveError("inapplicable move: third-move windows must be distinct")
-    pairs = [_window(d, ci, t) for ci, t in windows]
+    pairs = [_window(code, ci, t) for ci, t in windows]
     # the same windows carry the opposite-handed pattern after one swap,
     # so re-applying an event undoes it
     if not (
-        _r3_pattern_holds(d, pairs, variant)
-        or _r3_pattern_holds(d, pairs, _R3_FLIP[variant])
+        _r3_pattern_holds(code, pairs, variant)
+        or _r3_pattern_holds(code, pairs, _R3_FLIP[variant])
     ):
         raise MoveError("inapplicable move: third-move pattern absent")
-    comps = list(d.components)
-    for ci, t in windows:
-        comp = list(comps[ci])
-        u = (t + 1) % len(comp)
-        comp[t], comp[u] = comp[u], comp[t]
-        comps[ci] = tuple(comp)
-    return Diagram(tuple(comps), dict(d.crossings))
-
-
-_APPLIERS = {
-    "R1_add": _apply_r1_add,
-    "R1_remove": _apply_r1_remove,
-    "R2_add": _apply_r2_add,
-    "R2_remove": _apply_r2_remove,
-    "R3": _apply_r3,
-}
+    return (*(a for a, _ in pairs), variant)
 
 
 def apply(d: Diagram, m: MoveEvent) -> Diagram:
@@ -335,21 +444,72 @@ def apply(d: Diagram, m: MoveEvent) -> Diagram:
     Raises MoveError when the site does not fit d.  d itself is not
     checked: parsing and the generator are the input boundary.
     """
-    fn = _APPLIERS.get(m.kind)
-    if fn is None:
+    code = _Code(d)
+    if m.kind == "R1_add":
+        ci, gap, over_first, sign = m.site
+        _check_gap(code, ci, gap)
+        _check_sign(sign)
+        code.add_kink(ci, gap, over_first, sign)
+    elif m.kind == "R2_add":
+        (ci1, g1), (ci2, g2), role1, parallel, sign = m.site
+        if (ci1, g1) == (ci2, g2):
+            raise MoveError("inapplicable move: second-move strands need two distinct gaps")
+        _check_gap(code, ci1, g1)
+        _check_gap(code, ci2, g2)
+        if role1 not in CLASSICAL_ROLES:
+            raise MoveError(f"inapplicable move: role {role1!r} is not classical")
+        _check_sign(sign)
+        code.add_bigon((ci1, g1), (ci2, g2), role1, parallel, sign)
+    elif m.kind in _REMOVAL_KINDS:
+        code.remove(m.kind, _checked_site(code, m.kind, m.site))
+    else:
         raise MoveError(f"inapplicable move: unknown kind {m.kind!r}")
-    return fn(d, m.site)
+    return code.diagram()
+
+
+def _step(code: _Code, rng: random.Random, cap: int) -> None:
+    """One random move on a code without double points: a kind uniformly
+    among those available, then a site of that kind uniformly."""
+    n = len(code.sign)
+    kinds = [kind for kind, sites in code.sites.items() if sites]
+    if n + 1 <= cap:
+        kinds.append("R1_add")
+    if n + 2 <= cap:
+        kinds.append("R2_add")
+    if not kinds:
+        kinds = ["R1_add"]
+    kind = rng.choice(kinds)
+    if kind in code.sites:
+        code.remove(kind, rng.choice(code.listing(kind)))
+        return
+    # gaps are drawn by index in (component, gap) order: rng.choice(range(G))
+    # and rng.sample(range(G), 2) draw as they would from a list of the G gaps
+    n_gaps = sum(len(comp) or 1 for comp in code.comps)
+    if kind == "R1_add":
+        ci, g = code.gap(rng.choice(range(n_gaps)))
+        over_first, sign = rng.choice(KINK_TYPES)
+        code.add_kink(ci, g, over_first, sign)
+    elif n_gaps < 2:
+        code.add_kink(0, 0, True, 1)
+    else:
+        g1, g2 = rng.sample(range(n_gaps), 2)
+        role1 = rng.choice(CLASSICAL_ROLES)
+        parallel = rng.random() < 0.5
+        sign = rng.choice((1, -1))
+        code.add_bigon(code.gap(g1), code.gap(g2), role1, parallel, sign)
 
 
 def random_walk(
     d: Diagram, steps: int, seed: int, *, max_crossings: int | None = None
 ) -> Diagram:
-    """Apply `steps` random moves, never materializing the full move list.
+    """Apply `steps` random moves to one mutable code and return its diagram.
 
-    Each step picks uniformly among the currently available move kinds,
-    then uniformly among that kind's sites.  A soft cap (default: the
-    starting crossing count plus 4) excludes additions while at or over
-    the cap, except as a last resort when nothing else applies.
+    The walk converts d once, steps on the code, whose site index is kept
+    current by each move, and builds one Diagram at the end.  Each step
+    picks uniformly among the currently available move kinds, then
+    uniformly among that kind's sites in listing order.  A soft cap
+    (default: the starting crossing count plus 4) excludes additions while
+    at or over the cap, except as a last resort when nothing else applies.
     """
     if steps < 0:
         raise ValueError(f"a walk needs a non-negative number of steps, got {steps}")
@@ -359,36 +519,10 @@ def random_walk(
         raise ValueError("a walk needs a component to put a kink in")
     rng = random.Random(seed)
     cap = max_crossings if max_crossings is not None else d.n_classical() + 4
-    cur = d
+    code = _Code(d)
     for _ in range(steps):
-        n = cur.n_classical()
-        removal_sites = dict(zip(_REMOVAL_KINDS, _removal_sites(cur)))
-        kinds = [k for k, v in removal_sites.items() if v]
-        if n + 1 <= cap:
-            kinds.append("R1_add")
-        if n + 2 <= cap:
-            kinds.append("R2_add")
-        if not kinds:
-            kinds = ["R1_add"]
-        kind = rng.choice(kinds)
-        if kind in removal_sites:
-            m = MoveEvent(kind, rng.choice(removal_sites[kind]))
-        else:
-            gaps = [(ci, g) for ci, comp in enumerate(cur.components) for g in _gaps(comp)]
-            if kind == "R1_add":
-                ci, g = rng.choice(gaps)
-                over_first, sign = rng.choice(KINK_TYPES)
-                m = MoveEvent("R1_add", (ci, g, over_first, sign))
-            elif len(gaps) < 2:
-                m = MoveEvent("R1_add", (0, 0, True, 1))
-            else:
-                g1, g2 = rng.sample(gaps, 2)
-                role1 = rng.choice(CLASSICAL_ROLES)
-                parallel = rng.random() < 0.5
-                sign = rng.choice((1, -1))
-                m = MoveEvent("R2_add", (g1, g2, role1, parallel, sign))
-        cur = apply(cur, m)
-    return cur
+        _step(code, rng, cap)
+    return code.diagram()
 
 
 def random_diagram(cfg: GeneratorConfig) -> Diagram:

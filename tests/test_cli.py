@@ -205,6 +205,15 @@ def test_verify_file_rejects_random(vhopf_file, capsys):
     assert captured.err.startswith("error: --random") and captured.err.count("\n") == 1
 
 
+def test_verify_file_rejects_trials(vhopf_file, capsys, monkeypatch):
+    # a file is checked along one walk, so a trial count would be ignored
+    monkeypatch.setattr(cli, "tally_diagram_checks", lambda *args: pytest.fail("checks ran"))
+    assert main(["verify", vhopf_file, "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --trials") and captured.err.count("\n") == 1
+
+
 def test_verify_file_without_component(tmp_path, capsys):
     empty = tmp_path / "e.gauss"
     empty.write_text("# nothing\n")
@@ -245,9 +254,10 @@ def test_verify_mutate_leaves_right_blocks(monkeypatch, capsys):
 def test_verify_lists_no_check_without_trials(tmp_path, capsys):
     empty = tmp_path / "unknot.txt"
     empty.write_text("component:\n")
-    for argv in (["--random", "0,2,0"], ["--random", "0,1,0"], ["--random", "1,3,0"],
-                 [str(empty)]):
-        assert main(["verify", *argv, "--trials", "5", "--format", "json"]) == 0
+    # a diagram file takes no --trials: it is checked along one walk
+    for argv in (["--random", "0,2,0", "--trials", "5"], ["--random", "0,1,0", "--trials", "5"],
+                 ["--random", "1,3,0", "--trials", "5"], [str(empty)]):
+        assert main(["verify", *argv, "--format", "json"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert checks and all(c["trials"] > 0 for c in checks), argv
 

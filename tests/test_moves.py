@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -231,6 +232,40 @@ def test_sites_over_the_wrong_crossings_rejected(kind, site):
         apply(parse_diagram("component: O1+ O2+ O3+ U1+ U2+ U3+"), MoveEvent(kind, site))
 
 
+SINGULAR = ("component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+            "component: U6- A7 O6- B7")
+
+
+@pytest.mark.parametrize(
+    "kind, site, want",
+    [
+        # new crossings take the id after the largest, a double point's included
+        ("R1_add", (0, 2, False, -1),
+         "component: O1+ O2+ U8- O8- A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+         "component: U6- A7 O6- B7"),
+        ("R1_add", (3, 1, True, 1),
+         "component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+         "component: U6- O8+ U8+ A7 O6- B7"),
+        ("R2_add", ((0, 2), (3, 2), "U", False, 1),
+         "component: O1+ O2+ U8+ U9- A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+         "component: U6- A7 O9- O8+ O6- B7"),
+        ("R2_add", ((3, 0), (3, 3), "O", True, -1),
+         "component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+         "component: O8- O9+ U6- A7 O6- U8- U9+ B7"),
+        ("R3", ((0, 0), (1, 0), (2, 0), "L+"),
+         "component: O2+ O1+ A5\ncomponent: O3+ U1+ B5\ncomponent: U3+ U2+\n"
+         "component: U6- A7 O6- B7"),
+    ],
+)
+def test_moves_on_a_singular_code(kind, site, want):
+    assert format_diagram(apply(parse_diagram(SINGULAR), MoveEvent(kind, site))) == want
+
+
+def test_double_point_is_no_kink():
+    with pytest.raises(MoveError, match="not a kink"):
+        apply(parse_diagram("component: A1 B1 O2+ U2+"), MoveEvent("R1_remove", (0, 0)))
+
+
 def test_walk_calls_no_validate(monkeypatch):
     calls = []
 
@@ -332,6 +367,23 @@ def test_walk_changes_raw_z_by_positive_x_power_only():
         if k != 0:
             seen_shift = True
     assert seen_shift
+
+
+def test_walk_endpoints_are_pinned():
+    # a walk's draws make every verify result, so their order is pinned: 500
+    # endpoints of walks of 0, 1, 50 and 300 steps from codes of 0-12 crossings,
+    # capped at no, 1, k and k + 2 crossings
+    rng = random.Random(14)
+    codes = []
+    for i in range(500):
+        k, c = rng.randint(0, 12), rng.randint(1, 3)
+        d = random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30)))
+        steps = (0, 1, 50, 300)[i % 4]
+        cap = (None, 1, k, k + 2)[i // 4 % 4]
+        codes.append(format_diagram(
+            random_walk(d, steps, seed=rng.randrange(1 << 30), max_crossings=cap)))
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert digest == "0ffbe21511e5393c9d9149cad026ba237de87beb47a27483cdc890132ab17a37"
 
 
 def test_walk_rejects_negative_steps():
@@ -471,6 +523,28 @@ def test_removal_sites_match_reference_on_walk_states():
             seen[i] += len(sites)
     # every kind of site occurs, so each lookup path is exercised
     assert all(n > 50 for n in seen), seen
+
+
+def test_kept_index_matches_reference_along_one_code():
+    # one code stepped 2,400 times under a cap that falls and rises, so its
+    # components fill, empty and shrink to one passage; after every step the
+    # index its edits kept lists what the reference rescan finds
+    rng = random.Random(21)
+    d = random_diagram(GeneratorConfig(8, 3, 0, seed=5))
+    code = moves._Code(Diagram(((),) + d.components, d.crossings))
+    seen = [0, 0, 0]
+    lengths = set()
+    for i in range(2400):
+        moves._step(code, rng, 2 + (i // 100) % 12)
+        d = code.diagram()
+        got = code.removal_sites()
+        assert got == _ref_removal_sites(d), format_diagram(d)
+        assert code.sites == moves._Code(d).sites, format_diagram(d)
+        for j, sites in enumerate(got):
+            seen[j] += len(sites)
+        lengths.update(map(len, d.components))
+    assert all(n > 50 for n in seen), seen
+    assert {0, 1} <= lengths
 
 
 @pytest.mark.parametrize(
