@@ -61,6 +61,11 @@ MAX_TRIALS = 10000
 # most `verify --moves` per walk: 100 trials of 1,000 moves took 2.1-2.3 s
 MAX_MOVES = 1000
 
+# most resolved diagrams `verify --random K,C,M` with M > 0 may check, trials
+# times 2^M: `24,3,6 --trials 100` (6,400) took 43 s, so 8,192 takes about a
+# minute at up to 3 components and lets the default 500 trials run up to M = 4
+MAX_RESOLUTIONS = 8192
+
 # most crossings of a diagram sampled by `verify --random` or `search --links`:
 # one verify trial takes 0.9 s at 24 crossings and 38 s at 40
 MAX_SAMPLED_CROSSINGS = 24
@@ -199,6 +204,7 @@ def _cmd_verify(args) -> int:
                 raise InputError("--moves does not apply to --random with double points, "
                                  "which runs no move walk")
             else:
+                _check_max(trials << m, "resolutions (trials x 2^M)", MAX_RESOLUTIONS)
                 results = check_singular_orders(trials, args.seed, classical=k,
                                                 components=c, doubles=m)
         else:
@@ -329,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream; "
                         f"K at most {MAX_SAMPLED_CROSSINGS}, C at most {MAX_CLASSICAL_CROSSINGS}, "
-                        f"M at most {MAX_DOUBLE_POINTS}; not accepted with a diagram file")
+                        f"M at most {MAX_DOUBLE_POINTS}, and for M > 0 trials x 2^M at most "
+                        f"{MAX_RESOLUTIONS}; not accepted with a diagram file")
     p.add_argument("--trials", type=_positive_int, default=None,
                    help=f"default 500, at most {MAX_TRIALS}; not accepted with a diagram file, "
                         "which is checked along one walk")

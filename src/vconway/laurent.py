@@ -20,9 +20,12 @@ B = 8, 16, 32 or 64 bits, each holding a coefficient offset by 2^(B-1),
 so one bigint product or `divmod` does the whole ring operation and
 `to_bytes` reads the digits back.  A packed quotient is used only once
 its product with the divisor is shown to give the numerator; failing
-that, long division decides.  The schoolbook loops stay for small
-operands, for coefficients too wide for 64-bit digits and for sparse
-operands whose box of slots would dwarf their term count.
+that, long division decides.  A determinant residual of side at most 4
+with large entries is packed whole: each entry becomes one integer, the
+integer determinant is expanded, and its digits are the determinant's
+coefficients, bounded in advance by a permanent.  The schoolbook loops
+stay for small operands, for coefficients too wide for 64-bit digits
+and for sparse operands whose box of slots would dwarf their term count.
 
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
@@ -41,8 +44,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from math import comb
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Mapping
 
 _SHIFT = 1 << 32
@@ -56,6 +58,11 @@ _PACK_PAIRS = 150
 # most digit slots a packed operand may take per term pair, so that a
 # sparse (x^(2^29) + y) * (y^(2^29) + x) stays on the schoolbook path
 _SLOTS_PER_PAIR = 8
+# largest residual side that `det` expands as one packed integer determinant;
+# det over the Z matrices of fixed codes at 24/32/48 crossings (40/20/5 codes)
+# took 98/140/96 ms up to side 3, 65/150/96 ms up to 4 and 63/96/158 ms up to
+# 5: side-5 residuals gain at 32 crossings and lose at 48, where entries are larger
+_PACK_SIDE = 4
 # unsigned array typecode for each digit width in bytes
 _DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -409,7 +416,8 @@ class ConwayPoly:
     def __init__(self, coeffs: Iterable[LaurentPoly2] = ()):
         cs = list(coeffs)
         for c in cs:
-            if any(ex for (ex, _ey) in c.terms()):
+            # a key is ex * 2^32 + ey with |ey| < 2^30, so ex = 0 exactly when |key| < 2^31
+            if c._t and not -_HALF < min(c._t) <= max(c._t) < _HALF:
                 raise ValueError("conway coefficients must be polynomials in y only")
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -470,28 +478,31 @@ class ConwayPoly:
 def expand_conway(p: LaurentPoly2) -> ConwayPoly:
     """Rewrite an x-normalized polynomial as sum of c_k * z^k with z = 1 - x.
 
-    Requires all x-exponents nonnegative (run `normalize_x` first);
-    substituting x = 1 - z term by term keeps everything exact.
+    Requires all x-exponents nonnegative (run `normalize_x` first).  The
+    terms of each y-exponent form an integer polynomial q(x); Taylor
+    shift by repeated synthetic addition gives q(1 + t), and t = -z
+    gives its coefficients in z, all exactly.
     """
-    coeffs: list[dict[int, int]] = []
     rows: dict[int, list[int]] = {}
-    for k, c in p._t.items():
-        ex, ey = _unpack(k)
-        if ex < 0:
+    for x, y, c in zip(*_spread(p._t)):
+        if x < 0:
             raise ValueError("not x-normalized: negative x-exponent in conway expansion")
-        while len(coeffs) <= ex:
+        row = rows.setdefault(y, [])
+        if len(row) <= x:
+            row.extend([0] * (x + 1 - len(row)))
+        row[x] = c
+    coeffs: list[dict[int, int]] = []
+    for y, row in rows.items():
+        # highest power first; each pass sums a prefix, which is one
+        # synthetic addition at x = 1 on the shrinking leading part
+        r = row[::-1]
+        for m in range(len(r), 1, -1):
+            r[:m] = accumulate(r[:m])
+        while len(coeffs) < len(r):
             coeffs.append({})
-        row = rows.get(ex)
-        if row is None:
-            # x^ex = (1 - z)^ex contributes comb(ex, j) * (-1)^j at z^j
-            row = rows[ex] = [-comb(ex, j) if j & 1 else comb(ex, j) for j in range(ex + 1)]
-        ykey = _pack(0, ey)
-        for bucket, b in zip(coeffs, row):
-            v = bucket.get(ykey, 0) + c * b
+        for j, v in enumerate(reversed(r)):
             if v:
-                bucket[ykey] = v
-            else:
-                bucket.pop(ykey, None)
+                coeffs[j][y] = -v if j & 1 else v
     return ConwayPoly(LaurentPoly2._raw(b) for b in coeffs)
 
 
@@ -630,43 +641,55 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
 
 
 def det(matrix: PolyMatrix) -> LaurentPoly2:
-    """Exact determinant: unit pivots first, then Bareiss on the rest.
+    """Exact determinant: unit pivots first, then the small residual.
 
     Phase one eliminates on pivots that are units of the ring, i.e.
     +-x^a*y^b.  The inverse of such a pivot is again a monomial, so the
-    Schur update a_ij - a_ic * p^-1 * a_rj needs no division at all.
-    It runs over sparse rows, and each step takes the unit pivot of
+    Schur update a_ij - a_ic * p^-1 * a_rj needs no division: it runs on
+    term dicts copied once from the matrix and updated in place, one
+    monomial multiply-add at a time.  Each step takes the unit pivot of
     lowest Markowitz count (row_nnz - 1) * (col_nnz - 1), which keeps
-    fill-in low.  The pivots multiply into a monomial, and the Laplace
-    sign of each comes from its position among the active rows and
-    columns.  The matrices this package builds are mostly monomials
-    (M - P has only the 1 - x^+-1 diagonal terms as non-units), so
-    typically a few rows are left, with no unit entry; phase two
-    computes their determinant with `_bareiss`.
+    fill-in low.  Rows are kept in buckets by entry count, so the search
+    visits rows in rising count and stops at the first bucket whose
+    least possible count cannot beat the best found (Duff, Erisman &
+    Reid, ch. 10).  The pivots multiply into a monomial, and the Laplace
+    sign comes once, at the end, from the parity of the order in which
+    rows and columns were eliminated.  The matrices this package builds
+    are mostly monomials (M - P has only the 1 - x^+-1 diagonal terms as
+    non-units), so typically a few rows are left, with no unit entry.
+    A residual of side at most `_PACK_SIDE` with an entry of at least
+    `_PACK_PAIRS` term pairs goes to `_det_packed`, one integer
+    determinant; every other residual, and one `_det_packed` declines,
+    goes to `_bareiss`.
     """
     n = matrix.n
     if n == 0:
         return ONE
-    rows: dict[int, dict[int, LaurentPoly2]] = {}
+    rows: dict[int, dict[int, dict[int, int]]] = {}
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
+    buckets: list[set[int]] = [set() for _ in range(n + 1)]
     for i, row in enumerate(matrix.rows):
-        entries = {j: e for j, e in enumerate(row) if e._t}
+        entries = {j: dict(e._t) for j, e in enumerate(row) if e._t}
         if not entries:
             return ZERO
         rows[i] = entries
+        buckets[len(entries)].add(i)
         for j in entries:
             cols[j].add(i)
+    row_order: list[int] = []
+    col_order: list[int] = []
     sign = 1
     unit_key = 0
     while True:
-        pivot = _unit_pivot(rows, cols)
+        pivot = _unit_pivot(rows, cols, buckets)
         if pivot is None:
             break
         r, c = pivot
-        if (sum(1 for i in rows if i < r) + sum(1 for j in cols if j < c)) & 1:
-            sign = -sign
+        row_order.append(r)
+        col_order.append(c)
         pivot_row = rows.pop(r)
-        (pk, pc), = pivot_row.pop(c)._t.items()
+        buckets[len(pivot_row)].discard(r)
+        (pk, pc), = pivot_row.pop(c).items()
         if pc < 0:
             sign = -sign
         unit_key += pk
@@ -676,47 +699,157 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
             cols[j].discard(r)
         for i in below:
             row_i = rows[i]
+            before = len(row_i)
             # -a_ic * p^-1, where p^-1 = pc * x^-a*y^-b because pc is +-1
-            f = LaurentPoly2._raw({k - pk: -v * pc for k, v in row_i.pop(c)._t.items()})
+            f = [(k - pk, -v * pc) for k, v in row_i.pop(c).items()]
             for j, b in pivot_row.items():
-                upd = row_i.get(j, _ZERO) + f * b
-                if upd._t:
-                    row_i[j] = upd
+                t = row_i.get(j)
+                if t is None:
+                    t = row_i[j] = {}
+                for kf, cf in f:
+                    for kb, cb in b.items():
+                        k = kf + kb
+                        v = t.get(k, 0) + cf * cb
+                        if v:
+                            t[k] = v
+                        else:
+                            del t[k]
+                if t:
                     cols[j].add(i)
-                elif j in row_i:
+                else:
                     del row_i[j]
                     cols[j].discard(i)
             if not row_i:
                 return ZERO
+            if len(row_i) != before:
+                buckets[before].discard(i)
+                buckets[len(row_i)].add(i)
+    if _odd(row_order + sorted(rows)) != _odd(col_order + sorted(cols)):
+        sign = -sign
     value = ONE
     if rows:
         order = sorted(cols)
-        value = _bareiss(PolyMatrix(tuple(
-            tuple(rows[i].get(j, _ZERO) for j in order) for i in sorted(rows)
-        )))
+        residual = PolyMatrix(tuple(
+            tuple(LaurentPoly2._raw(rows[i].get(j, {})) for j in order) for i in sorted(rows)
+        ))
+        packed = None
+        if len(rows) <= _PACK_SIDE and max(
+                len(t) for row in rows.values() for t in row.values()) ** 2 >= _PACK_PAIRS:
+            packed = _det_packed(residual)
+        value = _bareiss(residual) if packed is None else packed
     return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
 
 
-def _unit_pivot(
-    rows: dict[int, dict[int, LaurentPoly2]], cols: dict[int, set[int]]
-) -> tuple[int, int] | None:
-    """The unit entry of lowest Markowitz count, or None if there is none."""
+def _unit_pivot(rows: dict[int, dict[int, dict[int, int]]], cols: dict[int, set[int]],
+                buckets: list[set[int]]) -> tuple[int, int] | None:
+    """The unit entry of lowest Markowitz count, or None if there is none.
+
+    Ties go to the lowest row index, then to the row's earliest entry,
+    as a scan of every row in index order would pick; a count s in row
+    i is ranked as s * n + i.  A row of e entries counts at least
+    (e - 1) * (c - 1), c the fewest entries of any active column, so
+    each bucket is read in row order only while that bound can still
+    beat the best, and the search ends at the first bucket whose bound
+    exceeds the best count.
+    """
+    n = len(buckets)
+    floor = min(map(len, cols.values()), default=0) - 1
     best = None
-    best_score = None
-    for i, entries in rows.items():
-        rn = len(entries) - 1
-        for j, e in entries.items():
-            score = rn * (len(cols[j]) - 1)
-            if best_score is not None and score >= best_score:
-                continue
-            t = e._t
-            if len(t) == 1:
-                (v,) = t.values()
-                if v == 1 or v == -1:
-                    if not score:
-                        return i, j
-                    best, best_score = (i, j), score
+    best_rank = n ** 3
+    for e in range(1, n):
+        step = (e - 1) * n
+        lowest = step * floor
+        if lowest >= best_rank:
+            break
+        for i in sorted(buckets[e]):
+            if lowest + i >= best_rank:
+                break
+            for j, t in rows[i].items():
+                if len(t) == 1:
+                    rank = step * (len(cols[j]) - 1) + i
+                    if rank < best_rank:
+                        (v,) = t.values()
+                        if v == 1 or v == -1:
+                            best, best_rank = (i, j), rank
     return best
+
+
+def _odd(order: list[int]) -> bool:
+    """Whether a permutation of range(len(order)), given as a list, is odd."""
+    seen = [False] * len(order)
+    odd = False
+    for start in range(len(order)):
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            if j != start:
+                odd = not odd
+    return odd
+
+
+def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
+    """The determinant of a small matrix as one integer determinant at a
+    Kronecker point, or None, for `_bareiss`, when the digits would need
+    more than 64 bits or the slots exceed `_SLOTS_PER_PAIR` per pair of
+    the matrix's terms.
+
+    Each row is shifted by its lowest x- and y-exponents, which divides
+    the determinant by one monomial and leaves every exponent
+    nonnegative.  A term of the expansion takes one entry from each row,
+    so the shifted determinant's x-degree is at most the sum of the
+    rows' x-spans; rows of w digits, w one more than that sum, keep its
+    terms apart, and likewise h rows for y.  No coefficient exceeds the
+    permanent of the entries' l1 norms, which sets the digit width.
+    Each entry is packed once, the integer determinant is expanded by
+    `_expand`, and the result is decoded once.
+    """
+    rows = []
+    x0 = y0 = w = h = terms = 0
+    for row in matrix.rows:
+        spreads = [_spread(e._t) if e._t else None for e in row]
+        present = [s for s in spreads if s]
+        if not present:
+            return ZERO
+        rx0 = min(min(xs) for xs, _, _ in present)
+        ry0 = min(min(ys) for _, ys, _ in present)
+        w += max(max(xs) for xs, _, _ in present) - rx0
+        h += max(max(ys) for _, ys, _ in present) - ry0
+        x0, y0 = x0 + rx0, y0 + ry0
+        terms += sum(len(cs) for _, _, cs in present)
+        rows.append((rx0, ry0, spreads))
+    w, h = w + 1, h + 1
+    if w * h > _SLOTS_PER_PAIR * terms * terms:
+        return None
+    norms = [[sum(map(abs, e._t.values())) for e in row] for row in matrix.rows]
+    top = max(abs(c) for row in matrix.rows for e in row for c in e._t.values())
+    nb = _digit_bytes(max(_expand(norms, 1), top))
+    if nb is None:
+        return None
+    ints = [[_to_int(s, rx0, ry0, w, max(s[1]) - ry0 + 1, nb) if s else 0 for s in spreads]
+            for rx0, ry0, spreads in rows]
+    out = _from_int(_expand(ints, -1), x0, y0, w, h, nb, w)
+    return None if out is None else LaurentPoly2._raw(out)
+
+
+def _expand(rows: list[list[int]], sign: int) -> int:
+    """Laplace expansion of a small integer matrix, row by row from the
+    bottom, each minor kept by its column set: the determinant for sign
+    -1, the permanent for sign 1."""
+    n = len(rows)
+    minors: dict[tuple[int, ...], int] = {(): 1}
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        below = minors
+        minors = {}
+        for cols in combinations(range(n), n - i):
+            acc = 0
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    term = row[j] * below[cols[:pos] + cols[pos + 1:]]
+                    acc = acc - term if pos & 1 and sign < 0 else acc + term
+            minors[cols] = acc
+    return minors[tuple(range(n))]
 
 
 def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:

@@ -198,6 +198,27 @@ def test_verify_random_singular_rejects_moves(capsys):
     assert captured.err.startswith("error: --moves") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", range(1, MAX_DOUBLE_POINTS + 1))
+def test_verify_random_resolution_budget(m, capsys, monkeypatch):
+    # trials x 2^M at the budget runs the singular checks; one trial more is
+    # refused before any of them
+    limit = cli.MAX_RESOLUTIONS
+    trials = limit >> m
+    assert trials << m == limit and trials <= cli.MAX_TRIALS
+    runs = []
+    monkeypatch.setattr(cli, "check_singular_orders", lambda *args, **kwargs: runs.append(args) or [])
+    assert main(["verify", "--random", f"4,1,{m}", "--trials", str(trials)]) == 0
+    assert runs == [(trials, 0)]
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "check_singular_orders",
+                        lambda *args, **kwargs: pytest.fail("singular checks ran above the budget"))
+    assert main(["verify", "--random", f"4,1,{m}", "--trials", str(trials + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {(trials + 1) << m} resolutions (trials x 2^M) exceed the "
+                            f"supported maximum of {limit}\n")
+
+
 def test_verify_file_rejects_random(vhopf_file, capsys):
     assert main(["verify", vhopf_file, "--random", "4,1,2", "--trials", "3"]) == 2
     captured = capsys.readouterr()

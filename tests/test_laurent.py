@@ -1,5 +1,7 @@
+import hashlib
 import random
 from array import array
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +204,40 @@ def test_conway_validation_and_render():
 def test_conway_reconstruct_round_trip(cs):
     p = ConwayPoly(cs)
     assert expand_conway(p.reconstruct()) == p
+
+
+def reference_expand_conway(p):
+    """The per-term formula expand_conway used before its Taylor shift:
+    x^ex = (1 - z)^ex adds comb(ex, j) * (-1)^j * c at z^j, one dict
+    update per term and j."""
+    coeffs = []
+    for k, c in p._t.items():
+        ex, ey = laurent._unpack(k)
+        while len(coeffs) <= ex:
+            coeffs.append({})
+        ykey = laurent._pack(0, ey)
+        for j, bucket in enumerate(coeffs[:ex + 1]):
+            v = bucket.get(ykey, 0) + c * (-comb(ex, j) if j & 1 else comb(ex, j))
+            if v:
+                bucket[ykey] = v
+            else:
+                bucket.pop(ykey, None)
+    return ConwayPoly(LaurentPoly2._raw(b) for b in coeffs)
+
+
+# y-exponents with gaps between them, so some y-rows are empty
+x_normalized = st.dictionaries(
+    st.tuples(st.integers(0, 14), st.sampled_from((-7, -3, -2, 0, 4, 9))),
+    st.one_of(coeffs, st.integers(-10**30, 10**30)), max_size=30,
+).map(LaurentPoly2).map(normalize_x)
+
+
+@given(x_normalized)
+@settings(max_examples=80, deadline=None)
+def test_expand_conway_matches_per_term_formula(p):
+    got = expand_conway(p)
+    assert got == reference_expand_conway(p)
+    assert got.reconstruct() == p
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +605,175 @@ def test_det_oracles_agree_on_either_path(monkeypatch, pairs):
     monkeypatch.setattr(laurent, "_PACK_PAIRS", pairs)
     assert [det(m) for m in mats] == [_bareiss(m) for m in mats] == expect
     test_det_matches_cofactor_on_mixed_matrices()
+
+
+def reference_unit_pivot(rows, cols):
+    """The full rescan det used before rows were bucketed: every active
+    entry, rows in index order, the first unit of lowest Markowitz count."""
+    best = None
+    best_score = None
+    for i in sorted(rows):
+        rn = len(rows[i]) - 1
+        for j, t in rows[i].items():
+            score = rn * (len(cols[j]) - 1)
+            if best_score is not None and score >= best_score:
+                continue
+            if len(t) == 1 and list(t.values()) in ([1], [-1]):
+                if not score:
+                    return i, j
+                best, best_score = (i, j), score
+    return best
+
+
+def test_unit_pivot_matches_a_full_scan(monkeypatch):
+    # the bucketed search picks the pivot a full rescan picks, at every step,
+    # and every active row sits in the bucket of its entry count
+    picks = []
+    pivot = laurent._unit_pivot
+
+    def checked(rows, cols, buckets):
+        assert sorted(i for bucket in buckets for i in bucket) == sorted(rows)
+        assert all(i in buckets[len(entries)] for i, entries in rows.items())
+        got = pivot(rows, cols, buckets)
+        assert got == reference_unit_pivot(rows, cols)
+        picks.append(got)
+        return got
+
+    rng = random.Random(30)
+    mats = diagram_matrices() + [mixed_matrix(rng, n) for n in range(1, 16) for _ in range(3)]
+    expect = [_bareiss(m) for m in mats]
+    monkeypatch.setattr(laurent, "_unit_pivot", checked)
+    assert [det(m) for m in mats] == expect
+    assert len(picks) > 300
+
+
+def permutation_sign(order):
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -1 if inversions & 1 else 1
+
+
+def test_det_sign_under_row_and_column_permutations():
+    # the Laplace sign comes from the order in which rows and columns are
+    # eliminated; permuting either must change Z by exactly the permutation's sign
+    rng = random.Random(21)
+    nonzero = 0
+    for n in range(1, 11):
+        for _ in range(3):
+            m = mixed_matrix(rng, n)
+            expect = det_cofactor(m)
+            nonzero += not expect.is_zero()
+            rp, cp = list(range(n)), list(range(n))
+            rng.shuffle(rp)
+            rng.shuffle(cp)
+            permuted = PolyMatrix.from_rows([[m.rows[i][j] for j in cp] for i in rp])
+            sign = permutation_sign(rp) * permutation_sign(cp)
+            assert det(m) == expect
+            assert det(permuted) == det_cofactor(permuted) == expect * sign
+    assert nonzero >= 15
+
+
+def residual_entry(rng, dense):
+    """A dense entry of 13-20 terms, which makes a residual pack, or a
+    sparse one of 0-2 terms; exponents run negative in both variables."""
+    if dense:
+        count = rng.randint(13, 20)
+    else:
+        count = rng.choice((0, 0, 1, 2))
+    return LaurentPoly2({(rng.randint(-3, 2), rng.randint(-2, 3)): rng.randint(-9, 9) or 1
+                         for _ in range(count)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_residual_matches_oracles(n):
+    rng = random.Random(100 + n)
+    for trial in range(8):
+        dense = trial % 2 == 0
+        rows = [[residual_entry(rng, dense) for _ in range(n)] for _ in range(n)]
+        if trial >= 6:
+            rows[rng.randrange(n)] = [ZERO] * n
+        m = PolyMatrix.from_rows(rows)
+        got = laurent._det_packed(m)
+        assert got is not None
+        assert got == _bareiss(m) == det_cofactor(m)
+        if trial >= 6:
+            assert got.is_zero()
+        elif dense:
+            assert not got.is_zero()
+
+
+def spy_residuals(monkeypatch):
+    paths = []
+    packed, bareiss = laurent._det_packed, laurent._bareiss
+
+    def spy_packed(m):
+        out = packed(m)
+        paths.append(("packed" if out is not None else "declined", m.n))
+        return out
+
+    monkeypatch.setattr(laurent, "_det_packed", spy_packed)
+    monkeypatch.setattr(laurent, "_bareiss",
+                        lambda m: paths.append(("bareiss", m.n)) or bareiss(m))
+    monkeypatch.setattr(laurent, "det_cofactor",
+                        lambda m: pytest.fail("det called the cofactor oracle"))
+    return paths
+
+
+@pytest.mark.parametrize("bits, path", [(4, [("packed", 3)]),
+                                        (20, [("declined", 3), ("bareiss", 3)])])
+def test_residual_path_by_permanent_bound(monkeypatch, bits, path):
+    # 3 x 3 entries of 13 terms, no unit among them: the whole matrix is the
+    # residual.  At 20-bit coefficients the permanent of the l1 norms passes
+    # 2^63, so packing declines and Bareiss decides.
+    rng = random.Random(bits)
+    rows = [[LaurentPoly2({(i % 4, i // 4): rng.choice((1, -1)) * rng.randint(2 ** (bits - 1), 2 ** bits)
+                           for i in range(13)}) for _ in range(3)] for _ in range(3)]
+    m = PolyMatrix.from_rows(rows)
+    expect = det_cofactor(m)
+    norms = [[sum(map(abs, e._t.values())) for e in row] for row in m.rows]
+    assert (laurent._digit_bytes(laurent._expand(norms, 1)) is None) == (bits == 20)
+    paths = spy_residuals(monkeypatch)
+    assert det(m) == expect
+    assert paths == path
+
+
+def test_sparse_residual_is_not_packed(monkeypatch):
+    # entries of 13 terms spread over 2^29 exponents: a packed residual would
+    # need about 2^58 slots, so packing declines and Bareiss decides
+    rng = random.Random(7)
+    rows = [[LaurentPoly2({(rng.randrange(2**29), rng.randrange(2**29)): rng.choice((1, -1))
+                           for _ in range(13)}) for _ in range(2)] for _ in range(2)]
+    m = PolyMatrix.from_rows(rows)
+    expect = det_cofactor(m)
+    paths = spy_residuals(monkeypatch)
+    assert det(m) == expect
+    assert paths == [("declined", 2), ("bareiss", 2)]
+
+
+def test_det_takes_both_residual_paths(monkeypatch):
+    # every residual large enough to pack: side <= _PACK_SIDE packs, larger ones go to Bareiss
+    rng = random.Random(12)
+    mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
+    mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
+             for n in range(1, 7)]
+    expect = [det_cofactor(m) for m in mats]
+    monkeypatch.setattr(laurent, "_PACK_PAIRS", 0)
+    paths = spy_residuals(monkeypatch)
+    assert [det(m) for m in mats] == expect
+    assert {p for p, n in paths} == {"packed", "bareiss"}
+    assert all(n <= laurent._PACK_SIDE for p, n in paths if p == "packed")
+    assert all(n > laurent._PACK_SIDE for p, n in paths if p == "bareiss")
+
+
+def test_z_renders_are_pinned():
+    # Z on fixed codes of 24 to 64 crossings, rendered and hashed; any change to
+    # det, the packed arithmetic or the matrix assembly must leave it alone
+    lines = []
+    for k, count in ((24, 40), (32, 20), (48, 5), (64, 2)):
+        for i in range(count):
+            d = random_diagram(GeneratorConfig(k, 1 + i % 3, 0, seed=1000 + i))
+            lines.append(invariants.z_polynomial(d).render())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9c89c8bb455f6c906aee2e6249c7b20decd4396f6398e58314c00e00c5e697f3"
 
 
 def test_det_cofactor_size_limit():

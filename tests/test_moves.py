@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vconway import cli, moves
+from vconway import moves
 from vconway.diagram import (
     CLASSICAL_ROLES,
     OVER,
@@ -600,12 +600,3 @@ def test_r2_partners_of_two_cycle_in_window_order():
     r1, r2, r3 = moves._removal_sites(d)
     assert r2 == [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1))]
     assert r1 == r3 == []
-
-
-def test_verify_output_unchanged_with_reference_scanners(monkeypatch, capsys):
-    argv = ["verify", "--trials", "20", "--seed", "5", "--format", "json"]
-    assert cli.main(argv) == 0
-    fast = capsys.readouterr().out
-    monkeypatch.setattr(moves, "_removal_sites", _ref_removal_sites)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == fast
