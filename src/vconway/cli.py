@@ -62,8 +62,13 @@ MAX_TRIALS = 10000
 MAX_MOVES = 1000
 
 # most resolved diagrams `verify --random K,C,M` with M > 0 may check, trials
-# times 2^M: `24,3,6 --trials 100` (6,400) took 43 s, so 8,192 takes about a
-# minute at up to 3 components and lets the default 500 trials run up to M = 4
+# times 2^M, at up to 4 components: `24,3,6 --trials 100` (6,400) took 43 s, so
+# 8,192 takes about a minute and lets the default 500 trials run up to M = 4.
+# A resolution costs more with more components, so at C components the most
+# is MAX_RESOLUTIONS // ceil(C^2 / 16).  One trial of `24,C,6` (64
+# resolutions) took 0.5 s at C = 1-4, 0.8 s at 5, 1.5 s at 8, 1.9 s at 10,
+# 2.1-4.6 s at 12 and 3.3-5.0 s at 14 (means over 3-10 trials); at 20-24 a
+# trial with no empty component took up to 21 s, one with one about 0.01 s
 MAX_RESOLUTIONS = 8192
 
 # most crossings of a diagram sampled by `verify --random` or `search --links`:
@@ -204,7 +209,8 @@ def _cmd_verify(args) -> int:
                 raise InputError("--moves does not apply to --random with double points, "
                                  "which runs no move walk")
             else:
-                _check_max(trials << m, "resolutions (trials x 2^M)", MAX_RESOLUTIONS)
+                _check_max(trials << m, f"resolutions (trials x 2^M) for C = {c}",
+                           MAX_RESOLUTIONS // ((c * c + 15) // 16))
                 results = check_singular_orders(trials, args.seed, classical=k,
                                                 components=c, doubles=m)
         else:
@@ -336,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "M double points instead of the mixed default stream; "
                         f"K at most {MAX_SAMPLED_CROSSINGS}, C at most {MAX_CLASSICAL_CROSSINGS}, "
                         f"M at most {MAX_DOUBLE_POINTS}, and for M > 0 trials x 2^M at most "
-                        f"{MAX_RESOLUTIONS}; not accepted with a diagram file")
+                        f"{MAX_RESOLUTIONS} // ceil(C^2 / 16); not accepted with a diagram file")
     p.add_argument("--trials", type=_positive_int, default=None,
                    help=f"default 500, at most {MAX_TRIALS}; not accepted with a diagram file, "
                         "which is checked along one walk")

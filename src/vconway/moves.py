@@ -34,7 +34,8 @@ changes at most three windows and re-indexes only those: a valid code
 holds each passage once, so a window's sites are dictionary lookups, not
 scans.  A walk converts its diagram once, steps on the code and builds
 one Diagram at the end; `apply` makes the same edits on a code built from
-its diagram, after checking the site.
+its diagram, and takes a removal or third-move site only if that code's
+index holds it.
 
 Positions (ci, t) are read only when a site list is wanted, and each list
 is sorted into window order (component, then position; R3 sites by
@@ -90,7 +91,7 @@ class GeneratorConfig:
 # (over_first, sign).
 KINK_TYPES: tuple[tuple[bool, int], ...] = ((True, 1), (False, 1), (False, -1), (True, -1))
 
-# the kinds of the three lists `_removal_sites` returns
+# the kinds of the site index, in the order of `_Code.removal_sites`
 _REMOVAL_KINDS = ("R1_remove", "R2_remove", "R3")
 
 # passage keys: 4 * crossing + role, the roles O, U, A, B read as 0, 1, 2, 3
@@ -356,21 +357,16 @@ class _Code:
         )
 
 
-def _removal_sites(d: Diagram) -> tuple[list[tuple], list[tuple], list[tuple]]:
-    """The R1_remove, R2_remove and R3 sites of a valid code, each list in
-    window order (component, then position), R3 sites by variant first.
-    Windows touching a double point are skipped."""
-    return _Code(d).removal_sites()
-
-
-def _window(code: _Code, ci: int, t: int) -> tuple[int, int]:
-    """The two passage keys of window t of component ci, or MoveError if there is none."""
+def _window(code: _Code, pos: tuple[int, int]) -> int:
+    """The name (first passage key) of window t of component ci, given as
+    pos = (ci, t), or MoveError if there is none."""
+    ci, t = pos
     if not 0 <= ci < len(code.comps):
         raise MoveError(f"inapplicable move: no component {ci}")
     comp = code.comps[ci]
     if len(comp) < 2 or not 0 <= t < len(comp):
         raise MoveError(f"inapplicable move: no window {t} in component {ci}")
-    return comp[t], comp[(t + 1) % len(comp)]
+    return comp[t]
 
 
 def _check_gap(code: _Code, ci: int, g: int) -> None:
@@ -383,59 +379,26 @@ def _check_sign(sign: int) -> None:
         raise MoveError(f"inapplicable move: sign {sign!r} is not +1 or -1")
 
 
-def _r3_pattern_holds(code: _Code, pairs: list, variant: str) -> bool:
-    """Whether the windows' passage pairs carry the variant's pattern."""
-    *windows, sign = _R3_PATTERNS[variant]
-    key: dict[int, int] = {}
-    for pair, pat in zip(pairs, windows):
-        for k, (role, kk) in zip(pair, pat):
-            cid = k >> 2
-            if k & 3 != role or code.sign[cid] != sign:
-                return False
-            if kk in key:
-                if key[kk] != cid:
-                    return False
-            else:
-                if cid in key.values():
-                    return False
-                key[kk] = cid
-    return len(key) == 3
+# what a removal or third-move site must be, for the MoveError when it is not
+_SITE_OF = {"R1_remove": "a kink", "R2_remove": "a second-move pair", "R3": "a third-move triple"}
 
 
-def _checked_site(code: _Code, kind: str, site: tuple) -> tuple:
-    """A removal or third-move site in window names, once it is seen to fit."""
+def _indexed_site(code: _Code, kind: str, site: tuple) -> tuple:
+    """A removal or third-move site in window names, if the code's index holds it."""
     if kind == "R1_remove":
-        ci, t = site
-        a, b = _window(code, ci, t)
-        if a >> 2 != b >> 2 or {a & 3, b & 3} != {_O, _U}:
-            raise MoveError(f"inapplicable move: window {t} is not a kink")
-        return (a,)
-    if kind == "R2_remove":
-        (ci1, t1), (ci2, t2) = site
-        w1, w2 = _window(code, ci1, t1), _window(code, ci2, t2)
-        if tuple(k & 3 for k in w1 + w2) != (_O, _O, _U, _U):
-            raise MoveError("inapplicable move: second-move cancellation pattern absent")
-        ids1 = {k >> 2 for k in w1}
-        if len(ids1) != 2 or {k >> 2 for k in w2} != ids1:
-            raise MoveError("inapplicable move: windows do not pair the same two crossings")
-        if code.sign[w1[0] >> 2] != -code.sign[w1[1] >> 2]:
-            raise MoveError("inapplicable move: crossings must have opposite signs")
-        return w1[0], w2[0]
-    (ci1, t1), (ci2, t2), (ci3, t3), variant = site
-    if variant not in _R3_PATTERNS:
-        raise MoveError(f"inapplicable move: unknown third-move variant {variant!r}")
-    windows = ((ci1, t1), (ci2, t2), (ci3, t3))
-    if len(set(windows)) != 3:
-        raise MoveError("inapplicable move: third-move windows must be distinct")
-    pairs = [_window(code, ci, t) for ci, t in windows]
-    # the same windows carry the opposite-handed pattern after one swap,
-    # so re-applying an event undoes it
-    if not (
-        _r3_pattern_holds(code, pairs, variant)
-        or _r3_pattern_holds(code, pairs, _R3_FLIP[variant])
-    ):
-        raise MoveError("inapplicable move: third-move pattern absent")
-    return (*(a for a, _ in pairs), variant)
+        names = [(_window(code, site),)]
+    elif kind == "R2_remove":
+        names = [tuple(_window(code, pos) for pos in site)]
+    else:
+        *windows, variant = site
+        triple = tuple(_window(code, pos) for pos in windows)
+        # the same windows carry the opposite-handed pattern after one swap,
+        # so re-applying an event undoes it
+        names = [(*triple, variant), (*triple, _R3_FLIP.get(variant))]
+    for name in names:
+        if name in code.sites[kind]:
+            return name
+    raise MoveError(f"inapplicable move: {site!r} is not {_SITE_OF[kind]}")
 
 
 def apply(d: Diagram, m: MoveEvent) -> Diagram:
@@ -461,7 +424,7 @@ def apply(d: Diagram, m: MoveEvent) -> Diagram:
         _check_sign(sign)
         code.add_bigon((ci1, g1), (ci2, g2), role1, parallel, sign)
     elif m.kind in _REMOVAL_KINDS:
-        code.remove(m.kind, _checked_site(code, m.kind, m.site))
+        code.remove(m.kind, _indexed_site(code, m.kind, m.site))
     else:
         raise MoveError(f"inapplicable move: unknown kind {m.kind!r}")
     return code.diagram()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -201,22 +202,25 @@ def test_verify_random_singular_rejects_moves(capsys):
 @pytest.mark.parametrize("m", range(1, MAX_DOUBLE_POINTS + 1))
 def test_verify_random_resolution_budget(m, capsys, monkeypatch):
     # trials x 2^M at the budget runs the singular checks; one trial more is
-    # refused before any of them
-    limit = cli.MAX_RESOLUTIONS
-    trials = limit >> m
-    assert trials << m == limit and trials <= cli.MAX_TRIALS
-    runs = []
-    monkeypatch.setattr(cli, "check_singular_orders", lambda *args, **kwargs: runs.append(args) or [])
-    assert main(["verify", "--random", f"4,1,{m}", "--trials", str(trials)]) == 0
-    assert runs == [(trials, 0)]
-    capsys.readouterr()
-    monkeypatch.setattr(cli, "check_singular_orders",
-                        lambda *args, **kwargs: pytest.fail("singular checks ran above the budget"))
-    assert main(["verify", "--random", f"4,1,{m}", "--trials", str(trials + 1)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: {(trials + 1) << m} resolutions (trials x 2^M) exceed the "
-                            f"supported maximum of {limit}\n")
+    # refused before any of them.  The budget at C components is
+    # MAX_RESOLUTIONS // ceil(C^2 / 16): 8,192 at one component, 630 at 14
+    assert cli.MAX_RESOLUTIONS == 8192
+    for c, limit in ((1, 8192), (14, 630)):
+        trials = limit >> m
+        assert trials << m <= limit < (trials + 1) << m and trials <= cli.MAX_TRIALS
+        runs = []
+        monkeypatch.setattr(cli, "check_singular_orders",
+                            lambda *args, **kwargs: runs.append(args) or [])
+        assert main(["verify", "--random", f"4,{c},{m}", "--trials", str(trials)]) == 0
+        assert runs == [(trials, 0)]
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "check_singular_orders", lambda *args, **kwargs: pytest.fail(
+            "singular checks ran above the budget"))
+        assert main(["verify", "--random", f"4,{c},{m}", "--trials", str(trials + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {(trials + 1) << m} resolutions (trials x 2^M) for "
+                                f"C = {c} exceed the supported maximum of {limit}\n")
 
 
 def test_verify_file_rejects_random(vhopf_file, capsys):
@@ -315,6 +319,13 @@ def test_verify_output_same_without_memo(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "_z_memo", cleared)
     assert main(argv) == 0
     assert capsys.readouterr().out == memoised
+
+
+def test_verify_campaign_output_is_pinned(capsys):
+    # every walk, check and counterexample of a 100-trial campaign, by hash
+    assert main(["verify", "--trials", "100", "--seed", "9", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "44f66d30a5b394c728407752e78e2f6800a4f46917f785400972e88afa5c46a0"
 
 
 def test_verify_random_bad_spec(capsys):

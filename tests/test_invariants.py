@@ -7,6 +7,7 @@ from vconway.diagram import (
     Diagram,
     Passage,
     disjoint_union,
+    format_diagram,
     parse_diagram,
     resolve_double,
     reverse,
@@ -30,8 +31,17 @@ from vconway.invariants import (
     z_normalized,
     z_polynomial,
 )
-from vconway.laurent import ONE, X, X_INV, LaurentPoly2, eval_x1, normalize_x
+from vconway.laurent import (
+    ONE,
+    X,
+    X_INV,
+    LaurentPoly2,
+    eval_x1,
+    normalize_x,
+    substitute_y_inverse,
+)
 from vconway.moves import GeneratorConfig, random_diagram
+from vconway.verify import enumerate_virtual_knot_codes
 
 
 def _sample(count, seed, components=None, max_crossings=6):
@@ -333,6 +343,49 @@ def test_knot_c1_jump_is_smoothed_c0():
         for cid in d.classical_ids():
             pos, neg = set_sign(d, cid, 1), set_sign(d, cid, -1)
             assert c1(pos) - c1(neg) == c0(smooth(pos, cid))
+
+
+def _ref_c1_index_form(d):
+    """c1 of a classical knot code from crossing indices alone, sharing no code
+    with Z: ind(c) sums sign(e) over the crossings e met once on the arc from
+    c's over passage to its under passage, + at e's under passage and - at its
+    over passage; then c1 = sum of sign(c) * (1 - (-y)^(-ind(c)))."""
+    (comp,) = d.components
+    at = {(p.crossing, p.role): i for i, p in enumerate(comp)}
+    terms = {}
+    for cid, rec in d.crossings.items():
+        start, end = at[cid, "O"], at[cid, "U"]
+        arc = [comp[i % len(comp)] for i in range(start + 1, end + (start > end) * len(comp))]
+        met = [p.crossing for p in arc]
+        ind = sum(d.crossings[p.crossing].sign * (1 if p.role == "U" else -1)
+                  for p in arc if met.count(p.crossing) == 1)
+        terms[0, 0] = terms.get((0, 0), 0) + rec.sign
+        terms[0, -ind] = terms.get((0, -ind), 0) - rec.sign * (-1) ** ind
+    return LaurentPoly2(terms)
+
+
+def test_c1_index_form_on_every_small_knot():
+    for d in enumerate_virtual_knot_codes(4):
+        form = _ref_c1_index_form(d)
+        assert form == c1(d), format_diagram(d)
+        # reversal negates every index: the paper's inverse property
+        assert _ref_c1_index_form(reverse(d)) == substitute_y_inverse(form), format_diagram(d)
+
+
+def test_c1_index_form_on_random_knots():
+    import random
+
+    rng = random.Random(61)
+    knots = [random_diagram(GeneratorConfig(rng.randint(0, 22), 1, 0, seed=rng.randrange(1 << 30)))
+             for _ in range(300)]
+    forms = [_ref_c1_index_form(d) for d in knots]
+    for d, form in zip(knots, forms):
+        assert form == c1(d), format_diagram(d)
+        assert c1(reverse(d)) == substitute_y_inverse(form), format_diagram(d)
+    # a wrong crossing block moves c1 off the index form
+    with mutated_blocks():
+        wrong = sum(form != c1(d) for d, form in zip(knots, forms))
+    assert wrong > len(knots) // 2, wrong
 
 
 # ---------------------------------------------------------------------------

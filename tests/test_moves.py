@@ -46,7 +46,7 @@ def _relabeled(d):
 
 def _sites(d, kind):
     """The removal or third-move sites of one kind, as move events."""
-    r1, r2, r3 = moves._removal_sites(d)
+    r1, r2, r3 = moves._Code(d).removal_sites()
     sites = {"R1_remove": r1, "R2_remove": r2, "R3": r3}[kind]
     return [MoveEvent(kind, site) for site in sites]
 
@@ -397,8 +397,9 @@ def test_walk_rejects_negative_steps():
 # removal sites against the former per-kind scanners
 #
 # The reference below rescans every window per kind and, for the third move,
-# pairs each window with every other one.  `_removal_sites` must return the
-# same lists in the same order, since walks draw from them with rng.choice.
+# pairs each window with every other one.  `_Code.removal_sites` must return
+# the same lists in the same order, since walks draw from them with
+# rng.choice, and `apply` must take exactly the sites they list.
 
 
 def _ref_classical_windows(d):
@@ -517,7 +518,7 @@ def test_removal_sites_match_reference_on_walk_states():
     seen = [0, 0, 0]
     for d in _walk_states(2400, seed=8):
         assert validate(d) == [], format_diagram(d)
-        got = moves._removal_sites(d)
+        got = moves._Code(d).removal_sites()
         assert got == _ref_removal_sites(d), format_diagram(d)
         for i, sites in enumerate(got):
             seen[i] += len(sites)
@@ -547,27 +548,78 @@ def test_kept_index_matches_reference_along_one_code():
     assert {0, 1} <= lengths
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        R3_TRIPLE,
-        # two disjoint third-move triples of both signs, plus kinks and an R2 pair
-        R3_TRIPLE + "\n"
-        "component: U4- U5- O7+ U7+\ncomponent: O4- U6-\ncomponent: O5- O6-\n"
-        "component: O8+ O9- U10+ O10+\ncomponent: U9- U8+",
-        # two copies of one triple: sites of one variant in window order
-        R3_TRIPLE + "\ncomponent: O4+ O5+\ncomponent: U4+ O6+\ncomponent: U5+ U6+",
-        # both cyclic windows of the second component are under-partners
-        "component: O1+ O2-\ncomponent: U1+ U2-",
-        # every window touching a double point is skipped
-        "component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
-        "component: U6- A7 O6- B7",
-    ],
-)
+# codes whose site lists are checked against the reference
+FIXED_CODES = [
+    R3_TRIPLE,
+    # two disjoint third-move triples of both signs, plus kinks and an R2 pair
+    R3_TRIPLE + "\n"
+    "component: U4- U5- O7+ U7+\ncomponent: O4- U6-\ncomponent: O5- O6-\n"
+    "component: O8+ O9- U10+ O10+\ncomponent: U9- U8+",
+    # two copies of one triple: sites of one variant in window order
+    R3_TRIPLE + "\ncomponent: O4+ O5+\ncomponent: U4+ O6+\ncomponent: U5+ U6+",
+    # both cyclic windows of the second component are under-partners
+    "component: O1+ O2-\ncomponent: U1+ U2-",
+    # every window touching a double point is skipped
+    "component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
+    "component: U6- A7 O6- B7",
+]
+
+
+@pytest.mark.parametrize("text", FIXED_CODES)
 def test_removal_sites_match_reference_on_fixed_codes(text):
     d = parse_diagram(text)
     assert validate(d) == []
-    assert moves._removal_sites(d) == _ref_removal_sites(d)
+    assert moves._Code(d).removal_sites() == _ref_removal_sites(d)
+
+
+def _site_candidates(d):
+    """Every (kind, site) over every window position, with one position past
+    each end of every component and of the component list."""
+    windows = [(ci, t) for ci, comp in enumerate(d.components)
+               for t in range(len(comp) if len(comp) > 1 else 0)]
+    outside = [(-1, 0), (len(d.components), 0)]
+    outside += [(ci, t) for ci, comp in enumerate(d.components) for t in (-1, len(comp))]
+    positions = windows + outside
+    out = [("R1_remove", pos) for pos in positions]
+    out += [("R2_remove", (p, q)) for p in positions for q in positions]
+    triples = [(p, q, r) for p in windows for q in windows for r in windows]
+    triples += [(p, q, r) for p in windows[:2] for q in windows[:2] for r in outside]
+    out += [("R3", (*w, v)) for w in triples for v in ("L+", "R+", "L-", "R-", "X+")]
+    return out
+
+
+def test_apply_takes_exactly_the_reference_sites():
+    flip = {"L+": "R+", "R+": "L+", "L-": "R-", "R-": "L-"}
+    diagrams = [parse_diagram(text) for text in FIXED_CODES] + _walk_states(80, seed=3)[::20]
+    rng = random.Random(16)
+    taken = [0, 0, 0]
+    for d in diagrams:
+        r1, r2, r3 = _ref_removal_sites(d)
+        ref = {"R1_remove": set(r1), "R2_remove": set(r2), "R3": set(r3)}
+        code = moves._Code(d)
+        sample = []
+        for kind, site in _site_candidates(d):
+            want = site in ref[kind] or (
+                kind == "R3" and (*site[:3], flip.get(site[3])) in ref[kind])
+            try:
+                name = moves._indexed_site(code, kind, site)
+            except MoveError as exc:
+                assert not want, (format_diagram(d), kind, site)
+                assert str(exc).startswith("inapplicable move:")
+            else:
+                assert want, (format_diagram(d), kind, site)
+                windows = [site] if kind == "R1_remove" else site[: moves._N_WINDOWS[kind]]
+                assert [code._pos(w) for w in name[: len(windows)]] == list(windows)
+                taken[moves._REMOVAL_KINDS.index(kind)] += 1
+            if want or rng.random() < 0.002:
+                sample.append((kind, site, want))
+        for kind, site, want in sample:
+            if want:
+                assert validate(apply(d, MoveEvent(kind, site))) == []
+            else:
+                with pytest.raises(MoveError, match="inapplicable move"):
+                    apply(d, MoveEvent(kind, site))
+    assert all(n > 5 for n in taken), taken
 
 
 def test_removal_sites_of_disjoint_triples():
@@ -576,7 +628,7 @@ def test_removal_sites_of_disjoint_triples():
         "component: U4- U5- O7+ U7+\ncomponent: O4- U6-\ncomponent: O5- O6-\n"
         "component: O8+ O9- U10+ O10+\ncomponent: U9- U8+"
     )
-    r1, r2, r3 = moves._removal_sites(d)
+    r1, r2, r3 = moves._Code(d).removal_sites()
     assert r1 == [(3, 2), (6, 2)]
     # a two-passage component offers both of its cyclic windows
     assert r2 == [((6, 0), (7, 0)), ((6, 0), (7, 1))]
@@ -590,13 +642,13 @@ def test_removal_sites_of_disjoint_triples():
 def test_removal_sites_skip_double_points():
     d = parse_diagram("component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
                       "component: U6- A7 O6- B7")
-    r1, r2, r3 = moves._removal_sites(d)
+    r1, r2, r3 = moves._Code(d).removal_sites()
     assert r1 == r2 == []
     assert r3 == [((0, 0), (1, 0), (2, 0), "L+")]
 
 
 def test_r2_partners_of_two_cycle_in_window_order():
     d = parse_diagram("component: O1+ O2-\ncomponent: U1+ U2-")
-    r1, r2, r3 = moves._removal_sites(d)
+    r1, r2, r3 = moves._Code(d).removal_sites()
     assert r2 == [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1))]
     assert r1 == r3 == []
