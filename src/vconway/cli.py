@@ -190,12 +190,15 @@ def _cmd_verify(args) -> int:
                 raise InputError(f"{args.file} has no component to check")
             results = tally_diagram_checks([(d, args.seed)], moves)
         elif args.random is not None:
+            bad = f"bad --random spec {args.random!r}: expected crossings,components,doubles"
             try:
                 k, c, m = (int(p) for p in args.random.split(","))
-                GeneratorConfig(k, c, m)  # rejects negative counts
             except ValueError as exc:
-                raise InputError(f"bad --random spec {args.random!r}: "
-                                 "expected crossings,components,doubles") from exc
+                raise InputError(bad) from exc
+            try:
+                GeneratorConfig(k, c, m)  # rejects negative counts and no component
+            except ValueError as exc:
+                raise InputError(f"{bad}; {exc}") from exc
             _check_max(m, "double points", MAX_DOUBLE_POINTS)
             _check_max(k, "crossings for --random", MAX_SAMPLED_CROSSINGS)
             _check_max(c, "components for --random", MAX_CLASSICAL_CROSSINGS)

@@ -230,10 +230,6 @@ class LaurentPoly2:
     def __bool__(self) -> bool:
         return bool(self._t)
 
-    def terms(self) -> dict[tuple[int, int], int]:
-        """The canonical {(ex, ey): coefficient} view (a fresh dict)."""
-        return {_unpack(k): c for k, c in self._t.items()}
-
     def term_count(self) -> int:
         return len(self._t)
 
@@ -285,13 +281,13 @@ class LaurentPoly2:
         term pairs on, unless `_mul_packed` declines, schoolbook otherwise."""
         if isinstance(other, int):
             if not other:
-                return _ZERO
+                return ZERO
             return LaurentPoly2._raw({k: c * other for k, c in self._t.items()})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         a, b = self._t, other._t
         if not a or not b:
-            return _ZERO
+            return ZERO
         if len(a) == 1:
             (ka, ca), = a.items()
             return LaurentPoly2._raw({k + ka: c * ca for k, c in b.items()})
@@ -353,9 +349,7 @@ def _render_key(key: int) -> tuple[int, int]:
     return ex + ey, ex
 
 
-_ZERO = LaurentPoly2.zero()
-
-ZERO = _ZERO
+ZERO = LaurentPoly2.zero()
 ONE = LaurentPoly2.one()
 X = LaurentPoly2.monomial(1, 1, 0)
 Y = LaurentPoly2.monomial(1, 0, 1)
@@ -647,12 +641,13 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
     +-x^a*y^b.  The inverse of such a pivot is again a monomial, so the
     Schur update a_ij - a_ic * p^-1 * a_rj needs no division: it runs on
     term dicts copied once from the matrix and updated in place, one
-    monomial multiply-add at a time.  Each step takes the unit pivot of
-    lowest Markowitz count (row_nnz - 1) * (col_nnz - 1), which keeps
-    fill-in low.  Rows are kept in buckets by entry count, so the search
-    visits rows in rising count and stops at the first bucket whose
-    least possible count cannot beat the best found (Duff, Erisman &
-    Reid, ch. 10).  The pivots multiply into a monomial, and the Laplace
+    monomial multiply-add at a time.  Each step takes a unit of a row
+    with the fewest entries, in a column with the fewest entries among
+    such units, which keeps fill-in low; rows are kept in buckets by
+    entry count, so the search reads only the first bucket that holds a
+    unit (`_unit_pivot`).
+    No output depends on the pivot order, since the determinant is exact
+    and canonical.  The pivots multiply into a monomial, and the Laplace
     sign comes once, at the end, from the parity of the order in which
     rows and columns were eliminated.  The matrices this package builds
     are mostly monomials (M - P has only the 1 - x^+-1 diagonal terms as
@@ -742,36 +737,21 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
 
 def _unit_pivot(rows: dict[int, dict[int, dict[int, int]]], cols: dict[int, set[int]],
                 buckets: list[set[int]]) -> tuple[int, int] | None:
-    """The unit entry of lowest Markowitz count, or None if there is none.
-
-    Ties go to the lowest row index, then to the row's earliest entry,
-    as a scan of every row in index order would pick; a count s in row
-    i is ranked as s * n + i.  A row of e entries counts at least
-    (e - 1) * (c - 1), c the fewest entries of any active column, so
-    each bucket is read in row order only while that bound can still
-    beat the best, and the search ends at the first bucket whose bound
-    exceeds the best count.
-    """
-    n = len(buckets)
-    floor = min(map(len, cols.values()), default=0) - 1
-    best = None
-    best_rank = n ** 3
-    for e in range(1, n):
-        step = (e - 1) * n
-        lowest = step * floor
-        if lowest >= best_rank:
-            break
-        for i in sorted(buckets[e]):
-            if lowest + i >= best_rank:
-                break
+    """A unit entry of a row with the fewest entries, in the column with the
+    fewest entries among that bucket's units, or None if there is none.
+    Ties go to the unit the scan meets first."""
+    for bucket in buckets:
+        best = None
+        fewest = len(buckets)  # more than any column holds
+        for i in bucket:
             for j, t in rows[i].items():
-                if len(t) == 1:
-                    rank = step * (len(cols[j]) - 1) + i
-                    if rank < best_rank:
-                        (v,) = t.values()
-                        if v == 1 or v == -1:
-                            best, best_rank = (i, j), rank
-    return best
+                if len(t) == 1 and len(cols[j]) < fewest:
+                    (v,) = t.values()
+                    if v == 1 or v == -1:
+                        best, fewest = (i, j), len(cols[j])
+        if best is not None:
+            return best
+    return None
 
 
 def _odd(order: list[int]) -> bool:
@@ -858,11 +838,15 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     Bareiss-style one-step elimination with full pivoting, run directly
     in the Laurent ring.  Each entry after step k is a (k+1)-minor of the
     pivoted matrix, so every division by the previous pivot is exact in
-    any integral domain, and Z[x^(+-1), y^(+-1)] is one.  Pivots are
-    chosen to keep fill-in low.  Each step divides all its entries by its
-    previous pivot with `_exact_div`.  On the dense residuals of large
-    diagrams most products and quotients take the packed path, and every
-    packed quotient is checked against its numerator before it is used.
+    any integral domain, and Z[x^(+-1), y^(+-1)] is one.  Each step
+    pivots on the nonzero entry of the active block with the fewest
+    terms (ties to the lowest row, then column), which keeps products
+    small, and returns 0 when there is none; a zero row left in the
+    block stays zero under the update, so it ends as a zero determinant.
+    Each step divides all its entries by its previous pivot with
+    `_exact_div`.  On the dense residuals of large diagrams most
+    products and quotients take the packed path, and every packed
+    quotient is checked against its numerator before it is used.
     `det` calls it on what unit elimination leaves, and the tests use it
     on whole matrices as an oracle for `det`.
     """
@@ -873,23 +857,10 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     sign = 1
     prev = ONE
     for k in range(n - 1):
-        row_nnz = [0] * n
-        col_nnz = [0] * n
-        for i in range(k, n):
-            for j in range(k, n):
-                if rows[i][j]._t:
-                    row_nnz[i] += 1
-                    col_nnz[j] += 1
-        best = None
-        for i in range(k, n):
-            if row_nnz[i] == 0:
-                return ZERO
-            for j in range(k, n):
-                e = rows[i][j]
-                if e._t:
-                    score = ((row_nnz[i] - 1) * (col_nnz[j] - 1), len(e._t))
-                    if best is None or score < best[0]:
-                        best = (score, i, j)
+        best = min(((len(e._t), i, j) for i in range(k, n)
+                    for j, e in enumerate(rows[i][k:], k) if e._t), default=None)
+        if best is None:
+            return ZERO
         _, pi, pj = best
         if pi != k:
             rows[k], rows[pi] = rows[pi], rows[k]

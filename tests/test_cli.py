@@ -333,6 +333,14 @@ def test_verify_random_bad_spec(capsys):
     assert "bad --random spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, reason", [("1,0,0", "need at least one component"),
+                                          ("1,1,-1", "crossing counts must be non-negative")])
+def test_verify_random_bad_config_says_why(spec, reason, capsys):
+    assert main(["verify", "--random", spec]) == 2
+    assert capsys.readouterr().err == (f"error: bad --random spec {spec!r}: "
+                                       f"expected crossings,components,doubles; {reason}\n")
+
+
 def test_verify_json(capsys):
     assert main(["verify", "--trials", "6", "--moves", "5", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -607,35 +607,32 @@ def test_det_oracles_agree_on_either_path(monkeypatch, pairs):
     test_det_matches_cofactor_on_mixed_matrices()
 
 
-def reference_unit_pivot(rows, cols):
-    """The full rescan det used before rows were bucketed: every active
-    entry, rows in index order, the first unit of lowest Markowitz count."""
-    best = None
-    best_score = None
-    for i in sorted(rows):
-        rn = len(rows[i]) - 1
-        for j, t in rows[i].items():
-            score = rn * (len(cols[j]) - 1)
-            if best_score is not None and score >= best_score:
-                continue
-            if len(t) == 1 and list(t.values()) in ([1], [-1]):
-                if not score:
-                    return i, j
-                best, best_score = (i, j), score
-    return best
+def _is_unit(t):
+    return len(t) == 1 and list(t.values()) in ([1], [-1])
 
 
-def test_unit_pivot_matches_a_full_scan(monkeypatch):
-    # the bucketed search picks the pivot a full rescan picks, at every step,
-    # and every active row sits in the bucket of its entry count
+def test_unit_pivot_takes_a_fewest_entry_row_and_column(monkeypatch):
+    # at every step the pivot is a unit of a row with the fewest entries of any
+    # row holding a unit, in a column with the fewest entries among the units of
+    # such rows; every active row sits in the bucket of its entry count, and
+    # every active column lists exactly the rows that hold an entry in it
     picks = []
     pivot = laurent._unit_pivot
 
     def checked(rows, cols, buckets):
         assert sorted(i for bucket in buckets for i in bucket) == sorted(rows)
         assert all(i in buckets[len(entries)] for i, entries in rows.items())
+        assert all(cols[j] == {i for i, entries in rows.items() if j in entries} for j in cols)
+        units = [(i, j) for i, entries in rows.items() for j, t in entries.items() if _is_unit(t)]
         got = pivot(rows, cols, buckets)
-        assert got == reference_unit_pivot(rows, cols)
+        if units:
+            i, j = got
+            assert _is_unit(rows[i][j])
+            fewest = min(len(rows[u]) for u, _ in units)
+            assert len(rows[i]) == fewest
+            assert len(cols[j]) == min(len(cols[v]) for u, v in units if len(rows[u]) == fewest)
+        else:
+            assert got is None
         picks.append(got)
         return got
 
@@ -645,6 +642,30 @@ def test_unit_pivot_matches_a_full_scan(monkeypatch):
     monkeypatch.setattr(laurent, "_unit_pivot", checked)
     assert [det(m) for m in mats] == expect
     assert len(picks) > 300
+    assert None in picks
+
+
+def test_bareiss_zero_rows_in_the_active_block():
+    # row 2 is (1 + y) times row 0, which holds the only one-term entry, so
+    # step 0 pivots in row 0 and leaves row 2 zero in the active block; the
+    # later updates keep it zero.  A zero row from the start does the same,
+    # and an all-zero active block ends the elimination at once.
+    first = [ONE + X, 2 * X, ONE - Y, X + Y]
+    rest = [[ONE + Y, X - Y, 2 + X, ONE - X], [X + 2 * Y, ONE + X * Y, Y - X, 3 + Y]]
+    vanishing = PolyMatrix.from_rows([first, rest[0], [(ONE + Y) * e for e in first], rest[1]])
+    zero_row = PolyMatrix.from_rows([rest[0], [ZERO] * 4, first, rest[1]])
+    zero_block = PolyMatrix.from_rows([[X, ONE + X, Y], [ZERO] * 3, [ZERO] * 3])
+    for m in (vanishing, zero_row, zero_block):
+        assert _bareiss(m) == ZERO == det_cofactor(m)
+    # a row that is a unit times another, in sparse matrices
+    rng = random.Random(31)
+    for n in range(2, 9):
+        rows = [list(r) for r in mixed_matrix(rng, n).rows]
+        i, j = rng.sample(range(n), 2)
+        unit = mono(rng.choice((1, -1)), 1, -1)
+        rows[i] = [unit * e for e in rows[j]]
+        m = PolyMatrix.from_rows(rows)
+        assert _bareiss(m) == ZERO == det_cofactor(m)
 
 
 def permutation_sign(order):
@@ -774,6 +795,17 @@ def test_z_renders_are_pinned():
             lines.append(invariants.z_polynomial(d).render())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "9c89c8bb455f6c906aee2e6249c7b20decd4396f6398e58314c00e00c5e697f3"
+
+
+def test_c0_via_tp_renders_are_pinned():
+    # c0 through the all-unit TP matrices of the fixed codes of test_z_renders_are_pinned
+    lines = []
+    for k, count in ((24, 40), (32, 20), (48, 5), (64, 2)):
+        for i in range(count):
+            d = random_diagram(GeneratorConfig(k, 1 + i % 3, 0, seed=1000 + i))
+            lines.append(invariants.c0_via_tp(d).render())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1f878ae965111d8f2cf8dce0cdb23b82bcf5a6b44866ee57cc147ac8ce345c84"
 
 
 def test_det_cofactor_size_limit():

@@ -1,10 +1,12 @@
 import hashlib
+import random
 
 import pytest
 
 from vconway.diagram import format_diagram, parse_diagram, reverse
 from vconway import verify
 from vconway.invariants import c1, mutated_blocks, vassiliev_eval
+from vconway.moves import GeneratorConfig, random_diagram
 from vconway.verify import (
     CheckResult,
     check_kink_factors,
@@ -82,6 +84,31 @@ def test_singular_orders_sum_once_per_diagram(monkeypatch):
     assert [r.trials for r in res] == [6, 6] and len(calls) == 6
     calls.clear()
     assert check_singular_orders(6, seed=10, classical=3, doubles=0)[0].trials == 0
+    assert calls == []
+
+
+def test_singular_orders_skip_draws_with_an_empty_component(monkeypatch):
+    # Z of a diagram with a crossing-free component is 0 by definition, so
+    # such draws are skipped like draws without a double point
+    def draws(trials, seed, classical, components, doubles):
+        rng = random.Random(seed)
+        return [random_diagram(GeneratorConfig(classical, components, doubles,
+                                               seed=rng.randrange(1 << 30)))
+                for _ in range(trials)]
+
+    calls = []
+    monkeypatch.setattr(verify, "vassiliev_eval",
+                        lambda d, f, **kwargs: calls.append(d) or vassiliev_eval(d, f, **kwargs))
+    drawn = draws(40, 0, 6, 4, 1)
+    full = [d for d in drawn if d.has_doubles() and not d.has_empty_component()]
+    assert 0 < len(full) < len(drawn)
+    res = check_singular_orders(40, seed=0, classical=6, components=4, doubles=1)
+    assert calls == full
+    assert [(r.name, r.passed) for r in res] == [("extended c0 vanishes", True)]
+    # every 24-crossing draw over 32 components leaves one empty: nothing counts
+    calls.clear()
+    assert all(d.has_empty_component() for d in draws(32, 0, 24, 32, 2))
+    assert check_singular_orders(32, seed=0, classical=24, components=32, doubles=2)[0].trials == 0
     assert calls == []
 
 
