@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .laurent import ONE, ZERO, PolyMatrix
+from .laurent import ONE, LaurentPoly2, PolyMatrix
 
 OVER = "O"
 UNDER = "U"
@@ -250,11 +250,10 @@ class SlotPermutation:
 
     def matrix(self) -> PolyMatrix:
         """Column s holds a single 1 in row perm[s]."""
-        m = 2 * self.n
-        rows = [[ZERO] * m for _ in range(m)]
+        entries: list[dict[int, LaurentPoly2]] = [{} for _ in self.perm]
         for s, t in enumerate(self.perm):
-            rows[t][s] = ONE
-        return PolyMatrix(tuple(tuple(r) for r in rows))
+            entries[t][s] = ONE
+        return PolyMatrix(len(entries), tuple(entries))
 
 
 def _entry_side(role: str, sign: int) -> int:

@@ -121,15 +121,16 @@ def z_polynomial(d: Diagram) -> LaurentPoly2:
 def _slot_matrix(blocks: list[tuple[tuple[LaurentPoly2, ...], ...]], perm: SlotPermutation,
                  entry: LaurentPoly2) -> PolyMatrix:
     """The 2n x 2n matrix with the 2 x 2 `blocks` down the diagonal, one per
-    crossing by rank, plus `entry` in row perm[s] of each column s."""
-    m = 2 * perm.n
-    rows = [[ZERO] * m for _ in range(m)]
-    for i, blk in enumerate(blocks):
-        rows[2 * i][2 * i : 2 * i + 2] = blk[0]
-        rows[2 * i + 1][2 * i : 2 * i + 2] = blk[1]
+    crossing by rank, plus `entry` in row perm[s] of each column s; only
+    its nonzero entries are written."""
+    rows = [{j: e for j, e in enumerate(half, 2 * i) if e._t}
+            for i, blk in enumerate(blocks) for half in blk]
     for s, t in enumerate(perm.perm):
-        rows[t][s] = rows[t][s] + entry
-    return PolyMatrix(tuple(tuple(r) for r in rows))
+        e = rows[t].pop(s, None)
+        e = entry if e is None else e + entry
+        if e._t:
+            rows[t][s] = e
+    return PolyMatrix(2 * perm.n, tuple(rows))
 
 
 @functools.lru_cache(maxsize=Z_MEMO_SIZE)

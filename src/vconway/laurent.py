@@ -21,11 +21,14 @@ so one bigint product or `divmod` does the whole ring operation and
 `to_bytes` reads the digits back.  A packed quotient is used only once
 its product with the divisor is shown to give the numerator; failing
 that, long division decides.  A determinant residual of side at most 4
-with large entries is packed whole: each entry becomes one integer, the
-integer determinant is expanded, and its digits are the determinant's
-coefficients, bounded in advance by a permanent.  The schoolbook loops
-stay for small operands, for coefficients too wide for 64-bit digits
-and for sparse operands whose box of slots would dwarf their term count.
+with large entries is packed whole: each entry becomes one integer,
+shifted into the exponent box that the residual's perfect matchings
+span, the integer determinant is expanded, and its digits are the
+determinant's coefficients, bounded in advance by a permanent.  The
+schoolbook loops stay for small operands, for coefficients too wide for
+64-bit digits and for sparse operands whose box of slots would dwarf
+their term count.  Matrices (`PolyMatrix`) keep only their nonzero
+entries, and `det` reads just those.
 
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
@@ -41,10 +44,12 @@ polynomial prints as "0".  Examples:
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, permutations
+from math import prod
 from typing import Iterable, Mapping
 
 _SHIFT = 1 << 32
@@ -59,9 +64,10 @@ _PACK_PAIRS = 150
 # sparse (x^(2^29) + y) * (y^(2^29) + x) stays on the schoolbook path
 _SLOTS_PER_PAIR = 8
 # largest residual side that `det` expands as one packed integer determinant;
-# det over the Z matrices of fixed codes at 24/32/48 crossings (40/20/5 codes)
-# took 98/140/96 ms up to side 3, 65/150/96 ms up to 4 and 63/96/158 ms up to
-# 5: side-5 residuals gain at 32 crossings and lose at 48, where entries are larger
+# det over the Z matrices of fixed codes at 24/32/48 crossings (40/20/5 codes),
+# best of 5-9 rounds in each of three runs, took 80-87/151-165/115-125 ms up to
+# side 3, 55-62/125-154/113-128 ms up to 4 and 48-59/59-66/189-216 ms up to 5:
+# side-5 residuals gain at 32 crossings and lose at 48, where entries are larger
 _PACK_SIDE = 4
 # unsigned array typecode for each digit width in bytes
 _DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
@@ -502,49 +508,54 @@ def expand_conway(p: LaurentPoly2) -> ConwayPoly:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """A square matrix over the Laurent ring (immutable rows of rows)."""
+    """A square matrix over the Laurent ring, kept as its nonzero entries.
 
-    rows: tuple[tuple[LaurentPoly2, ...], ...]
+    `entries[i]` maps each column j to the nonzero entry (i, j), so a
+    sparse matrix costs by its entries, not by its n^2 cells; `det`
+    reads them directly.  The dense `rows` are built on first use.
+    """
+
+    n: int
+    entries: tuple[dict[int, LaurentPoly2], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError(f"matrix is not square: {n} rows, a row of length {len(row)}")
+        if len(self.entries) != self.n:
+            raise ValueError(f"matrix of side {self.n} has {len(self.entries)} rows")
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[LaurentPoly2, ...], ...]:
+        return tuple(tuple(row.get(j, ZERO) for j in range(self.n)) for row in self.entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable["LaurentPoly2 | int"]]) -> "PolyMatrix":
-        built = tuple(
-            tuple(e if isinstance(e, LaurentPoly2) else LaurentPoly2.const(e) for e in row)
-            for row in rows
-        )
-        return cls(built)
+        built = [[e if isinstance(e, LaurentPoly2) else LaurentPoly2.const(e) for e in row]
+                 for row in rows]
+        n = len(built)
+        for row in built:
+            if len(row) != n:
+                raise ValueError(f"matrix is not square: {n} rows, a row of length {len(row)}")
+        return cls(n, tuple({j: e for j, e in enumerate(row) if e} for row in built))
 
     @classmethod
     def block_diag(cls, *mats: "PolyMatrix") -> "PolyMatrix":
-        n = sum(m.n for m in mats)
-        rows = [[ZERO] * n for _ in range(n)]
-        off = 0
+        entries: list[dict[int, LaurentPoly2]] = []
         for m in mats:
-            for i, row in enumerate(m.rows):
-                for j, e in enumerate(row):
-                    rows[off + i][off + j] = e
-            off += m.n
-        return cls(tuple(tuple(r) for r in rows))
+            off = len(entries)
+            entries += ({j + off: e for j, e in row.items()} for row in m.entries)
+        return cls(len(entries), tuple(entries))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:
             raise ValueError("matrix size mismatch")
-        return PolyMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        out = []
+        for ra, rb in zip(self.entries, other.entries):
+            row = dict(ra)
+            for j, e in rb.items():
+                v = row.pop(j, ZERO) - e
+                if v:
+                    row[j] = v
+            out.append(row)
+        return PolyMatrix(self.n, tuple(out))
 
 
 def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
@@ -637,15 +648,15 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
 def det(matrix: PolyMatrix) -> LaurentPoly2:
     """Exact determinant: unit pivots first, then the small residual.
 
-    Phase one eliminates on pivots that are units of the ring, i.e.
-    +-x^a*y^b.  The inverse of such a pivot is again a monomial, so the
-    Schur update a_ij - a_ic * p^-1 * a_rj needs no division: it runs on
-    term dicts copied once from the matrix and updated in place, one
+    It reads only the matrix's nonzero entries, row by row in column
+    order.  Phase one eliminates on pivots that are units of the ring,
+    i.e. +-x^a*y^b.  The inverse of such a pivot is again a monomial, so
+    the Schur update a_ij - a_ic * p^-1 * a_rj needs no division: it runs
+    on term dicts copied once from the matrix and updated in place, one
     monomial multiply-add at a time.  Each step takes a unit of a row
-    with the fewest entries, in a column with the fewest entries among
-    such units, which keeps fill-in low; rows are kept in buckets by
-    entry count, so the search reads only the first bucket that holds a
-    unit (`_unit_pivot`).
+    with the fewest entries, in a column with few entries, which keeps
+    fill-in low; rows are kept in buckets by entry count, so the search
+    reads only the first bucket that holds a unit (`_unit_pivot`).
     No output depends on the pivot order, since the determinant is exact
     and canonical.  The pivots multiply into a monomial, and the Laplace
     sign comes once, at the end, from the parity of the order in which
@@ -663,8 +674,8 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
     rows: dict[int, dict[int, dict[int, int]]] = {}
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
     buckets: list[set[int]] = [set() for _ in range(n + 1)]
-    for i, row in enumerate(matrix.rows):
-        entries = {j: dict(e._t) for j, e in enumerate(row) if e._t}
+    for i, row in enumerate(matrix.entries):
+        entries = {j: dict(row[j]._t) for j in sorted(row) if row[j]._t}
         if not entries:
             return ZERO
         rows[i] = entries
@@ -723,10 +734,9 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
         sign = -sign
     value = ONE
     if rows:
-        order = sorted(cols)
-        residual = PolyMatrix(tuple(
-            tuple(LaurentPoly2._raw(rows[i].get(j, {})) for j in order) for i in sorted(rows)
-        ))
+        order = {j: pos for pos, j in enumerate(sorted(cols))}
+        residual = PolyMatrix(len(rows), tuple(
+            {order[j]: LaurentPoly2._raw(t) for j, t in rows[i].items()} for i in sorted(rows)))
         packed = None
         if len(rows) <= _PACK_SIDE and max(
                 len(t) for row in rows.values() for t in row.values()) ** 2 >= _PACK_PAIRS:
@@ -737,9 +747,12 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
 
 def _unit_pivot(rows: dict[int, dict[int, dict[int, int]]], cols: dict[int, set[int]],
                 buckets: list[set[int]]) -> tuple[int, int] | None:
-    """A unit entry of a row with the fewest entries, in the column with the
-    fewest entries among that bucket's units, or None if there is none.
-    Ties go to the unit the scan meets first."""
+    """A unit entry of a row with the fewest entries, or None if there is none.
+
+    The first unit the scan meets whose column holds at most two entries
+    is taken at once; failing that, the unit of that bucket whose column
+    holds the fewest entries, ties to the first met.
+    """
     for bucket in buckets:
         best = None
         fewest = len(buckets)  # more than any column holds
@@ -749,6 +762,8 @@ def _unit_pivot(rows: dict[int, dict[int, dict[int, int]]], cols: dict[int, set[
                     (v,) = t.values()
                     if v == 1 or v == -1:
                         best, fewest = (i, j), len(cols[j])
+                        if fewest <= 2:
+                            return best
         if best is not None:
             return best
     return None
@@ -774,48 +789,92 @@ def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     more than 64 bits or the slots exceed `_SLOTS_PER_PAIR` per pair of
     the matrix's terms.
 
-    Each row is shifted by its lowest x- and y-exponents, which divides
-    the determinant by one monomial and leaves every exponent
-    nonnegative.  A term of the expansion takes one entry from each row,
-    so the shifted determinant's x-degree is at most the sum of the
-    rows' x-spans; rows of w digits, w one more than that sum, keep its
-    terms apart, and likewise h rows for y.  No coefficient exceeds the
-    permanent of the entries' l1 norms, which sets the digit width.
-    Each entry is packed once, the integer determinant is expanded by
-    `_expand`, and the result is decoded once.
+    A term of the expansion takes the entries of one perfect matching of
+    the nonzero pattern, so entries on no such matching are left out, and
+    in each variable the determinant's exponents lie between the least
+    sum of the entries' lowest exponents over a matching and the largest
+    sum of their highest.  Each entry is shifted by u_i + v_j, row and
+    column potentials that reach that least sum (`_box_side`), so that
+    every shifted exponent is nonnegative and the determinant's box
+    starts at 0: rows of w digits, w its x-width, keep its terms apart,
+    and likewise h rows for y.  Since |fg|_max <= |f|_max * |g|_1, no
+    coefficient exceeds the permanent of the entries' l1 norms with one
+    row's norms replaced by their largest coefficients; the least such
+    permanent over the rows sets the digit width, and bounds every
+    entry's coefficients too.  Each entry is packed once, the integer
+    determinant is expanded by `_expand`, and the result is decoded once.
     """
-    rows = []
-    x0 = y0 = w = h = terms = 0
-    for row in matrix.rows:
-        spreads = [_spread(e._t) if e._t else None for e in row]
-        present = [s for s in spreads if s]
-        if not present:
-            return ZERO
-        rx0 = min(min(xs) for xs, _, _ in present)
-        ry0 = min(min(ys) for _, ys, _ in present)
-        w += max(max(xs) for xs, _, _ in present) - rx0
-        h += max(max(ys) for _, ys, _ in present) - ry0
-        x0, y0 = x0 + rx0, y0 + ry0
-        terms += sum(len(cs) for _, _, cs in present)
-        rows.append((rx0, ry0, spreads))
-    w, h = w + 1, h + 1
+    n = matrix.n
+    spreads = [{j: _spread(e._t) for j, e in row.items()} for row in matrix.entries]
+    matchings = [p for p in permutations(range(n))
+                 if all(j in row for j, row in zip(p, spreads))]
+    if not matchings:
+        return ZERO
+    used: list[dict[int, _Spread]] = [{} for _ in range(n)]
+    for p in matchings:
+        for i, j in enumerate(p):
+            used[i][j] = spreads[i][j]
+    (ux, vx, x0, w), (uy, vy, y0, h) = (
+        _box_side([{j: min(s[k]) for j, s in row.items()} for row in used],
+                  [{j: max(s[k]) for j, s in row.items()} for row in used], matchings)
+        for k in (0, 1))
+    terms = sum(len(s[2]) for row in used for s in row.values())
     if w * h > _SLOTS_PER_PAIR * terms * terms:
         return None
-    norms = [[sum(map(abs, e._t.values())) for e in row] for row in matrix.rows]
-    top = max(abs(c) for row in matrix.rows for e in row for c in e._t.values())
-    nb = _digit_bytes(max(_expand(norms, 1), top))
+    norms = [{j: sum(map(abs, s[2])) for j, s in row.items()} for row in used]
+    tops = [{j: max(map(abs, s[2])) for j, s in row.items()} for row in used]
+    bounds = [0] * n
+    for p in matchings:
+        norm = prod(norms[i][j] for i, j in enumerate(p))
+        for i, j in enumerate(p):
+            bounds[i] += norm // norms[i][j] * tops[i][j]
+    nb = _digit_bytes(min(bounds))
     if nb is None:
         return None
-    ints = [[_to_int(s, rx0, ry0, w, max(s[1]) - ry0 + 1, nb) if s else 0 for s in spreads]
-            for rx0, ry0, spreads in rows]
-    out = _from_int(_expand(ints, -1), x0, y0, w, h, nb, w)
+    ints = [[0] * n for _ in range(n)]
+    for i, row in enumerate(used):
+        for j, s in row.items():
+            y = uy[i] + vy[j]
+            ints[i][j] = _to_int(s, ux[i] + vx[j], y, w, max(s[1]) - y + 1, nb)
+    out = _from_int(_expand(ints), x0, y0, w, h, nb, w)
     return None if out is None else LaurentPoly2._raw(out)
 
 
-def _expand(rows: list[list[int]], sign: int) -> int:
-    """Laplace expansion of a small integer matrix, row by row from the
-    bottom, each minor kept by its column set: the determinant for sign
-    -1, the permanent for sign 1."""
+def _box_side(lows: list[dict[int, int]], highs: list[dict[int, int]],
+              matchings: list[tuple[int, ...]]) -> tuple[list[int], list[int], int, int]:
+    """One variable's side of a determinant's exponent box, from the lowest
+    and highest exponents of the entries (i, j) in `lows[i][j]` and
+    `highs[i][j]`, and the perfect matchings of those entries.
+
+    Returns row and column potentials u and v with u_i + v_j <= lows[i][j]
+    for every entry and equality along a matching of least sum: the dual
+    of the assignment problem, found by Bellman-Ford on the rows, since
+    that matching leaves no negative cycle.  Their total, the same along
+    every matching, is that least sum, the box's origin; the box's size
+    is one more than the largest sum of highs[i][j] - u_i - v_j over a
+    matching.
+    """
+    n = len(lows)
+    least = min(matchings, key=lambda p: sum(lows[i][j] for i, j in enumerate(p)))
+    u = [0] * n
+    relaxed = True
+    while relaxed:
+        relaxed = False
+        for k, j in enumerate(least):
+            for i, row in enumerate(lows):
+                if j in row and u[k] + row[j] - lows[k][j] < u[i]:
+                    u[i] = u[k] + row[j] - lows[k][j]
+                    relaxed = True
+    v = [0] * n
+    for k, j in enumerate(least):
+        v[j] = lows[k][j] - u[k]
+    size = 1 + max(sum(highs[i][j] - u[i] - v[j] for i, j in enumerate(p)) for p in matchings)
+    return u, v, sum(u) + sum(v), size
+
+
+def _expand(rows: list[list[int]]) -> int:
+    """The determinant of a small integer matrix by Laplace expansion,
+    row by row from the bottom, each minor kept by its column set."""
     n = len(rows)
     minors: dict[tuple[int, ...], int] = {(): 1}
     for i in range(n - 1, -1, -1):
@@ -827,7 +886,7 @@ def _expand(rows: list[list[int]], sign: int) -> int:
             for pos, j in enumerate(cols):
                 if row[j]:
                     term = row[j] * below[cols[:pos] + cols[pos + 1:]]
-                    acc = acc - term if pos & 1 and sign < 0 else acc + term
+                    acc = acc - term if pos & 1 else acc + term
             minors[cols] = acc
     return minors[tuple(range(n))]
 

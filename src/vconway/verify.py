@@ -316,11 +316,15 @@ def run_campaign(trials: int = 500, moves: int = DEFAULT_MOVES, seed: int = 0) -
 def tally_diagram_checks(cases: Iterable[tuple[Diagram, int]],
                          moves: int = DEFAULT_MOVES) -> list[CheckResult]:
     """The per-diagram checks summed over (diagram, walk seed) cases, in a
-    fixed order; a check that applied to no case is left out."""
+    fixed order; a check that applied to no case is left out.  A diagram
+    with a crossing-free component has Z = 0, so only its walk is checked."""
     results: dict[str, CheckResult] = {}
     for d, walk_seed in cases:
+        results.setdefault("move invariance", CheckResult("move invariance", 0)).add(
+            _move_invariance(d, moves, walk_seed))
+        if d.has_empty_component():
+            continue
         for name, outcome in (
-            ("move invariance", _move_invariance(d, moves, walk_seed)),
             ("skein relation", _skein(d)),
             ("c0 permutation form", _c0_permutation_form(d)),
             ("c0 orientation invariance", _c0_orientation(d)),

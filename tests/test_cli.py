@@ -185,6 +185,14 @@ def test_verify_random_shape(capsys):
     assert "move invariance" in out
 
 
+def test_verify_random_checks_only_walks_with_an_empty_component(capsys):
+    # every 24-crossing draw over 32 components leaves a component without a
+    # crossing, where Z = 0: skein and the c0 checks would pass on nothing
+    assert main(["verify", "--random", "24,32,0", "--trials", "8", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == ("[pass] move invariance: 8 trials, 0 failures\n"
+                                       "result: pass\n")
+
+
 def test_verify_random_singular(capsys):
     assert main(["verify", "--random", "2,1,2", "--trials", "8", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,8 @@
 import hashlib
 import random
 from array import array
-from math import comb
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -613,9 +614,11 @@ def _is_unit(t):
 
 def test_unit_pivot_takes_a_fewest_entry_row_and_column(monkeypatch):
     # at every step the pivot is a unit of a row with the fewest entries of any
-    # row holding a unit, in a column with the fewest entries among the units of
-    # such rows; every active row sits in the bucket of its entry count, and
-    # every active column lists exactly the rows that hold an entry in it
+    # row holding a unit: in the order the search reads that bucket (its rows,
+    # then each row's entries), the first such unit whose column has at most
+    # two entries, else the first whose column has the fewest.  Every active
+    # row sits in the bucket of its entry count, and every active column lists
+    # exactly the rows that hold an entry in it
     picks = []
     pivot = laurent._unit_pivot
 
@@ -626,11 +629,10 @@ def test_unit_pivot_takes_a_fewest_entry_row_and_column(monkeypatch):
         units = [(i, j) for i, entries in rows.items() for j, t in entries.items() if _is_unit(t)]
         got = pivot(rows, cols, buckets)
         if units:
-            i, j = got
-            assert _is_unit(rows[i][j])
-            fewest = min(len(rows[u]) for u, _ in units)
-            assert len(rows[i]) == fewest
-            assert len(cols[j]) == min(len(cols[v]) for u, v in units if len(rows[u]) == fewest)
+            fewest = min(len(rows[i]) for i, _ in units)
+            read = [(i, j) for i in buckets[fewest] for j, t in rows[i].items() if _is_unit(t)]
+            early = [(i, j) for i, j in read if len(cols[j]) <= 2]
+            assert got == (early[0] if early else min(read, key=lambda u: len(cols[u[1]])))
         else:
             assert got is None
         picks.append(got)
@@ -739,22 +741,129 @@ def spy_residuals(monkeypatch):
     return paths
 
 
+def packed_digit_bound(m):
+    """The largest coefficient `_det_packed` allows for: the least, over the
+    rows, of the permanent of the entries' l1 norms with that row's norms
+    replaced by its largest coefficients."""
+    def norm(i, j, replaced):
+        cs = list(map(abs, m.rows[i][j]._t.values()))
+        return (max(cs) if i == replaced else sum(cs)) if cs else 0
+    n = m.n
+    return min(sum(prod(norm(i, j, r) for i, j in enumerate(p)) for p in permutations(range(n)))
+               for r in range(n))
+
+
+def spy_packing(monkeypatch):
+    """The (w, h, digit bytes) of each packed determinant decoded."""
+    boxes = []
+    from_int = laurent._from_int
+    monkeypatch.setattr(laurent, "_from_int", lambda v, x0, y0, w, h, nb, cols:
+                        boxes.append((w, h, nb)) or from_int(v, x0, y0, w, h, nb, cols))
+    return boxes
+
+
+def exact_box(m):
+    """w and h of the determinant's exponent box: in each variable, one more
+    than the largest sum of the entries' highest exponents over a perfect
+    matching less the least sum of their lowest."""
+    exps = [{j: [laurent._unpack(k) for k in e._t] for j, e in row.items()} for row in m.entries]
+    matchings = [p for p in permutations(range(m.n)) if all(j in exps[i] for i, j in enumerate(p))]
+    return tuple(
+        max(sum(max(e[v] for e in exps[i][j]) for i, j in enumerate(p)) for p in matchings)
+        - min(sum(min(e[v] for e in exps[i][j]) for i, j in enumerate(p)) for p in matchings) + 1
+        for v in (0, 1))
+
+
 @pytest.mark.parametrize("bits, path", [(4, [("packed", 3)]),
                                         (20, [("declined", 3), ("bareiss", 3)])])
 def test_residual_path_by_permanent_bound(monkeypatch, bits, path):
     # 3 x 3 entries of 13 terms, no unit among them: the whole matrix is the
-    # residual.  At 20-bit coefficients the permanent of the l1 norms passes
-    # 2^63, so packing declines and Bareiss decides.
+    # residual.  At 20-bit coefficients the digit bound passes 2^63, so
+    # packing declines and Bareiss decides.
     rng = random.Random(bits)
     rows = [[LaurentPoly2({(i % 4, i // 4): rng.choice((1, -1)) * rng.randint(2 ** (bits - 1), 2 ** bits)
                            for i in range(13)}) for _ in range(3)] for _ in range(3)]
     m = PolyMatrix.from_rows(rows)
     expect = det_cofactor(m)
-    norms = [[sum(map(abs, e._t.values())) for e in row] for row in m.rows]
-    assert (laurent._digit_bytes(laurent._expand(norms, 1)) is None) == (bits == 20)
+    assert (laurent._digit_bytes(packed_digit_bound(m)) is None) == (bits == 20)
     paths = spy_residuals(monkeypatch)
     assert det(m) == expect
     assert paths == path
+
+
+def test_packed_residual_leaves_out_entries_on_no_matching():
+    # `far` spans 63 in x and 60 in y, but every perfect matching through it
+    # meets a zero, so it cannot reach the determinant: the box is the
+    # diagonal's, which `far` does not fit, and packing it would overrun
+    a, c = ONE + 2 * X + Y, 3 - X * Y + mono(2, 2, 1)
+    far = mono(1, 60, 0) + mono(-4, 0, 60) + mono(5, -3, 7)
+    for rows in ([[a, far], [ZERO, c]], [[a, far, ZERO], [ZERO, c, ZERO], [X, far * far, Y]]):
+        m = PolyMatrix.from_rows(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            boxes = spy_packing(mp)
+            got = laurent._det_packed(m)
+        assert got == _bareiss(m) == det_cofactor(m) != ZERO
+        (w, h, _), = boxes
+        assert (w, h) == exact_box(m)
+        assert w <= 4 and h <= 4
+
+
+def test_packed_residual_takes_two_byte_digits(monkeypatch):
+    # 3 x 3 entries of ten coefficients of magnitude 3: the permanent of the l1
+    # norms, 6 * 30^3, needs 4-byte digits, but with one row at its largest
+    # coefficients, 6 * 3 * 30^2 = 16,200 < 2^15, 2-byte digits hold it
+    rng = random.Random(17)
+    rows = [[LaurentPoly2({(k % 4, k // 4): rng.choice((3, -3)) for k in range(10)})
+             for _ in range(3)] for _ in range(3)]
+    m = PolyMatrix.from_rows(rows)
+    norms = [[sum(map(abs, e._t.values())) for e in row] for row in m.rows]
+    assert sum(prod(norms[i][j] for i, j in enumerate(p)) for p in permutations(range(3))) == 162000
+    assert packed_digit_bound(m) == 16200
+    boxes = spy_packing(monkeypatch)
+    got = laurent._det_packed(m)
+    assert [nb for _, _, nb in boxes] == [2]
+    assert got == _bareiss(m) == det_cofactor(m)
+    assert max(map(abs, got._t.values())) < 2 ** 15
+
+
+@st.composite
+def spread_matrices(draw):
+    """Side 2-4, entries of up to 5 terms with small exponents around a large
+    offset of their row plus one of their column, negative ones included, and
+    some entries zero, so that some lie on no perfect matching."""
+    n = draw(st.integers(2, 4))
+    offset = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    row_off = draw(st.lists(offset, min_size=n, max_size=n))
+    col_off = draw(st.lists(offset, min_size=n, max_size=n))
+    local = st.dictionaries(st.tuples(st.integers(-3, 5), st.integers(-3, 5)),
+                            st.integers(-40, 40), max_size=5)
+    return PolyMatrix.from_rows([[LaurentPoly2({
+        (rx + cx + ex, ry + cy + ey): c for (ex, ey), c in draw(local).items()})
+        for cx, cy in col_off] for rx, ry in row_off])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spread_matrices())
+def test_packed_residual_on_spread_exponents(m):
+    # with the slot rule lifted every matrix packs, in exactly the box the
+    # perfect matchings span, which the offsets of rows and columns do not widen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_SLOTS_PER_PAIR", 10**9)
+        to_int = laurent._to_int
+
+        def small_to_int(spread, x0, y0, w, h, nb):
+            assert w <= 4 * 8 + 1 and h <= 4 * 8 + 1  # before any allocation
+            return to_int(spread, x0, y0, w, h, nb)
+
+        mp.setattr(laurent, "_to_int", small_to_int)
+        boxes = spy_packing(mp)
+        got = laurent._det_packed(m)
+    assert got == _bareiss(m) == det_cofactor(m)
+    if boxes:
+        (w, h, _), = boxes
+        assert (w, h) == exact_box(m)
+    else:
+        assert got.is_zero()  # no perfect matching
 
 
 def test_sparse_residual_is_not_packed(monkeypatch):

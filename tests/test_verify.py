@@ -126,6 +126,25 @@ def test_tally_diagram_checks(vhopf):
         r.name for r in run_campaign(trials=1, moves=1)}
 
 
+def test_tally_checks_only_the_walk_with_a_crossing_free_component(monkeypatch):
+    # Z and c0 are 0 on such a diagram, so skein and the c0 checks would hold on nothing
+    loop = parse_diagram("component: O1+ O2+ U1+ U2+\ncomponent:\n")
+    knot = parse_diagram("component: O1+ O2+ U1+ U2+")
+    per_diagram = ("_skein", "_c0_permutation_form", "_c0_orientation", "_c0_symmetry",
+                   "_knot_vanishing")
+    with pytest.MonkeyPatch.context() as mp:
+        for name in per_diagram:
+            mp.setattr(verify, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        results = tally_diagram_checks([(loop, 0), (loop, 1)], moves=5)
+    assert [(r.name, r.trials, r.passed) for r in results] == [("move invariance", 2, True)]
+    # with a diagram it applies to, every check is listed in the usual order
+    mixed = tally_diagram_checks([(loop, 0), (knot, 0)], moves=5)
+    assert [(r.name, r.trials) for r in mixed] == [
+        ("move invariance", 2), ("skein relation", 2), ("c0 permutation form", 1),
+        ("c0 orientation invariance", 1), ("c0 y-inversion symmetry", 1),
+        ("c0 vanishes on knots", 1)]
+
+
 def test_check_result_line():
     r = CheckResult("demo", 5)
     assert "pass" in r.line()
