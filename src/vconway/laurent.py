@@ -10,7 +10,10 @@ every equality test is exact.
 Representation: a mapping from exponent pairs to nonzero integer
 coefficients.  Internally the pair (ex, ey) is packed into one integer
 (ex * 2^32 + ey) so that exponent addition during multiplication is a
-single integer add; the empty mapping is the zero polynomial.
+single integer add; the empty mapping is the zero polynomial.  Keys are
+packed only from exponent pairs given by the caller; everything else
+adds keys or decodes them (`_spread`, `_unpack`) and never packs them
+again, so y -> y^-1 maps a key k to k - 2*ey.
 
 Large products and quotients use Kronecker substitution (Schoenhage
 1982; Harvey, J. Symb. Comp. 44, 2009): a polynomial becomes one
@@ -28,7 +31,7 @@ determinant's coefficients, bounded in advance by a permanent.  The
 schoolbook loops stay for small operands, for coefficients too wide for
 64-bit digits and for sparse operands whose box of slots would dwarf
 their term count.  Matrices (`PolyMatrix`) keep only their nonzero
-entries, and `det` reads just those.
+entries, and every determinant reads just those.
 
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
@@ -44,7 +47,6 @@ polynomial prints as "0".  Examples:
 
 from __future__ import annotations
 
-import functools
 import sys
 from array import array
 from dataclasses import dataclass
@@ -196,31 +198,14 @@ class LaurentPoly2:
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        data: dict[int, int] = {}
-        if terms:
-            for (ex, ey), c in terms.items():
-                if c:
-                    key = _pack(ex, ey)
-                    v = data.get(key, 0) + c
-                    if v:
-                        data[key] = v
-                    else:
-                        data.pop(key, None)
-        self._t = data
+        # distinct pairs pack to distinct keys, so no two terms merge
+        self._t = {_pack(ex, ey): c for (ex, ey), c in (terms or {}).items() if c}
 
     @classmethod
     def _raw(cls, packed: dict[int, int]) -> "LaurentPoly2":
         obj = object.__new__(cls)
         obj._t = packed
         return obj
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "LaurentPoly2":
-        return cls._raw({0: 1})
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly2":
@@ -320,9 +305,7 @@ class LaurentPoly2:
             return "0"
         parts: list[str] = []
         first = True
-        for key in sorted(self._t, key=_render_key):
-            c = self._t[key]
-            ex, ey = _unpack(key)
+        for ex, ey, c in sorted(zip(*_spread(self._t)), key=lambda t: (t[0] + t[1], t[0])):
             factors = []
             if ex:
                 factors.append("x" if ex == 1 else f"x^{ex}")
@@ -350,13 +333,8 @@ class LaurentPoly2:
         return f"LaurentPoly2({self.render()!r})"
 
 
-def _render_key(key: int) -> tuple[int, int]:
-    ex, ey = _unpack(key)
-    return ex + ey, ex
-
-
-ZERO = LaurentPoly2.zero()
-ONE = LaurentPoly2.one()
+ZERO = LaurentPoly2()
+ONE = LaurentPoly2.const(1)
 X = LaurentPoly2.monomial(1, 1, 0)
 Y = LaurentPoly2.monomial(1, 0, 1)
 X_INV = LaurentPoly2.monomial(1, -1, 0)
@@ -367,7 +345,8 @@ def lowest_x_exponent(p: LaurentPoly2) -> int:
     """Smallest x-exponent in the support; the zero polynomial raises."""
     if p.is_zero():
         raise ValueError("undefined exponent: zero polynomial has no support")
-    return min(_unpack(k)[0] for k in p._t)
+    # |ey| < 2^31 in a key ex * 2^32 + ey, so the least key has the least ex
+    return _unpack(min(p._t))[0]
 
 
 def normalize_x(p: LaurentPoly2) -> LaurentPoly2:
@@ -380,24 +359,15 @@ def normalize_x(p: LaurentPoly2) -> LaurentPoly2:
 def eval_x1(p: LaurentPoly2) -> LaurentPoly2:
     """Substitute x = 1, collapsing the support onto the y-axis."""
     out: dict[int, int] = {}
-    for k, c in p._t.items():
-        _, ey = _unpack(k)
-        key = _pack(0, ey)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return LaurentPoly2._raw(out)
+    for ey, c in zip(*_spread(p._t)[1:]):
+        out[ey] = out.get(ey, 0) + c  # the key of x^0*y^ey is ey
+    return LaurentPoly2._raw({k: c for k, c in out.items() if c})
 
 
 def substitute_y_inverse(p: LaurentPoly2) -> LaurentPoly2:
     """Substitute y -> y^-1, an involution on the ring."""
-    out: dict[int, int] = {}
-    for k, c in p._t.items():
-        ex, ey = _unpack(k)
-        out[_pack(ex, -ey)] = c
-    return LaurentPoly2._raw(out)
+    ys = _spread(p._t)[1]
+    return LaurentPoly2._raw({k - 2 * y: c for (k, c), y in zip(p._t.items(), ys)})
 
 
 class ConwayPoly:
@@ -511,8 +481,8 @@ class PolyMatrix:
     """A square matrix over the Laurent ring, kept as its nonzero entries.
 
     `entries[i]` maps each column j to the nonzero entry (i, j), so a
-    sparse matrix costs by its entries, not by its n^2 cells; `det`
-    reads them directly.  The dense `rows` are built on first use.
+    sparse matrix costs by its entries, not by its n^2 cells; it has no
+    dense form, and `det`, `_bareiss` and `det_cofactor` read `entries`.
     """
 
     n: int
@@ -521,10 +491,6 @@ class PolyMatrix:
     def __post_init__(self) -> None:
         if len(self.entries) != self.n:
             raise ValueError(f"matrix of side {self.n} has {len(self.entries)} rows")
-
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[LaurentPoly2, ...], ...]:
-        return tuple(tuple(row.get(j, ZERO) for j in range(self.n)) for row in self.entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable["LaurentPoly2 | int"]]) -> "PolyMatrix":
@@ -912,7 +878,7 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     n = matrix.n
     if n == 0:
         return ONE
-    rows = [list(r) for r in matrix.rows]
+    rows = [[row.get(j, ZERO) for j in range(n)] for row in matrix.entries]
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -958,7 +924,7 @@ def det_cofactor(matrix: PolyMatrix) -> LaurentPoly2:
         return ONE
     if n > 12:
         raise ValueError("cofactor determinant is limited to matrices of side <= 12")
-    rows = matrix.rows
+    rows = matrix.entries
     memo: dict[tuple[int, ...], LaurentPoly2] = {}
 
     def rec(active: tuple[int, ...]) -> LaurentPoly2:
@@ -970,8 +936,8 @@ def det_cofactor(matrix: PolyMatrix) -> LaurentPoly2:
         col = n - len(active)
         acc = ZERO
         for pos, r in enumerate(active):
-            e = rows[r][col]
-            if not e._t:
+            e = rows[r].get(col)
+            if e is None:
                 continue
             sub = rec(active[:pos] + active[pos + 1 :])
             term = e * sub

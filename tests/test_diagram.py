@@ -18,7 +18,13 @@ from vconway.diagram import (
     switch,
     validate,
 )
+from vconway.laurent import ZERO
 from vconway.moves import GeneratorConfig, random_diagram
+
+
+def dense(m):
+    """The rows of a PolyMatrix, with ZERO in its empty cells."""
+    return tuple(tuple(row.get(j, ZERO) for j in range(m.n)) for row in m.entries)
 
 
 def _inv(perm):
@@ -134,14 +140,15 @@ def test_permutation_matrix_and_transpose(vtref):
     P = build_P(vtref)
     m = P.matrix()
     slots = len(P.perm)
+    cells = dense(m)
     # column s has its single 1 in row perm[s]
     for s in range(slots):
-        col = [m.rows[r][s] for r in range(slots)]
+        col = [cells[r][s] for r in range(slots)]
         assert col[P.perm[s]].render() == "1"
         assert sum(1 for e in col if not e.is_zero()) == 1
     # the inverse permutation has the transposed matrix
     inverse = SlotPermutation(P.n, _inv(P.perm)).matrix()
-    assert inverse.rows == tuple(zip(*m.rows))
+    assert dense(inverse) == tuple(zip(*cells))
 
 
 # ---------------------------------------------------------------------------

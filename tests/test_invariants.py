@@ -35,6 +35,7 @@ from vconway.laurent import (
     ONE,
     X,
     X_INV,
+    ZERO,
     LaurentPoly2,
     eval_x1,
     normalize_x,
@@ -252,7 +253,7 @@ def test_vassiliev_eval_base_cases(vtref):
 
 def test_vassiliev_eval_zero_default():
     d = parse_diagram("component: A1 B1")
-    assert vassiliev_eval(d, c0) == LaurentPoly2.zero()
+    assert vassiliev_eval(d, c0) == ZERO
 
 
 def test_vassiliev_cap():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vconway import invariants, laurent
+from vconway.diagram import build_P
 from vconway.laurent import (
     ConwayPoly,
     LaurentPoly2,
@@ -30,14 +31,19 @@ from vconway.laurent import (
 from vconway.moves import GeneratorConfig, random_diagram
 
 
+def dense(m):
+    """The rows of a PolyMatrix, with ZERO in its empty cells."""
+    return tuple(tuple(row.get(j, ZERO) for j in range(m.n)) for row in m.entries)
+
+
 def _identity(n):
     return PolyMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def _matmul(a, b):
     return PolyMatrix.from_rows(
-        [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b.rows)]
-         for row in a.rows])
+        [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*dense(b))]
+         for row in dense(a)])
 
 
 # the two crossing blocks, rebuilt locally so this file stays self-contained
@@ -174,6 +180,52 @@ def test_substitute_y_inverse():
     assert substitute_y_inverse(Y) == Y_INV
     assert substitute_y_inverse(Y_INV + 2 * ONE + Y) == Y_INV + 2 * ONE + Y
     assert substitute_y_inverse(X * Y) == X * Y_INV
+
+
+def reference_render(terms):
+    """The module docstring's rendering grammar applied to an {(ex, ey): c}
+    mapping of nonzero coefficients."""
+    out = ""
+    for (ex, ey), c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0][0])):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", ex), ("y", ey)) if e)
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        if out:
+            out += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            out = f"-{body}" if c < 0 else body
+    return out or "0"
+
+
+EDGE = 2 ** 30 - 1  # the largest exponent magnitude a key holds
+edge_exponents = st.one_of(st.integers(-3, 3), st.sampled_from([EDGE, EDGE - 1, 1 - EDGE, -EDGE]),
+                           st.integers(-EDGE, EDGE))
+edge_terms = st.dictionaries(st.tuples(edge_exponents, edge_exponents),
+                             st.integers(-3, 3), max_size=8)
+
+
+@given(edge_terms)
+@settings(max_examples=300, deadline=None)
+def test_keys_at_the_edge_of_their_range(terms):
+    nonzero = {k: c for k, c in terms.items() if c}
+    p = LaurentPoly2(terms)
+    assert p.term_count() == len(nonzero) and 0 not in p._t.values()
+    assert p.render() == reference_render(nonzero)
+    if not nonzero:
+        with pytest.raises(ValueError):
+            lowest_x_exponent(p)
+        assert normalize_x(p) == eval_x1(p) == substitute_y_inverse(p) == ZERO
+        return
+    low = min(ex for ex, _ in nonzero)
+    assert lowest_x_exponent(p) == low
+    # x-exponents up to 2^31 - 2 after the shift, beyond what a mapping may give
+    assert normalize_x(p).render() == reference_render(
+        {(ex - low, ey): c for (ex, ey), c in nonzero.items()})
+    collapsed = {}
+    for (_, ey), c in nonzero.items():
+        collapsed[0, ey] = collapsed.get((0, ey), 0) + c
+    assert eval_x1(p).render() == reference_render({k: c for k, c in collapsed.items() if c})
+    assert substitute_y_inverse(p).render() == reference_render(
+        {(ex, -ey): c for (ex, ey), c in nonzero.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +498,14 @@ def test_block_identities():
     assert det(M_POS - _identity(2)) == ZERO
     assert det(M_NEG) == -X_INV
     prod = _matmul(M_POS, M_NEG)
-    assert prod.rows == _identity(2).rows
+    assert dense(prod) == dense(_identity(2))
     # the engine behind the skein relation
     scaled = PolyMatrix.from_rows(
-        [[X * e for e in row] for row in M_NEG.rows]
+        [[X * e for e in row] for row in dense(M_NEG)]
     )
     diff = M_POS - scaled
     expect = (ONE - X)
-    assert diff.rows == ((expect, ZERO), (ZERO, expect))
+    assert dense(diff) == ((expect, ZERO), (ZERO, expect))
 
 
 def test_det_block_diag_multiplicative():
@@ -565,10 +617,10 @@ def test_det_row_swap_changes_sign():
     big = mixed_matrix(rng, 8)
     while det(big).is_zero():
         big = mixed_matrix(rng, 8)
-    rows = [list(r) for r in big.rows]
+    rows = [list(r) for r in dense(big)]
     rows[1], rows[6] = rows[6], rows[1]
     assert det(PolyMatrix.from_rows(rows)) == -det(big)
-    cols = [r[:2] + (r[5],) + r[3:5] + (r[2],) + r[6:] for r in big.rows]
+    cols = [r[:2] + (r[5],) + r[3:5] + (r[2],) + r[6:] for r in dense(big)]
     assert det(PolyMatrix.from_rows(cols)) == -det(big)
 
 
@@ -662,7 +714,7 @@ def test_bareiss_zero_rows_in_the_active_block():
     # a row that is a unit times another, in sparse matrices
     rng = random.Random(31)
     for n in range(2, 9):
-        rows = [list(r) for r in mixed_matrix(rng, n).rows]
+        rows = [list(r) for r in dense(mixed_matrix(rng, n))]
         i, j = rng.sample(range(n), 2)
         unit = mono(rng.choice((1, -1)), 1, -1)
         rows[i] = [unit * e for e in rows[j]]
@@ -688,7 +740,8 @@ def test_det_sign_under_row_and_column_permutations():
             rp, cp = list(range(n)), list(range(n))
             rng.shuffle(rp)
             rng.shuffle(cp)
-            permuted = PolyMatrix.from_rows([[m.rows[i][j] for j in cp] for i in rp])
+            cells = dense(m)
+            permuted = PolyMatrix.from_rows([[cells[i][j] for j in cp] for i in rp])
             sign = permutation_sign(rp) * permutation_sign(cp)
             assert det(m) == expect
             assert det(permuted) == det_cofactor(permuted) == expect * sign
@@ -745,8 +798,10 @@ def packed_digit_bound(m):
     """The largest coefficient `_det_packed` allows for: the least, over the
     rows, of the permanent of the entries' l1 norms with that row's norms
     replaced by its largest coefficients."""
+    cells = dense(m)
+
     def norm(i, j, replaced):
-        cs = list(map(abs, m.rows[i][j]._t.values()))
+        cs = list(map(abs, cells[i][j]._t.values()))
         return (max(cs) if i == replaced else sum(cs)) if cs else 0
     n = m.n
     return min(sum(prod(norm(i, j, r) for i, j in enumerate(p)) for p in permutations(range(n)))
@@ -816,7 +871,7 @@ def test_packed_residual_takes_two_byte_digits(monkeypatch):
     rows = [[LaurentPoly2({(k % 4, k // 4): rng.choice((3, -3)) for k in range(10)})
              for _ in range(3)] for _ in range(3)]
     m = PolyMatrix.from_rows(rows)
-    norms = [[sum(map(abs, e._t.values())) for e in row] for row in m.rows]
+    norms = [[sum(map(abs, e._t.values())) for e in row] for row in dense(m)]
     assert sum(prod(norms[i][j] for i, j in enumerate(p)) for p in permutations(range(3))) == 162000
     assert packed_digit_bound(m) == 16200
     boxes = spy_packing(monkeypatch)
@@ -915,6 +970,68 @@ def test_c0_via_tp_renders_are_pinned():
             lines.append(invariants.c0_via_tp(d).render())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "1f878ae965111d8f2cf8dce0cdb23b82bcf5a6b44866ee57cc147ac8ce345c84"
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def point_value(poly, a, b, p):
+    """poly at x = a, y = b mod p, its keys ex * 2^32 + ey decoded here."""
+    total = 0
+    for key, c in poly._t.items():
+        ey = (key + 2 ** 31) % 2 ** 32 - 2 ** 31
+        total += c * pow(a, (key - ey) >> 32, p) * pow(b, ey, p)
+    return total % p
+
+
+def point_z(d, a, b, p):
+    """(-1)^(n+r) * det(M - P) at x = a, y = b mod p, with M's crossing
+    blocks written out at the point and the determinant taken by Gaussian
+    elimination mod p: no arithmetic of `laurent` is used."""
+    ai, bi = pow(a, -1, p), pow(b, -1, p)
+    blocks = {1: ((1 - a, -b), (-a * bi, 0)), -1: ((0, -ai * b), (-bi, 1 - ai))}
+    n = d.n_classical()
+    rows = [[0] * 2 * n for _ in range(2 * n)]
+    for i, cid in enumerate(d.classical_ids()):
+        for r, half in enumerate(blocks[d.crossings[cid].sign]):
+            rows[2 * i + r][2 * i:2 * i + 2] = half
+    for s, t in enumerate(build_P(d).perm):
+        rows[t][s] -= 1
+    value = -1 if (n + len(d.components)) % 2 else 1
+    for k in range(2 * n):
+        piv = next((i for i in range(k, 2 * n) if rows[i][k] % p), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            value = -value
+        row_k = rows[k]
+        value = value * row_k[k] % p
+        inv = pow(row_k[k], -1, p)
+        nonzero = [(j, v) for j, v in enumerate(row_k[k + 1:], k + 1) if v % p]
+        for row in rows[k + 1:]:
+            f = row[k] * inv % p
+            if f:
+                for j, v in nonzero:
+                    row[j] = (row[j] - f * v) % p
+    return value
+
+
+def test_z_matches_a_point_oracle():
+    # Z of the fixed codes of test_z_renders_are_pinned, evaluated at a random
+    # point mod a prime, against the determinant of M - P taken at that point;
+    # a wrong Z agrees with probability at most deg / p (Schwartz-Zippel)
+    rng = random.Random(61)
+    nonzero = 0
+    for k, count in ((24, 40), (32, 20), (48, 5), (64, 2)):
+        for i in range(count):
+            d = random_diagram(GeneratorConfig(k, 1 + i % 3, 0, seed=1000 + i))
+            assert not d.has_empty_component()
+            a, b = rng.randrange(2, MERSENNE_61), rng.randrange(2, MERSENNE_61)
+            expect = point_z(d, a, b, MERSENNE_61)
+            assert point_value(invariants.z_polynomial(d), a, b, MERSENNE_61) == expect
+            nonzero += expect != 0
+    assert nonzero >= 60
 
 
 def test_det_cofactor_size_limit():
