@@ -19,19 +19,24 @@ Large products and quotients use Kronecker substitution (Schoenhage
 1982; Harvey, J. Symb. Comp. 44, 2009): a polynomial becomes one
 integer, its value at x = 2^B, y = 2^(B*w), where w is wide enough that
 no row of x-exponents spills into the next.  Its terms are digits of
-B = 8, 16, 32 or 64 bits, each holding a coefficient offset by 2^(B-1),
-so one bigint product or `divmod` does the whole ring operation and
-`to_bytes` reads the digits back.  A packed quotient is used only once
-its product with the divisor is shown to give the numerator; failing
-that, long division decides.  A determinant residual of side at most 4
-with large entries is packed whole: each entry becomes one integer,
-shifted into the exponent box that the residual's perfect matchings
-span, the integer determinant is expanded, and its digits are the
-determinant's coefficients, bounded in advance by a permanent.  The
-schoolbook loops stay for small operands, for coefficients too wide for
-64-bit digits and for sparse operands whose box of slots would dwarf
-their term count.  Matrices (`PolyMatrix`) keep only their nonzero
-entries, and every determinant reads just those.
+B bits, each holding a coefficient offset by 2^(B-1), so one bigint
+product or `divmod` does the whole ring operation and `to_bytes` reads
+the digits back.  B is 8, 16, 32 or 64 bits, read back as one `array`,
+or beyond that as many whole bytes as the coefficient bound needs, read
+back one `memoryview` slice at a time, so no operand is too wide to
+pack.  A packed quotient is used only once its product with the divisor
+is shown to give the numerator; failing that, long division decides.  A
+determinant residual of side 2 to 5 and at most `_PACK_TERMS` terms
+(at side 2 or 3 only with large entries) is packed whole: each entry
+becomes one integer, shifted into the exponent box that the residual's
+perfect matchings span, the integer determinant is expanded, and its
+digits are the determinant's coefficients, bounded in advance by a
+permanent.  The Conway expansion packs each x-column into one integer,
+a digit per y-exponent, and Taylor-shifts every row at once.  The
+schoolbook loops stay for small operands and for sparse operands whose
+box of slots would dwarf their term count.  Matrices (`PolyMatrix`)
+keep only their nonzero entries, and every determinant reads just
+those.
 
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
@@ -51,7 +56,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, permutations
-from math import prod
+from math import comb, prod
 from typing import Iterable, Mapping
 
 _SHIFT = 1 << 32
@@ -65,12 +70,12 @@ _PACK_PAIRS = 150
 # most digit slots a packed operand may take per term pair, so that a
 # sparse (x^(2^29) + y) * (y^(2^29) + x) stays on the schoolbook path
 _SLOTS_PER_PAIR = 8
-# largest residual side that `det` expands as one packed integer determinant;
-# det over the Z matrices of fixed codes at 24/32/48 crossings (40/20/5 codes),
-# best of 5-9 rounds in each of three runs, took 80-87/151-165/115-125 ms up to
-# side 3, 55-62/125-154/113-128 ms up to 4 and 48-59/59-66/189-216 ms up to 5:
-# side-5 residuals gain at 32 crossings and lose at 48, where entries are larger
-_PACK_SIDE = 4
+# most terms a determinant residual of side 2-5 may have to be packed whole,
+# where packing stops winning: on a shared 2-core machine, Bareiss against
+# packed took 5-25 against 1.3-6.5 ms on side-5 residuals of 79-518 terms and
+# 23 against 20 ms at 735 terms, but 30 against 36 ms at 768, 17 against 20 ms
+# at 830 and 42 against 100 ms at 1,091; at side 4, 9.3 against 10.9 ms at 964
+_PACK_TERMS = 750
 # unsigned array typecode for each digit width in bytes
 _DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -96,20 +101,37 @@ def _spread(t: dict[int, int]) -> _Spread:
     return [(k - y) >> 32 for k, y in zip(t, ys)], ys, list(t.values())
 
 
-def _digit_bytes(bound: int) -> int | None:
+def _digit_bytes(bound: int) -> int:
     """Bytes of the narrowest digit that holds every coefficient of
-    magnitude at most `bound` (offset by half its range), or None when
-    not even 8 bytes do."""
+    magnitude at most `bound` (offset by half its range): 1, 2, 4 or 8,
+    or beyond 64 bits as many bytes as that takes."""
     bits = bound.bit_length() + 1
     for nb in (1, 2, 4, 8):
         if bits <= 8 * nb:
             return nb
-    return None
+    return (bits + 7) // 8
 
 
 def _offset(nb: int, slots: int) -> int:
     """The packed integer whose every digit is 2^(8*nb - 1)."""
     return int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
+
+
+def _to_bytes(spread: _Spread, x0: int, y0: int, w: int, h: int, nb: int) -> bytearray | array:
+    """The little-endian digits of `_to_int`, each offset by 2^(8*nb - 1)."""
+    half = 1 << (8 * nb - 1)
+    if nb in _DIGIT_CODES:
+        digits = array(_DIGIT_CODES[nb], [half]) * (w * h)
+        for x, y, c in zip(*spread):
+            digits[x - x0 + w * (y - y0)] = half + c
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        return digits
+    raw = bytearray(half.to_bytes(nb, "little") * (w * h))
+    for x, y, c in zip(*spread):
+        s = nb * (x - x0 + w * (y - y0))
+        raw[s:s + nb] = (half + c).to_bytes(nb, "little")
+    return raw
 
 
 def _to_int(spread: _Spread, x0: int, y0: int, w: int, h: int, nb: int) -> int:
@@ -119,13 +141,20 @@ def _to_int(spread: _Spread, x0: int, y0: int, w: int, h: int, nb: int) -> int:
     guarantees that every term fits and every coefficient is below
     2^(8*nb - 1) in magnitude.
     """
-    half = 1 << (8 * nb - 1)
-    digits = array(_DIGIT_CODES[nb], [half]) * (w * h)
-    for x, y, c in zip(*spread):
-        digits[x - x0 + w * (y - y0)] = half + c
-    if _BIG_ENDIAN:
-        digits.byteswap()
-    return int.from_bytes(digits, "little") - _offset(nb, w * h)
+    return int.from_bytes(_to_bytes(spread, x0, y0, w, h, nb), "little") - _offset(nb, w * h)
+
+
+def _digits(raw: bytes, nb: int) -> array | list[int]:
+    """The little-endian unsigned digits of nb bytes that `raw` holds: one
+    array for 1, 2, 4 or 8 bytes, wider ones one `memoryview` slice at a
+    time."""
+    if nb in _DIGIT_CODES:
+        digits = array(_DIGIT_CODES[nb], raw)
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        return digits
+    view = memoryview(raw)
+    return [int.from_bytes(view[s:s + nb], "little") for s in range(0, len(raw), nb)]
 
 
 def _from_int(v: int, x0: int, y0: int, w: int, h: int, nb: int,
@@ -141,11 +170,9 @@ def _from_int(v: int, x0: int, y0: int, w: int, h: int, nb: int,
         raw = (v + _offset(nb, slots)).to_bytes(nb * slots, "little")
     except OverflowError:
         return None
-    digits = array(_DIGIT_CODES[nb], raw)
-    if _BIG_ENDIAN:
-        digits.byteswap()
+    digits = _digits(raw, nb)
     if cols < w:
-        pad = array(_DIGIT_CODES[nb], [half]) * (w - cols)
+        pad = _digits((bytes(nb - 1) + b"\x80") * (w - cols), nb)
         if any(digits[s + cols:s + w] != pad for s in range(0, slots, w)):
             return None
     base = x0 * _SHIFT + y0
@@ -173,9 +200,8 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
     Each operand is packed with rows of w slots, w the product's x-span,
     so no row of the product spills into the next.  A product
     coefficient is at most min(l1(a)*max|b|, l1(b)*max|a|) in magnitude,
-    which sets the digit width.  None, for the schoolbook loop, when
-    that needs more than 64 bits or the slots exceed `_SLOTS_PER_PAIR`
-    per term pair.
+    which sets the digit width.  None, for the schoolbook loop, when the
+    slots exceed `_SLOTS_PER_PAIR` per term pair.
     """
     sa, sb = _spread(a), _spread(b)
     (ax, ay, ac), (bx, by, bc) = sa, sb
@@ -186,8 +212,6 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
         return None
     ma, mb = list(map(abs, ac)), list(map(abs, bc))
     nb = _digit_bytes(min(sum(ma) * max(mb), sum(mb) * max(ma)))
-    if nb is None:
-        return None
     prod = _to_int(sa, ax0, ay0, w, ha, nb) * _to_int(sb, bx0, by0, w, hb, nb)
     return _from_int(prod, ax0 + bx0, ay0 + by0, w, ha + hb - 1, nb, w)
 
@@ -449,31 +473,41 @@ def expand_conway(p: LaurentPoly2) -> ConwayPoly:
     """Rewrite an x-normalized polynomial as sum of c_k * z^k with z = 1 - x.
 
     Requires all x-exponents nonnegative (run `normalize_x` first).  The
-    terms of each y-exponent form an integer polynomial q(x); Taylor
-    shift by repeated synthetic addition gives q(1 + t), and t = -z
-    gives its coefficients in z, all exactly.
+    terms of each y-exponent form an integer polynomial q(x) of degree
+    below L; Taylor shift by repeated synthetic addition gives q(1 + t),
+    and t = -z gives its coefficients in z, all exactly.  Every row is
+    shifted at once: each x-column becomes one integer with a digit per
+    y-exponent, and the passes add those L integers.  A coefficient
+    b_j = sum a_i * C(i, j) of q(1 + t) is at most the row's l1 norm
+    times C(L - 1, (L - 1) // 2), which sets the digit width, so the
+    shifted columns read back exactly, digit by digit.
     """
-    rows: dict[int, list[int]] = {}
-    for x, y, c in zip(*_spread(p._t)):
-        if x < 0:
-            raise ValueError("not x-normalized: negative x-exponent in conway expansion")
-        row = rows.setdefault(y, [])
-        if len(row) <= x:
-            row.extend([0] * (x + 1 - len(row)))
-        row[x] = c
-    coeffs: list[dict[int, int]] = []
-    for y, row in rows.items():
-        # highest power first; each pass sums a prefix, which is one
-        # synthetic addition at x = 1 on the shrinking leading part
-        r = row[::-1]
-        for m in range(len(r), 1, -1):
-            r[:m] = accumulate(r[:m])
-        while len(coeffs) < len(r):
-            coeffs.append({})
-        for j, v in enumerate(reversed(r)):
-            if v:
-                coeffs[j][y] = -v if j & 1 else v
-    return ConwayPoly(LaurentPoly2._raw(b) for b in coeffs)
+    if not p._t:
+        return ConwayPoly()
+    xs, ys, cs = _spread(p._t)
+    if min(xs) < 0:
+        raise ValueError("not x-normalized: negative x-exponent in conway expansion")
+    y0, length = min(ys), max(xs) + 1
+    h = max(ys) - y0 + 1
+    l1 = [0] * h
+    for y, c in zip(ys, cs):
+        l1[y - y0] += abs(c)
+    nb = _digit_bytes(max(l1) * comb(length - 1, (length - 1) // 2))
+    # column x is digits x*h to x*h + h - 1: y takes the place of x in the layout
+    raw = memoryview(_to_bytes((ys, xs, cs), y0, 0, h, length, nb)).cast("B")
+    size, offset = nb * h, _offset(nb, h)
+    # highest power first; each pass sums a prefix, which is one
+    # synthetic addition at x = 1 on the shrinking leading part
+    r = [int.from_bytes(raw[s:s + size], "little") - offset
+         for s in range(size * (length - 1), -1, -size)]
+    for m in range(length, 1, -1):
+        r[:m] = accumulate(r[:m])
+    # t = -z negates the odd coefficients; each is read back as h digits
+    digits = _digits(b"".join(((-v if j & 1 else v) + offset).to_bytes(size, "little")
+                              for j, v in enumerate(reversed(r))), nb)
+    half, ykeys = 1 << (8 * nb - 1), range(y0, y0 + h)  # the key of x^0*y^ey is ey
+    return ConwayPoly(LaurentPoly2._raw({k: d - half for k, d in zip(ykeys, digits[s:s + h])
+                                         if d != half}) for s in range(0, h * length, h))
 
 
 @dataclass(frozen=True)
@@ -569,17 +603,16 @@ def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
     if pairs >= _PACK_PAIRS and w * h <= _SLOTS_PER_PAIR * pairs:
         dmags = list(map(abs, dcs))
         nb = _digit_bytes(max(max(map(abs, cs)), max(dmags)))
-        if nb is not None:
-            q, r = divmod(_to_int(spread, nx0, ny0, w, h, nb),
-                          _to_int(dspread, dx0, dy0, w, dy1 - dy0 + 1, nb))
-            if r:
-                raise ArithmeticError("non-exact division")
-            quo = _from_int(q, x_lo, y_lo, w, y_hi - y_lo + 1, nb, x_hi - x_lo + 1)
-            if quo is not None:
-                qmags = list(map(abs, quo.values()))
-                bound = min(sum(qmags) * max(dmags), sum(dmags) * max(qmags))
-                if bound < 1 << (8 * nb - 1) or _mul_packed(quo, dt) == nt:
-                    return LaurentPoly2._raw(quo)
+        q, r = divmod(_to_int(spread, nx0, ny0, w, h, nb),
+                      _to_int(dspread, dx0, dy0, w, dy1 - dy0 + 1, nb))
+        if r:
+            raise ArithmeticError("non-exact division")
+        quo = _from_int(q, x_lo, y_lo, w, y_hi - y_lo + 1, nb, x_hi - x_lo + 1)
+        if quo is not None:
+            qmags = list(map(abs, quo.values()))
+            bound = min(sum(qmags) * max(dmags), sum(dmags) * max(qmags))
+            if bound < 1 << (8 * nb - 1) or _mul_packed(quo, dt) == nt:
+                return LaurentPoly2._raw(quo)
     return LaurentPoly2._raw(_long_div(nt, dt, box))
 
 
@@ -629,10 +662,11 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
     rows and columns were eliminated.  The matrices this package builds
     are mostly monomials (M - P has only the 1 - x^+-1 diagonal terms as
     non-units), so typically a few rows are left, with no unit entry.
-    A residual of side at most `_PACK_SIDE` with an entry of at least
-    `_PACK_PAIRS` term pairs goes to `_det_packed`, one integer
-    determinant; every other residual, and one `_det_packed` declines,
-    goes to `_bareiss`.
+    That residual goes by its size.  Side 1 is its own entry.  Sides 2
+    to 5 of at most `_PACK_TERMS` terms go to `_det_packed`, one integer
+    determinant, except at side 2 or 3 with no entry of `_PACK_PAIRS`
+    term pairs, where `_bareiss` is faster.  Every other residual, and
+    one `_det_packed` declines, goes to `_bareiss`.
     """
     n = matrix.n
     if n == 0:
@@ -703,9 +737,11 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
         order = {j: pos for pos, j in enumerate(sorted(cols))}
         residual = PolyMatrix(len(rows), tuple(
             {order[j]: LaurentPoly2._raw(t) for j, t in rows[i].items()} for i in sorted(rows)))
+        sizes = [len(t) for row in rows.values() for t in row.values()]
         packed = None
-        if len(rows) <= _PACK_SIDE and max(
-                len(t) for row in rows.values() for t in row.values()) ** 2 >= _PACK_PAIRS:
+        # _det_packed walks all n! permutations, so it takes sides up to 5
+        if (2 <= len(rows) <= 5 and sum(sizes) <= _PACK_TERMS
+                and (len(rows) > 3 or max(sizes) ** 2 >= _PACK_PAIRS)):
             packed = _det_packed(residual)
         value = _bareiss(residual) if packed is None else packed
     return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
@@ -751,9 +787,9 @@ def _odd(order: list[int]) -> bool:
 
 def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     """The determinant of a small matrix as one integer determinant at a
-    Kronecker point, or None, for `_bareiss`, when the digits would need
-    more than 64 bits or the slots exceed `_SLOTS_PER_PAIR` per pair of
-    the matrix's terms.
+    Kronecker point, or None, for `_bareiss`, when the slots exceed
+    `_SLOTS_PER_PAIR` per pair of the matrix's terms.  It walks all n!
+    permutations, so `det` calls it on sides up to 5.
 
     A term of the expansion takes the entries of one perfect matching of
     the nonzero pattern, so entries on no such matching are left out, and
@@ -766,9 +802,10 @@ def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     and likewise h rows for y.  Since |fg|_max <= |f|_max * |g|_1, no
     coefficient exceeds the permanent of the entries' l1 norms with one
     row's norms replaced by their largest coefficients; the least such
-    permanent over the rows sets the digit width, and bounds every
-    entry's coefficients too.  Each entry is packed once, the integer
-    determinant is expanded by `_expand`, and the result is decoded once.
+    permanent over the rows sets the digit width, however many bytes that
+    takes, and bounds every entry's coefficients too.  Each entry is
+    packed once, the integer determinant is expanded by `_expand`, and
+    the result is decoded once.
     """
     n = matrix.n
     spreads = [{j: _spread(e._t) for j, e in row.items()} for row in matrix.entries]
@@ -795,8 +832,6 @@ def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
         for i, j in enumerate(p):
             bounds[i] += norm // norms[i][j] * tops[i][j]
     nb = _digit_bytes(min(bounds))
-    if nb is None:
-        return None
     ints = [[0] * n for _ in range(n)]
     for i, row in enumerate(used):
         for j, s in row.items():

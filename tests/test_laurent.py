@@ -5,7 +5,7 @@ from itertools import permutations
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vconway import invariants, laurent
 from vconway.diagram import build_P
@@ -278,9 +278,11 @@ def reference_expand_conway(p):
     return ConwayPoly(LaurentPoly2._raw(b) for b in coeffs)
 
 
-# y-exponents with gaps between them, so some y-rows are empty
+# y-exponents with gaps between them, so some y-rows are empty; with
+# x-exponents up to 40 and coefficients up to 10^30 some columns take
+# digits wider than 8 bytes
 x_normalized = st.dictionaries(
-    st.tuples(st.integers(0, 14), st.sampled_from((-7, -3, -2, 0, 4, 9))),
+    st.tuples(st.integers(0, 40), st.sampled_from((-7, -3, -2, 0, 4, 9))),
     st.one_of(coeffs, st.integers(-10**30, 10**30)), max_size=30,
 ).map(LaurentPoly2).map(normalize_x)
 
@@ -343,10 +345,27 @@ def test_digit_typecodes():
 
 @pytest.mark.parametrize("bound, nb", [
     (0, 1), (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8),
-    (2**63 - 1, 8), (2**63, None),
+    (2**63 - 1, 8), (2**63, 9), (2**71 - 1, 9), (2**71, 10), (2**199, 26),
 ])
 def test_digit_bytes(bound, nb):
     assert laurent._digit_bytes(bound) == nb
+
+
+@pytest.mark.parametrize("nb", [1, 2, 4, 8, 9, 16, 21])
+def test_digits_round_trip_at_any_width(nb):
+    # 3 rows of 5 digits, the last two columns empty; coefficients reach the
+    # edges of the digit, 2^(8*nb - 1) - 1 in magnitude
+    rng = random.Random(nb)
+    top = 2 ** (8 * nb - 1) - 1
+    terms = {(x, y): rng.choice((top, -top, 1, -1, rng.randint(-top, top)))
+             for x in range(-1, 2) for y in range(4, 7)}
+    p = LaurentPoly2(terms)
+    v = laurent._to_int(laurent._spread(p._t), -1, 4, 5, 3, nb)
+    assert v == sum(c << (8 * nb * (x + 1 + 5 * (y - 4))) for (x, y), c in terms.items())
+    assert laurent._from_int(v, -1, 4, 5, 3, nb, 3) == p._t
+    # a nonzero digit in a column at or beyond `cols`, or a value too large
+    assert laurent._from_int(v + (1 << (8 * nb * 4)), -1, 4, 5, 3, nb, 3) is None
+    assert laurent._from_int(v << (8 * nb * 15), -1, 4, 5, 3, nb, 3) is None
 
 
 def near(bits):
@@ -363,8 +382,8 @@ def dense_polys(bits):
 
 
 # coefficient bits that put the product bound into 1-, 2-, 4- and 8-byte
-# digits, and beyond 64 bits, where packing declines
-@pytest.mark.parametrize("bits, nb", [(1, 1), (5, 2), (13, 4), (29, 8), (33, None)])
+# digits, and beyond 64 bits, where digits take as many bytes as they need
+@pytest.mark.parametrize("bits, nb", [(1, 1), (5, 2), (13, 4), (29, 8), (33, 9), (60, 16)])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_packed_product_matches_schoolbook(bits, nb, data):
@@ -373,7 +392,7 @@ def test_packed_product_matches_schoolbook(bits, nb, data):
     assert laurent._digit_bytes(min(sum(ma) * max(mb), sum(mb) * max(ma))) == nb
     expect = laurent._mul_schoolbook(a._t, b._t)
     got = laurent._mul_packed(a._t, b._t)
-    assert got == (None if nb is None else expect)
+    assert got == expect
     assert (a * b)._t == expect
 
 
@@ -385,7 +404,7 @@ def test_packed_product_at_digit_boundary(n, nb):
     assert laurent._mul_packed(a._t, a._t) == laurent._mul_schoolbook(a._t, a._t)
 
 
-@pytest.mark.parametrize("bits", [1, 5, 13, 29, 33])
+@pytest.mark.parametrize("bits", [1, 5, 13, 29, 33, 60])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_packed_division_undoes_multiplication(bits, data):
@@ -395,7 +414,7 @@ def test_packed_division_undoes_multiplication(bits, data):
         assert laurent._exact_div(a * b, b) == a
 
 
-@pytest.mark.parametrize("bits", [1, 5, 13, 29])
+@pytest.mark.parametrize("bits", [1, 5, 13, 29, 60])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_packed_division_rejects_a_monomial_remainder(bits, data):
@@ -427,7 +446,8 @@ def test_packed_division_rejects_by_remainder(monkeypatch):
 
 @pytest.mark.parametrize("digits, long_calls", [
     ((30000, 30000, 5535), 1),  # quotient 30000 - 5536*x fails; long division decides
-    ((2**62, 2**62, 2**63 - 1), 1),  # the multiply-back needs over 64 bits; long division decides
+    # the multiply-back takes 9-byte digits, past 64 bits; long division decides
+    ((2**62, 2**62, 2**63 - 1), 1),
 ])
 def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_calls):
     # the digit sum is 2^B - 1 for the B-bit digits picked, so at x = 2^B the
@@ -437,9 +457,16 @@ def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_call
     assert sum(c << (bits * i) for i, c in enumerate(digits)) % (1 - 2**bits) == 0
     num = sum((mono(c, i, 0) for i, c in enumerate(digits)), ZERO)
     calls = spy_long_division(monkeypatch)
+    backs = []
+    mul_packed = laurent._mul_packed
+    monkeypatch.setattr(laurent, "_mul_packed",
+                        lambda a, b: backs.append((a, b, mul_packed(a, b))) or backs[-1][2])
     with pytest.raises(ArithmeticError, match="non-exact"):
         laurent._exact_div(num, ONE - X)
     assert len(calls) == long_calls
+    # the packed multiply-back was made, and it is the true product
+    (quo, den, back), = backs
+    assert back == laurent._mul_schoolbook(quo, den) != num._t
 
 
 @pytest.mark.parametrize("num, den", [
@@ -829,21 +856,22 @@ def exact_box(m):
         for v in (0, 1))
 
 
-@pytest.mark.parametrize("bits, path", [(4, [("packed", 3)]),
-                                        (20, [("declined", 3), ("bareiss", 3)])])
+@pytest.mark.parametrize("bits, path", [(4, [("packed", 3, 4)]), (20, [("packed", 3, 9)]),
+                                        (50, [("packed", 3, 21)])])
 def test_residual_path_by_permanent_bound(monkeypatch, bits, path):
     # 3 x 3 entries of 13 terms, no unit among them: the whole matrix is the
-    # residual.  At 20-bit coefficients the digit bound passes 2^63, so
-    # packing declines and Bareiss decides.
+    # residual.  The permanent bound sets the digits: 4 bytes at 4-bit
+    # coefficients, past 64 bits at 20 and past 160 at 50.
     rng = random.Random(bits)
     rows = [[LaurentPoly2({(i % 4, i // 4): rng.choice((1, -1)) * rng.randint(2 ** (bits - 1), 2 ** bits)
                            for i in range(13)}) for _ in range(3)] for _ in range(3)]
     m = PolyMatrix.from_rows(rows)
     expect = det_cofactor(m)
-    assert (laurent._digit_bytes(packed_digit_bound(m)) is None) == (bits == 20)
     paths = spy_residuals(monkeypatch)
+    boxes = spy_packing(monkeypatch)
     assert det(m) == expect
-    assert paths == path
+    assert [(p, n, nb) for (p, n), (_, _, nb) in zip(paths, boxes)] == path
+    assert laurent._digit_bytes(packed_digit_bound(m)) == path[0][2]
 
 
 def test_packed_residual_leaves_out_entries_on_no_matching():
@@ -934,19 +962,46 @@ def test_sparse_residual_is_not_packed(monkeypatch):
     assert paths == [("declined", 2), ("bareiss", 2)]
 
 
-def test_det_takes_both_residual_paths(monkeypatch):
-    # every residual large enough to pack: side <= _PACK_SIDE packs, larger ones go to Bareiss
+def test_det_takes_both_residual_paths():
+    # a residual of side 2-5 packs unless its terms pass _PACK_TERMS, and at
+    # side 2 or 3 only with an entry of _PACK_PAIRS term pairs; side 1 is its
+    # own entry, and larger sides go to Bareiss
     rng = random.Random(12)
     mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
     mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
-             for n in range(1, 7)]
+             for n in range(1, 7) for _ in range(2)]
+    # side 4 and 5 past the ceiling: entries of 48 terms in a 6 x 8 box
+    mats += [PolyMatrix.from_rows([[LaurentPoly2({(k % 6, k // 6): rng.choice((1, -1, 2))
+                                                  for k in range(48)}) for _ in range(n)]
+                                   for _ in range(n)]) for n in (4, 5)]
     expect = [det_cofactor(m) for m in mats]
-    monkeypatch.setattr(laurent, "_PACK_PAIRS", 0)
-    paths = spy_residuals(monkeypatch)
-    assert [det(m) for m in mats] == expect
-    assert {p for p, n in paths} == {"packed", "bareiss"}
-    assert all(n <= laurent._PACK_SIDE for p, n in paths if p == "packed")
-    assert all(n > laurent._PACK_SIDE for p, n in paths if p == "bareiss")
+    packed, bareiss = laurent._det_packed, laurent._bareiss
+    for pairs in (0, laurent._PACK_PAIRS):
+        paths = []
+
+        def spy(path, f):
+            def run(m):
+                sizes = [len(e._t) for row in m.entries for e in row.values()]
+                paths.append((path, m.n, sum(sizes) > laurent._PACK_TERMS,
+                              max(sizes) ** 2 >= pairs))
+                return f(m)
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "_PACK_PAIRS", pairs)
+            mp.setattr(laurent, "_det_packed", spy("packed", packed))
+            mp.setattr(laurent, "_bareiss", spy("bareiss", bareiss))
+            assert [det(m) for m in mats] == expect
+        assert all(2 <= n <= 5 and not past and (n > 3 or large)
+                   for p, n, past, large in paths if p == "packed")
+        taken = [(n, past, large) for p, n, past, large in paths if p == "bareiss"]
+        assert all(n == 1 or n > 5 or past or not large for n, past, large in taken)
+        # both paths are taken, Bareiss for each reason: side 1, beyond side
+        # 5, past the ceiling, and small entries at side 2-3 (with pairs only)
+        assert any(p == "packed" for p, *_ in paths)
+        assert any(n == 1 for n, _, _ in taken) and any(n > 5 for n, _, _ in taken)
+        assert any(2 <= n <= 5 and past for n, past, _ in taken)
+        assert any(2 <= n <= 3 and not large for n, _, large in taken) == bool(pairs)
 
 
 def test_z_renders_are_pinned():
@@ -1032,6 +1087,17 @@ def test_z_matches_a_point_oracle():
             assert point_value(invariants.z_polynomial(d), a, b, MERSENNE_61) == expect
             nonzero += expect != 0
     assert nonzero >= 60
+
+
+@given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32), st.data())
+@settings(max_examples=150, deadline=None)
+def test_z_matches_a_point_oracle_on_drawn_diagrams(crossings, components, seed, data):
+    # the sizes whose determinant residuals reach side 4 and 5
+    d = random_diagram(GeneratorConfig(crossings, components, 0, seed=seed))
+    assume(not d.has_empty_component())
+    a, b = (data.draw(st.integers(2, MERSENNE_61 - 1)) for _ in range(2))
+    expect = point_z(d, a, b, MERSENNE_61)
+    assert point_value(invariants.z_polynomial(d), a, b, MERSENNE_61) == expect
 
 
 def test_det_cofactor_size_limit():
