@@ -25,6 +25,7 @@ import contextlib
 import json
 import random
 import sys
+from typing import Callable
 
 from .diagram import (
     Diagram,
@@ -130,45 +131,38 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _emit(fmt: str, payload: Callable[[], object], text: Callable[[], str]) -> None:
+    """Print `payload()` as JSON or `text()` as it stands, whichever `fmt`
+    names; the other is never built."""
+    print(json.dumps(payload(), indent=2) if fmt == "json" else text())
+
+
 def _print_checks(results: list[CheckResult], fmt: str) -> int:
     ok = all(r.passed for r in results if not r.informational)
-    if fmt == "json":
-        payload = {
-            "passed": ok,
-            "checks": [
-                {
-                    "name": r.name,
-                    "trials": r.trials,
-                    "failures": r.failures,
-                    "passed": r.passed,
-                    "informational": r.informational,
-                    "examples": r.examples,
-                }
-                for r in results
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            print(r.line())
-            for e in r.examples:
-                print(f"    counterexample: {e}")
-        print("result: " + ("pass" if ok else "FAIL"))
+    _emit(fmt, lambda: {
+        "passed": ok,
+        "checks": [
+            {
+                "name": r.name,
+                "trials": r.trials,
+                "failures": r.failures,
+                "passed": r.passed,
+                "informational": r.informational,
+                "examples": r.examples,
+            }
+            for r in results
+        ],
+    }, lambda: "\n".join([line for r in results
+                          for line in (r.line(), *(f"    counterexample: {e}" for e in r.examples))]
+                         + ["result: " + ("pass" if ok else "FAIL")]))
     return 0 if ok else 1
 
 
 def _cmd_compute(args) -> int:
-    d = _load(args.file)
-    rep = report(d)
-    if args.format == "json":
-        out = rep.to_json_dict()
-        if rep.double_points == 0 and rep.components > 1:
-            out["notes"] = [LINK_NOTE]
-        print(json.dumps(out, indent=2))
-    else:
-        print(rep.to_text())
-        if rep.double_points == 0 and rep.components > 1:
-            print(LINK_NOTE)
+    rep = report(_load(args.file))
+    notes = [LINK_NOTE] if rep.double_points == 0 and rep.components > 1 else []
+    _emit(args.format, lambda: rep.to_json_dict() | ({"notes": notes} if notes else {}),
+          lambda: "\n".join([rep.to_text(), *notes]))
     return 0
 
 
@@ -228,20 +222,15 @@ def _cmd_skein(args) -> int:
     if rec is None or rec.kind != "x":
         raise InputError(f"no classical crossing {cid} in {args.file}")
     zp, zm, z0, residual = skein_terms(d, cid)
-    if args.format == "json":
-        print(json.dumps({
-            "crossing": cid,
-            "z_positive": zp.render(),
-            "z_negative": zm.render(),
-            "z_smoothed": z0.render(),
-            "residual": residual.render(),
-            "passed": residual.is_zero(),
-        }, indent=2))
-    else:
-        print(f"Z(D+)    {zp.render()}")
-        print(f"Z(D-)    {zm.render()}")
-        print(f"Z(D0)    {z0.render()}")
-        print(f"residual {residual.render()}")
+    _emit(args.format, lambda: {
+        "crossing": cid,
+        "z_positive": zp.render(),
+        "z_negative": zm.render(),
+        "z_smoothed": z0.render(),
+        "residual": residual.render(),
+        "passed": residual.is_zero(),
+    }, lambda: f"Z(D+)    {zp.render()}\nZ(D-)    {zm.render()}\n"
+               f"Z(D0)    {z0.render()}\nresidual {residual.render()}")
     return 0 if residual.is_zero() else 1
 
 
@@ -254,12 +243,9 @@ def _cmd_orient(args) -> int:
         ("mirrored+reversed", mirror(reverse(d))),
     ]
     values = [(label, c1(v).render()) for label, v in rows]
-    if args.format == "json":
-        print(json.dumps({"c1": dict(values)}, indent=2))
-    else:
-        width = max(len(label) for label, _ in values)
-        for label, val in values:
-            print(f"{label:<{width}}  {val}")
+    width = max(len(label) for label, _ in values)
+    _emit(args.format, lambda: {"c1": dict(values)},
+          lambda: "\n".join(f"{label:<{width}}  {val}" for label, val in values))
     return 0
 
 
@@ -278,25 +264,19 @@ def _cmd_search(args) -> int:
         hit = find_noninvertible_knot(k, budget=budget)
         miss, noun = "no orientation-sensitive knot found", "codes"
     if hit is None:
-        if args.format == "json":
-            print(json.dumps({"found": False}, indent=2))
-        else:
-            print(f"{miss} (max crossings {k}, budget {budget})")
+        bound = "no budget" if budget is None else f"budget {budget}"
+        _emit(args.format, lambda: {"found": False},
+              lambda: f"{miss} (max crossings {k}, {bound})")
         return 1
     d, a, b, examined = hit
-    if args.format == "json":
-        print(json.dumps({
-            "found": True,
-            "examined": examined,
-            "code": format_diagram(d),
-            "c1": a.render(),
-            "c1_reversed": b.render(),
-        }, indent=2))
-    else:
-        print(f"found after {examined} {noun}:")
-        print(format_diagram(d))
-        print(f"c1           {a.render()}")
-        print(f"c1 reversed  {b.render()}")
+    _emit(args.format, lambda: {
+        "found": True,
+        "examined": examined,
+        "code": format_diagram(d),
+        "c1": a.render(),
+        "c1_reversed": b.render(),
+    }, lambda: f"found after {examined} {noun}:\n{format_diagram(d)}\n"
+               f"c1           {a.render()}\nc1 reversed  {b.render()}")
     return 0
 
 

@@ -32,11 +32,12 @@ becomes one integer, shifted into the exponent box that the residual's
 perfect matchings span, the integer determinant is expanded, and its
 digits are the determinant's coefficients, bounded in advance by a
 permanent.  The Conway expansion packs each x-column into one integer,
-a digit per y-exponent, and Taylor-shifts every row at once.  The
-schoolbook loops stay for small operands and for sparse operands whose
-box of slots would dwarf their term count.  Matrices (`PolyMatrix`)
-keep only their nonzero entries, and every determinant reads just
-those.
+a digit per y-exponent, and Taylor-shifts every row at once.  Small
+operands, and sparse ones whose box of slots would dwarf their term
+count, go term by term through one multiply-add, `_addmul`, which also
+makes the Schur updates of `det` and the steps of long division.
+Matrices (`PolyMatrix`) keep only their nonzero entries, and every
+determinant reads just those.
 
 Rendering grammar, used verbatim by the CLI and by regression tests:
 terms are sorted by (ex + ey, ex) ascending and joined with " + " or
@@ -68,7 +69,7 @@ _EXP_LIMIT = 1 << 30
 # times at 24 crossings were flat for thresholds from 50 to 400
 _PACK_PAIRS = 150
 # most digit slots a packed operand may take per term pair, so that a
-# sparse (x^(2^29) + y) * (y^(2^29) + x) stays on the schoolbook path
+# sparse (x^(2^29) + y) * (y^(2^29) + x) stays with `_addmul`
 _SLOTS_PER_PAIR = 8
 # most terms a determinant residual of side 2-5 may have to be packed whole,
 # where packing stops winning: on a shared 2-core machine, Bareiss against
@@ -180,9 +181,9 @@ def _from_int(v: int, x0: int, y0: int, w: int, h: int, nb: int,
     return {k: d - half for k, d in zip(keys, digits) if d != half}
 
 
-def _mul_schoolbook(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two packed-key term dicts, one term pair at a time."""
-    out: dict[int, int] = {}
+def _addmul(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Add a*b into the packed-key term dict `out`, one term pair at a
+    time, dropping the coefficients that cancel; returns `out`."""
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
@@ -200,7 +201,7 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
     Each operand is packed with rows of w slots, w the product's x-span,
     so no row of the product spills into the next.  A product
     coefficient is at most min(l1(a)*max|b|, l1(b)*max|a|) in magnitude,
-    which sets the digit width.  None, for the schoolbook loop, when the
+    which sets the digit width.  None, for `_addmul`, when the
     slots exceed `_SLOTS_PER_PAIR` per term pair.
     """
     sa, sb = _spread(a), _spread(b)
@@ -293,7 +294,7 @@ class LaurentPoly2:
 
     def __mul__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
         """The product; packed into one bigint product from `_PACK_PAIRS`
-        term pairs on, unless `_mul_packed` declines, schoolbook otherwise."""
+        term pairs on, unless `_mul_packed` declines, else by `_addmul`."""
         if isinstance(other, int):
             if not other:
                 return ZERO
@@ -303,17 +304,16 @@ class LaurentPoly2:
         a, b = self._t, other._t
         if not a or not b:
             return ZERO
+        if len(b) == 1:
+            a, b = b, a
         if len(a) == 1:
             (ka, ca), = a.items()
             return LaurentPoly2._raw({k + ka: c * ca for k, c in b.items()})
-        if len(b) == 1:
-            (kb, cb), = b.items()
-            return LaurentPoly2._raw({k + kb: c * cb for k, c in a.items()})
         if len(a) * len(b) >= _PACK_PAIRS:
             out = _mul_packed(a, b)
             if out is not None:
                 return LaurentPoly2._raw(out)
-        return LaurentPoly2._raw(_mul_schoolbook(a, b))
+        return LaurentPoly2._raw(_addmul({}, a, b))
 
     __rmul__ = __mul__
 
@@ -618,9 +618,10 @@ def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
 
 def _long_div(nt: dict[int, int], dt: dict[int, int],
               box: tuple[int, int, int, int]) -> dict[int, int]:
-    """Schoolbook long division by lex-leading terms of the packed keys,
-    which multiply in the ring, so quotient terms come out in falling
-    order and each is checked against the exponent box."""
+    """Long division by lex-leading terms of the packed keys, which
+    multiply in the ring, so quotient terms come out in falling order and
+    each is checked against the exponent box; `_addmul` takes each
+    quotient term times the divisor off the remainder."""
     x_lo, x_hi, y_lo, y_hi = box
     dk = max(dt)
     dc = dt[dk]
@@ -634,13 +635,7 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
         if r or not (x_lo <= qx <= x_hi and y_lo <= qy <= y_hi):
             raise ArithmeticError("non-exact division")
         quo[qk] = qc
-        for k, c in dt.items():
-            kk = k + qk
-            v = rem.get(kk, 0) - c * qc
-            if v:
-                rem[kk] = v
-            else:
-                rem.pop(kk, None)
+        _addmul(rem, dt, {qk: -qc})
     return quo
 
 
@@ -651,11 +646,11 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
     order.  Phase one eliminates on pivots that are units of the ring,
     i.e. +-x^a*y^b.  The inverse of such a pivot is again a monomial, so
     the Schur update a_ij - a_ic * p^-1 * a_rj needs no division: it runs
-    on term dicts copied once from the matrix and updated in place, one
-    monomial multiply-add at a time.  Each step takes a unit of a row
-    with the fewest entries, in a column with few entries, which keeps
-    fill-in low; rows are kept in buckets by entry count, so the search
-    reads only the first bucket that holds a unit (`_unit_pivot`).
+    on term dicts copied once from the matrix and updated in place by
+    `_addmul`.  Each step takes a unit of a row with the fewest entries,
+    in a column with few entries, which keeps fill-in low; rows are kept
+    in buckets by entry count, so the search reads only the first bucket
+    that holds a unit (`_unit_pivot`).
     No output depends on the pivot order, since the determinant is exact
     and canonical.  The pivots multiply into a monomial, and the Laplace
     sign comes once, at the end, from the parity of the order in which
@@ -707,20 +702,9 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
             row_i = rows[i]
             before = len(row_i)
             # -a_ic * p^-1, where p^-1 = pc * x^-a*y^-b because pc is +-1
-            f = [(k - pk, -v * pc) for k, v in row_i.pop(c).items()]
+            f = {k - pk: -v * pc for k, v in row_i.pop(c).items()}
             for j, b in pivot_row.items():
-                t = row_i.get(j)
-                if t is None:
-                    t = row_i[j] = {}
-                for kf, cf in f:
-                    for kb, cb in b.items():
-                        k = kf + kb
-                        v = t.get(k, 0) + cf * cb
-                        if v:
-                            t[k] = v
-                        else:
-                            del t[k]
-                if t:
+                if _addmul(row_i.setdefault(j, {}), f, b):
                     cols[j].add(i)
                 else:
                     del row_i[j]
@@ -903,9 +887,11 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     terms (ties to the lowest row, then column), which keeps products
     small, and returns 0 when there is none; a zero row left in the
     block stays zero under the update, so it ends as a zero determinant.
-    Each step divides all its entries by its previous pivot with
-    `_exact_div`.  On the dense residuals of large diagrams most
-    products and quotients take the packed path, and every packed
+    Each step applies one update, a_ij <- (piv * a_ij - a_ik * a_kj) /
+    prev, to every entry below and right of the pivot, a zero a_ik
+    included, dividing by the previous pivot with `_exact_div`.  On the
+    dense residuals of large diagrams most products and quotients take
+    the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
     `det` calls it on what unit elimination leaves, and the tests use it
     on whole matrices as an oracle for `det`.
@@ -934,15 +920,8 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
         for i in range(k + 1, n):
             row_i = rows[i]
             aik = row_i[k]
-            if aik._t:
-                for j in range(k + 1, n):
-                    row_i[j] = _exact_div(piv * row_i[j] - aik * row_k[j], prev)
-                row_i[k] = ZERO
-            else:
-                for j in range(k + 1, n):
-                    a = row_i[j]
-                    if a._t:
-                        row_i[j] = _exact_div(piv * a, prev)
+            for j in range(k + 1, n):
+                row_i[j] = _exact_div(piv * row_i[j] - aik * row_k[j], prev)
         prev = piv
     result = rows[n - 1][n - 1]
     return -result if sign < 0 else result

@@ -336,6 +336,71 @@ def test_verify_campaign_output_is_pinned(capsys):
     assert digest == "44f66d30a5b394c728407752e78e2f6800a4f46917f785400972e88afa5c46a0"
 
 
+PINNED_FILES = {
+    "vhopf": VHOPF,
+    "vtref": VTREF,
+    "singular": SINGULAR,
+    "sensitive": "component: O1+ O2+ O3+ U1+ U3+ U2+\n",
+    "random24": format_diagram(random_diagram(GeneratorConfig(24, 2, 0, seed=5))) + "\n",
+}
+
+# SHA-256 of the exit code and stdout of each command, in text and in JSON
+PINNED_OUTPUTS = {
+    "compute vhopf": (
+        "07793b24835f134bd9c71509de6fd1032f2a4c412229bf4bae21eccaef670519",
+        "7fe1a818cfdbbda6341f522f9bf0fb08784c75788822525eaf5ef8b6a9c2682f"),
+    "compute vtref": (
+        "7ffb03cbc06a953517fc3ab2c68039d1b47b0aec1093206642253bc0b597385f",
+        "cb2531df8ffbfbfd4a2edff112a2d1a9b019ba334d44592e87eed4c241571a92"),
+    "compute singular": (
+        "6a49a6b65ee4a38fda8693aa95cd7f66cc7b0f47ae2e7c90e75a2c2056618e59",
+        "9491b8dad58564ccfd69bfbbb9712339ca32adbde02e7eef5c3d721b8a5359e7"),
+    "compute random24": (
+        "8555c0545ae9cfbe6e8291786f4e901a0109125e0ee0caadcfc99cbb6a473af9",
+        "bdb0e816e8d0bfa41e8115335bc32d001c8cd27ea615ae76f5f66745193434b3"),
+    "skein vtref --crossing 1": (
+        "80716c942c0e0deb410e701d926fb1863486157ad215ea49151117b7ed6a0cae",
+        "60ff24abe961305ee8115a69effa1cf1f857ba5e3117b9424f58fb77a02e5602"),
+    "orient sensitive": (
+        "32d0cfa9e07d5e22ef9c5c171b2c8f985e1ac2c90557ce28cb9b41d8a2d2763e",
+        "6854e0b804034d35c00e001fcc1f622a061248e22009641edf3e04311d664bba"),
+    "search --max-crossings 4": (
+        "0d19a99ad48361cea85e9d9f8724d74b57ff3a44ce0c26572368072af724b0a2",
+        "02f42299237dc33d21449f81e34600b9ca666e23b2d86be7dcea36bbb6102191"),
+    "search --links --max-crossings 6": (
+        "710fd041ed6a5643481475f759c5c31305dbcf25944d05769c26729c0b3fc023",
+        "cd0b6412882d430aa350d51399c415ad2b5eed9f55c8ab06f43b86eaec0b1053"),
+    "verify --trials 5 --seed 3": (
+        "c6cadc1c6a188338ea2b0221e6a8f772f1ac4a0f371f3211f964f11c0d58086e",
+        "42fe55a08b0c68ce2009a7a5b0a34d84815f6792f63bd1eaf3df2d58906f5fc6"),
+    "verify --trials 5 --mutate": (
+        "dd2b7f232c6c7f563441e2e8692d253ab1e3f3e01c7fffa00f81a327151677ac",
+        "7f00b3432204a07d77628edb3d7f7f65d71b7c60c8bc48542d341c83830b4d24"),
+    "verify vhopf": (
+        "a4c65ed21bdd96a136400ccdd07a5c804c654493afe76b53deb8ff20d302f3c2",
+        "9ea60c3a67e23476ffb137a0c31270165250c88193602361da8ef491b90d1b32"),
+    "verify --random 4,1,2 --trials 5": (
+        "3e75f77b233859a27c0015e7cfd8e3939063f431605f08de7d65b3de1b735521",
+        "7659417b8109e9da69d5348a53ae9effd560d264a409c20e68b0c34908494197"),
+    "verify --random 6,2,0 --trials 3": (
+        "cd1d4eede413a58095afecf91dfff2602dccc74d7699e1392a5a39b747ea652e",
+        "447b186a2df444adbff3737880d106ee273098924bdbfdc5e45d520e24cad461"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", list(PINNED_OUTPUTS))
+def test_cli_outputs_are_pinned(command, fmt, tmp_path, capsys):
+    argv = command.split()
+    for i, word in enumerate(argv):
+        if word in PINNED_FILES:
+            argv[i] = str(tmp_path / word)
+            (tmp_path / word).write_text(PINNED_FILES[word])
+    code = main([*argv, "--format", fmt])
+    digest = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS[command][fmt == "json"]
+
+
 def test_verify_random_bad_spec(capsys):
     assert main(["verify", "--random", "3,2", "--trials", "2"]) == 2
     assert "bad --random spec" in capsys.readouterr().err
@@ -400,6 +465,13 @@ def test_search_finds_hit(capsys):
 def test_search_budget_exhausted(capsys):
     assert main(["search", "--max-crossings", "2", "--budget", "5"]) == 1
     assert "no orientation-sensitive knot" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget, bound", [([], "no budget"), (["--budget", "5"], "budget 5")])
+def test_search_miss_names_its_budget(budget, bound, capsys):
+    assert main(["search", "--max-crossings", "0", *budget]) == 1
+    assert capsys.readouterr().out == (
+        f"no orientation-sensitive knot found (max crossings 0, {bound})\n")
 
 
 def test_search_has_no_seed(capsys):

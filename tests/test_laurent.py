@@ -381,6 +381,44 @@ def dense_polys(bits):
         LaurentPoly2)
 
 
+def pairs(t):
+    """The {(ex, ey): c} mapping of a packed-key term dict, its keys
+    ex * 2^32 + ey decoded here."""
+    out = {}
+    for key, c in t.items():
+        ey = (key + 2 ** 31) % 2 ** 32 - 2 ** 31
+        out[(key - ey) >> 32, ey] = c
+    return out
+
+
+def reference_mul(a, b):
+    """The product of two {(ex, ey): c} mappings, one term pair at a time,
+    with the coefficients that cancel dropped: no code of `laurent`."""
+    out = {}
+    for (ax, ay), ca in a.items():
+        for (bx, by), cb in b.items():
+            k = ax + bx, ay + by
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("pack_pairs", [laurent._PACK_PAIRS, 0])
+@given(polys, polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_addmul_matches_a_reference_product(pack_pairs, a, b, c):
+    expect = reference_mul(pairs(a._t), pairs(b._t))
+    for k, v in pairs(c._t).items():
+        expect[k] = expect.get(k, 0) + v
+    expect = {k: v for k, v in expect.items() if v}
+    assert pairs(laurent._addmul(dict(c._t), a._t, b._t)) == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_PACK_PAIRS", pack_pairs)
+        assert pairs((c + a * b)._t) == expect
+    # adding -a*b back cancels every term
+    minus = LaurentPoly2({k: -v for k, v in reference_mul(pairs(a._t), pairs(b._t)).items()})
+    assert laurent._addmul(dict(minus._t), a._t, b._t) == {}
+
+
 # coefficient bits that put the product bound into 1-, 2-, 4- and 8-byte
 # digits, and beyond 64 bits, where digits take as many bytes as they need
 @pytest.mark.parametrize("bits, nb", [(1, 1), (5, 2), (13, 4), (29, 8), (33, 9), (60, 16)])
@@ -390,10 +428,9 @@ def test_packed_product_matches_schoolbook(bits, nb, data):
     a, b = data.draw(dense_polys(bits)), data.draw(dense_polys(bits))
     ma, mb = [abs(c) for c in a._t.values()], [abs(c) for c in b._t.values()]
     assert laurent._digit_bytes(min(sum(ma) * max(mb), sum(mb) * max(ma))) == nb
-    expect = laurent._mul_schoolbook(a._t, b._t)
-    got = laurent._mul_packed(a._t, b._t)
-    assert got == expect
-    assert (a * b)._t == expect
+    expect = reference_mul(pairs(a._t), pairs(b._t))
+    assert pairs(laurent._mul_packed(a._t, b._t)) == expect
+    assert pairs((a * b)._t) == expect
 
 
 @pytest.mark.parametrize("n, nb", [(127, 1), (128, 2)])
@@ -401,7 +438,7 @@ def test_packed_product_at_digit_boundary(n, nb):
     # the square of 1 + x + ... + x^(n-1) has middle coefficient n, exactly its bound
     a = sum((mono(1, i, 0) for i in range(n)), ZERO)
     assert laurent._digit_bytes(n) == nb
-    assert laurent._mul_packed(a._t, a._t) == laurent._mul_schoolbook(a._t, a._t)
+    assert pairs(laurent._mul_packed(a._t, a._t)) == reference_mul(pairs(a._t), pairs(a._t))
 
 
 @pytest.mark.parametrize("bits", [1, 5, 13, 29, 33, 60])
@@ -466,7 +503,7 @@ def test_packed_division_rejects_by_multiply_back(monkeypatch, digits, long_call
     assert len(calls) == long_calls
     # the packed multiply-back was made, and it is the true product
     (quo, den, back), = backs
-    assert back == laurent._mul_schoolbook(quo, den) != num._t
+    assert pairs(back) == reference_mul(pairs(quo), pairs(den)) != pairs(num._t)
 
 
 @pytest.mark.parametrize("num, den", [
@@ -490,10 +527,8 @@ def test_packed_division_rejects_an_undecodable_quotient(monkeypatch, num, den):
 def test_packed_division_leaves_a_wide_quotient_to_long_division(monkeypatch):
     # the numerator's largest coefficient, 13260, picks 2-byte digits, in
     # which the quotient's 48620 = C(18, 9) does not fit
-    q = ONE
-    for _ in range(18):
-        q = LaurentPoly2._raw(laurent._mul_schoolbook(q._t, (ONE + X)._t))
-    num = LaurentPoly2._raw(laurent._mul_schoolbook(q._t, (ONE - X)._t))
+    qs = {(i, 0): comb(18, i) for i in range(19)}  # (1 + x)^18
+    q, num = LaurentPoly2(qs), LaurentPoly2(reference_mul(qs, {(0, 0): 1, (1, 0): -1}))
     assert max(num._t.values()) == 13260 and max(q._t.values()) == 48620
     calls = spy_long_division(monkeypatch)
     assert laurent._exact_div(num, ONE - X) == q
