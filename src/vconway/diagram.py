@@ -327,12 +327,17 @@ def switch(d: Diagram, cid: int) -> Diagram:
     rec = d.crossings.get(cid)
     if rec is None or rec.kind != "x":
         raise ValueError(f"crossing {cid} is not a classical crossing of this diagram")
-    flip = {OVER: UNDER, UNDER: OVER}
+    return _relabel(d, cid, {OVER: UNDER, UNDER: OVER}, -rec.sign)
+
+
+def _relabel(d: Diagram, cid: int, roles: dict[str, str], sign: int) -> Diagram:
+    """Map crossing cid's passage roles through `roles` and make it a
+    classical crossing of the given sign."""
     comps = tuple(
-        tuple(Passage(p.crossing, flip[p.role]) if p.crossing == cid else p for p in comp)
+        tuple(Passage(p.crossing, roles[p.role]) if p.crossing == cid else p for p in comp)
         for comp in d.components
     )
-    return Diagram(comps, {**d.crossings, cid: Crossing(cid, "x", -rec.sign)})
+    return Diagram(comps, {**d.crossings, cid: Crossing(cid, "x", sign)})
 
 
 def set_sign(d: Diagram, cid: int, sign: int) -> Diagram:
@@ -389,14 +394,7 @@ def resolve_double(d: Diagram, cid: int) -> Diagram:
     rec = d.crossings.get(cid)
     if rec is None or rec.kind != "d":
         raise ValueError(f"crossing {cid} is not a double point of this diagram")
-    role_map = {FIRST: OVER, SECOND: UNDER}
-    comps = tuple(
-        tuple(
-            Passage(p.crossing, role_map[p.role]) if p.crossing == cid else p for p in comp
-        )
-        for comp in d.components
-    )
-    return Diagram(comps, {**d.crossings, cid: Crossing(cid, "x", 1)})
+    return _relabel(d, cid, {FIRST: OVER, SECOND: UNDER}, 1)
 
 
 def reverse(d: Diagram) -> Diagram:

@@ -42,6 +42,7 @@ from typing import Callable
 from .laurent import (
     ONE,
     X,
+    X_INV,
     Y,
     Y_INV,
     ZERO,
@@ -71,7 +72,7 @@ POS_BLOCK: tuple[tuple[LaurentPoly2, ...], ...] = (
 )
 NEG_BLOCK: tuple[tuple[LaurentPoly2, ...], ...] = (
     (ZERO, LaurentPoly2.monomial(-1, -1, 1)),
-    (-Y_INV, ONE - LaurentPoly2.monomial(1, -1, 0)),
+    (-Y_INV, ONE - X_INV),
 )
 
 DEFAULT_BLOCKS = {1: POS_BLOCK, -1: NEG_BLOCK}
@@ -216,7 +217,7 @@ def kink_factor(over_first: bool, sign: int) -> LaurentPoly2:
     """
     if sign > 0:
         return ONE if over_first else X
-    return LaurentPoly2.monomial(1, -1, 0) if not over_first else ONE
+    return X_INV if not over_first else ONE
 
 
 def skein_terms(d: Diagram, cid: int):

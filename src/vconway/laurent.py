@@ -26,12 +26,12 @@ or beyond that as many whole bytes as the coefficient bound needs, read
 back one `memoryview` slice at a time, so no operand is too wide to
 pack.  A packed quotient is used only once its product with the divisor
 is shown to give the numerator; failing that, long division decides.  A
-determinant residual of side 2 to 5 and at most `_PACK_TERMS` terms
-(at side 2 or 3 only with large entries) is packed whole: each entry
-becomes one integer, shifted into the exponent box that the residual's
-perfect matchings span, the integer determinant is expanded, and its
-digits are the determinant's coefficients, bounded in advance by a
-permanent.  The Conway expansion packs each x-column into one integer,
+determinant residual of side 3 to 5 is packed whole, unless
+`_det_packed` declines by terms or slots: each entry becomes one
+integer, shifted into the exponent box that the residual's perfect
+matchings span, the integer determinant is expanded, and its digits
+are the determinant's coefficients, bounded in advance by a permanent.
+The Conway expansion packs each x-column into one integer,
 a digit per y-exponent, and Taylor-shifts every row at once.  Small
 operands, and sparse ones whose box of slots would dwarf their term
 count, go term by term through one multiply-add, `_addmul`, which also
@@ -71,11 +71,7 @@ _PACK_PAIRS = 150
 # most digit slots a packed operand may take per term pair, so that a
 # sparse (x^(2^29) + y) * (y^(2^29) + x) stays with `_addmul`
 _SLOTS_PER_PAIR = 8
-# most terms a determinant residual of side 2-5 may have to be packed whole,
-# where packing stops winning: on a shared 2-core machine, Bareiss against
-# packed took 5-25 against 1.3-6.5 ms on side-5 residuals of 79-518 terms and
-# 23 against 20 ms at 735 terms, but 30 against 36 ms at 768, 17 against 20 ms
-# at 830 and 42 against 100 ms at 1,091; at side 4, 9.3 against 10.9 ms at 964
+# most terms on a residual's perfect matchings that `_det_packed` packs
 _PACK_TERMS = 750
 # unsigned array typecode for each digit width in bytes
 _DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
@@ -657,11 +653,11 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
     rows and columns were eliminated.  The matrices this package builds
     are mostly monomials (M - P has only the 1 - x^+-1 diagonal terms as
     non-units), so typically a few rows are left, with no unit entry.
-    That residual goes by its size.  Side 1 is its own entry.  Sides 2
-    to 5 of at most `_PACK_TERMS` terms go to `_det_packed`, one integer
-    determinant, except at side 2 or 3 with no entry of `_PACK_PAIRS`
-    term pairs, where `_bareiss` is faster.  Every other residual, and
-    one `_det_packed` declines, goes to `_bareiss`.
+    That residual goes by its side alone.  Sides 3 to 5 go to
+    `_det_packed`, one integer determinant over all n! permutations, which
+    declines by terms or slots.  Every other residual, and one
+    `_det_packed` declines, goes to `_bareiss`, which divides only by 1 at
+    sides 1 and 2.
     """
     n = matrix.n
     if n == 0:
@@ -721,12 +717,7 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
         order = {j: pos for pos, j in enumerate(sorted(cols))}
         residual = PolyMatrix(len(rows), tuple(
             {order[j]: LaurentPoly2._raw(t) for j, t in rows[i].items()} for i in sorted(rows)))
-        sizes = [len(t) for row in rows.values() for t in row.values()]
-        packed = None
-        # _det_packed walks all n! permutations, so it takes sides up to 5
-        if (2 <= len(rows) <= 5 and sum(sizes) <= _PACK_TERMS
-                and (len(rows) > 3 or max(sizes) ** 2 >= _PACK_PAIRS)):
-            packed = _det_packed(residual)
+        packed = _det_packed(residual) if 3 <= len(rows) <= 5 else None
         value = _bareiss(residual) if packed is None else packed
     return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
 
@@ -771,9 +762,9 @@ def _odd(order: list[int]) -> bool:
 
 def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     """The determinant of a small matrix as one integer determinant at a
-    Kronecker point, or None, for `_bareiss`, when the slots exceed
-    `_SLOTS_PER_PAIR` per pair of the matrix's terms.  It walks all n!
-    permutations, so `det` calls it on sides up to 5.
+    Kronecker point, or None, for `_bareiss`, when it declines by terms
+    (past `_PACK_TERMS` on its perfect matchings) or by slots (past
+    `_SLOTS_PER_PAIR` per pair of those terms); `det` sends sides 3 to 5.
 
     A term of the expansion takes the entries of one perfect matching of
     the nonzero pattern, so entries on no such matching are left out, and
@@ -801,11 +792,18 @@ def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     for p in matchings:
         for i, j in enumerate(p):
             used[i][j] = spreads[i][j]
+    terms = sum(len(s[2]) for row in used for s in row.values())
+    # past _PACK_TERMS packing stops winning: on a shared 2-core machine,
+    # Bareiss against packed took 5-25 against 1.3-6.5 ms on side-5 residuals
+    # of 79-518 terms and 23 against 20 ms at 735 terms, but 30 against 36 ms
+    # at 768, 17 against 20 ms at 830 and 42 against 100 ms at 1,091; at side
+    # 4, 9.3 against 10.9 ms at 964
+    if terms > _PACK_TERMS:
+        return None
     (ux, vx, x0, w), (uy, vy, y0, h) = (
         _box_side([{j: min(s[k]) for j, s in row.items()} for row in used],
                   [{j: max(s[k]) for j, s in row.items()} for row in used], matchings)
         for k in (0, 1))
-    terms = sum(len(s[2]) for row in used for s in row.values())
     if w * h > _SLOTS_PER_PAIR * terms * terms:
         return None
     norms = [{j: sum(map(abs, s[2])) for j, s in row.items()} for row in used]
@@ -893,8 +891,8 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     dense residuals of large diagrams most products and quotients take
     the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
-    `det` calls it on what unit elimination leaves, and the tests use it
-    on whole matrices as an oracle for `det`.
+    `det` calls it on the residuals `_det_packed` does not take, and the
+    tests use it on whole matrices as an oracle for `det`.
     """
     n = matrix.n
     if n == 0:

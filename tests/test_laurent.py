@@ -985,22 +985,70 @@ def test_packed_residual_on_spread_exponents(m):
 
 
 def test_sparse_residual_is_not_packed(monkeypatch):
-    # entries of 13 terms spread over 2^29 exponents: a packed residual would
+    # entries of 3 terms spread over 2^29 exponents: a packed residual would
     # need about 2^58 slots, so packing declines and Bareiss decides
     rng = random.Random(7)
     rows = [[LaurentPoly2({(rng.randrange(2**29), rng.randrange(2**29)): rng.choice((1, -1))
-                           for _ in range(13)}) for _ in range(2)] for _ in range(2)]
+                           for _ in range(3)}) for _ in range(3)] for _ in range(3)]
     m = PolyMatrix.from_rows(rows)
     expect = det_cofactor(m)
     paths = spy_residuals(monkeypatch)
     assert det(m) == expect
-    assert paths == [("declined", 2), ("bareiss", 2)]
+    assert paths == [("declined", 3), ("bareiss", 3)]
+
+
+def campaign_entry(rng):
+    """Zero, or 2-4 monomials of coefficient +-1 with small exponents, as
+    in the side-3 residuals that small diagrams leave: never a unit."""
+    if rng.random() < 0.3:
+        return ZERO
+    while True:
+        e = LaurentPoly2({(rng.randint(-2, 3), rng.randint(-2, 3)): rng.choice((1, -1))
+                          for _ in range(rng.randint(2, 4))})
+        if e.term_count() >= 2:
+            return e
+
+
+def test_small_side_3_residuals_are_packed(monkeypatch):
+    rng = random.Random(21)
+    mats = []
+    while len(mats) < 20:
+        m = PolyMatrix.from_rows([[campaign_entry(rng) for _ in range(3)] for _ in range(3)])
+        if all(m.entries):
+            mats.append(m)
+    expect = [det_cofactor(m) for m in mats]
+    assert expect == [_bareiss(m) for m in mats]
+    assert sum(not e.is_zero() for e in expect) >= 10
+    paths = spy_residuals(monkeypatch)
+    assert [det(m) for m in mats] == expect
+    assert paths == [("packed", 3)] * len(mats)
+
+
+def test_side_2_residual_with_large_entries_goes_to_bareiss(monkeypatch):
+    # 2 x 2 entries of 13 terms, 169 term pairs each: still Bareiss, whose
+    # one step divides by 1
+    rng = random.Random(22)
+    rows = [[LaurentPoly2({(k % 4, k // 4): rng.choice((1, -1)) * rng.randint(1, 9) for k in range(13)})
+             for _ in range(2)] for _ in range(2)]
+    m = PolyMatrix.from_rows(rows)
+    expect = det_cofactor(m)
+    assert expect == _bareiss(m) != ZERO
+    paths = spy_residuals(monkeypatch)
+    assert det(m) == expect
+    assert paths == [("bareiss", 2)]
+
+
+def matched_terms(m):
+    """The terms of the entries on the perfect matchings of m."""
+    on = {(i, j) for p in permutations(range(m.n))
+          if all(j in row for j, row in zip(p, m.entries)) for i, j in enumerate(p)}
+    return sum(m.entries[i][j].term_count() for i, j in on)
 
 
 def test_det_takes_both_residual_paths():
-    # a residual of side 2-5 packs unless its terms pass _PACK_TERMS, and at
-    # side 2 or 3 only with an entry of _PACK_PAIRS term pairs; side 1 is its
-    # own entry, and larger sides go to Bareiss
+    # a residual of side 3-5 packs unless the entries on its perfect
+    # matchings have more than _PACK_TERMS terms; sides 1-2 and 6 on go to
+    # Bareiss, and no entry size changes that
     rng = random.Random(12)
     mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
     mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
@@ -1011,32 +1059,33 @@ def test_det_takes_both_residual_paths():
                                    for _ in range(n)]) for n in (4, 5)]
     expect = [det_cofactor(m) for m in mats]
     packed, bareiss = laurent._det_packed, laurent._bareiss
-    for pairs in (0, laurent._PACK_PAIRS):
+    runs = []
+    for pairs in (0, laurent._PACK_PAIRS, 10**9):
         paths = []
 
-        def spy(path, f):
-            def run(m):
-                sizes = [len(e._t) for row in m.entries for e in row.values()]
-                paths.append((path, m.n, sum(sizes) > laurent._PACK_TERMS,
-                              max(sizes) ** 2 >= pairs))
-                return f(m)
-            return run
+        def spy_packed(m):
+            out = packed(m)
+            paths.append(("packed" if out is not None else "declined", m.n,
+                          matched_terms(m) > laurent._PACK_TERMS))
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(laurent, "_PACK_PAIRS", pairs)
-            mp.setattr(laurent, "_det_packed", spy("packed", packed))
-            mp.setattr(laurent, "_bareiss", spy("bareiss", bareiss))
+            mp.setattr(laurent, "_det_packed", spy_packed)
+            mp.setattr(laurent, "_bareiss",
+                       lambda m: paths.append(("bareiss", m.n, None)) or bareiss(m))
             assert [det(m) for m in mats] == expect
-        assert all(2 <= n <= 5 and not past and (n > 3 or large)
-                   for p, n, past, large in paths if p == "packed")
-        taken = [(n, past, large) for p, n, past, large in paths if p == "bareiss"]
-        assert all(n == 1 or n > 5 or past or not large for n, past, large in taken)
-        # both paths are taken, Bareiss for each reason: side 1, beyond side
-        # 5, past the ceiling, and small entries at side 2-3 (with pairs only)
-        assert any(p == "packed" for p, *_ in paths)
-        assert any(n == 1 for n, _, _ in taken) and any(n > 5 for n, _, _ in taken)
-        assert any(2 <= n <= 5 and past for n, past, _ in taken)
-        assert any(2 <= n <= 3 and not large for n, _, large in taken) == bool(pairs)
+        runs.append(paths)
+    # the routing reads no entry size: the same paths at any _PACK_PAIRS
+    assert runs == [paths] * 3
+    assert all(3 <= n <= 5 and past == (p == "declined") for p, n, past in paths if p != "bareiss")
+    taken = [n for p, n, _ in paths if p == "bareiss"]
+    declined = [n for p, n, _ in paths if p == "declined"]
+    assert sorted(n for n in taken if 3 <= n <= 5) == sorted(declined)
+    # both paths are taken, Bareiss for each reason: sides 1 and 2, beyond
+    # side 5, and past the ceiling
+    assert any(p == "packed" for p, _, _ in paths)
+    assert {1, 2} <= set(taken) and max(taken) > 5 and sorted(declined) == [4, 5]
 
 
 def test_z_renders_are_pinned():
