@@ -14,6 +14,14 @@ relation below would flip sign at every smoothing.  The property suite
 companion-permutation formula for c0) holds with this prefactor and
 with no other, which is what pins it down.
 
+Z is computed on a smaller matrix with the same determinant up to sign.
+Each crossing's over-exit row of M - P holds one unit and P's -1, so
+those n rows are eliminated along each component without a search or a
+division (Silver & Williams, JKTR 10, 2001, present the generalized
+Alexander polynomial on arcs the same way).  What is left is the arc
+matrix: one row per under passage over one column per arc, plus one row
+and column per component with no under passage, n + a in all.
+
 A crossing-free diagram, or any diagram with a crossing-free
 component, has Z = 0 by definition; the second case is forced by
 first-move invariance, because a kink block on an otherwise empty
@@ -49,21 +57,26 @@ from .laurent import (
     ConwayPoly,
     LaurentPoly2,
     PolyMatrix,
+    _odd,
     det,
+    det_terms,
     eval_x1,
     expand_conway,
     normalize_x,
 )
 from .diagram import (
+    UNDER,
     Diagram,
     SlotPermutation,
-    build_P,
+    _require_valid,
     build_TP,
     resolve_double,
     set_sign,
     smooth,
     switch,
 )
+# unused here, but perfbench/tracing.py wraps this attribute of the module
+from .diagram import build_P  # noqa: F401
 
 # 2 x 2 crossing blocks; the negative block is the inverse of the positive one.
 POS_BLOCK: tuple[tuple[LaurentPoly2, ...], ...] = (
@@ -103,35 +116,126 @@ MAX_DOUBLE_POINTS = 6
 # Small on purpose: a campaign's repeats come within a few calls of each
 # other, and a larger memo holds more 24+ crossing polynomials for nothing.
 Z_MEMO_SIZE = 32
-_MINUS_ONE = -ONE  # added at each entry of P: subtracting ONE would negate a copy
 
 
 def z_polynomial(d: Diagram) -> LaurentPoly2:
     """The raw determinant polynomial Z(d) of a classical-only diagram.
 
     M is made of the crossing pair above; inside `mutated_blocks()` its
-    negative block is wrong.  The Z_MEMO_SIZE most recently used values are
-    kept, keyed by the diagram, so a diagram evaluated again (c1 after
-    c0, D+ or D- equal to D in a skein triple) costs no determinant.
+    negative block is wrong.  det(M - P) is taken on the arc matrix
+    (`_arc_matrix`), of side n plus one per component with no under
+    passage.  The Z_MEMO_SIZE most recently used values are kept, keyed
+    by the diagram, so a diagram evaluated again (c1 after c0, D+ or D-
+    equal to D in a skein triple) costs no determinant.
     """
     if d.has_doubles():
         raise ValueError("resolve double points first: Z is defined on classical diagrams")
     return _z_memo(d)
 
 
-def _slot_matrix(blocks: list[tuple[tuple[LaurentPoly2, ...], ...]], perm: SlotPermutation,
-                 entry: LaurentPoly2) -> PolyMatrix:
+def _slot_matrix(blocks: list[tuple[tuple[LaurentPoly2, ...], ...]],
+                 perm: SlotPermutation) -> PolyMatrix:
     """The 2n x 2n matrix with the 2 x 2 `blocks` down the diagonal, one per
-    crossing by rank, plus `entry` in row perm[s] of each column s; only
-    its nonzero entries are written."""
+    crossing by rank, plus 1 in row perm[s] of each column s; only its
+    nonzero entries are written."""
     rows = [{j: e for j, e in enumerate(half, 2 * i) if e._t}
             for i, blk in enumerate(blocks) for half in blk]
     for s, t in enumerate(perm.perm):
-        e = rows[t].pop(s, None)
-        e = entry if e is None else e + entry
+        e = rows[t].pop(s, ZERO) + ONE
         if e._t:
             rows[t][s] = e
     return PolyMatrix(2 * perm.n, tuple(rows))
+
+
+_split: tuple = (None, {})  # (a block set, its rows by sign), read once per block set
+
+
+def _block_rows() -> dict[int, tuple]:
+    """For each sign, from `_blocks`, the term dicts of the over-exit row's
+    one entry, a unit in the over-entry column, and of the under-exit
+    row's entries in the over-entry and under-entry columns.  Raises
+    ValueError if an over-exit row is not one unit."""
+    global _split
+    if _split[0] is not _blocks:
+        rows = {}
+        for sign, block in _blocks.items():
+            o = 0 if sign > 0 else 1  # the over-entry side, as in diagram's slot convention
+            over = block[o ^ 1][o]._t
+            if block[o ^ 1][o ^ 1] or len(over) != 1 or abs(*over.values()) != 1:
+                raise ValueError(f"the over-exit row of the {sign:+d} block is not one unit")
+            rows[sign] = (over, block[o][o]._t, block[o][o ^ 1]._t)
+        _split = (_blocks, rows)
+    return _split[1]
+
+
+def _arc_matrix(d: Diagram) -> tuple[list[dict[int, dict[int, int]]], bool]:
+    """M - P with its over-exit rows eliminated along each component, as
+    rows of term dicts for `det_terms`, and whether det(M - P) is minus
+    their determinant.
+
+    Rows of M - P are exit slots and columns entry slots.  Crossing c's
+    over-exit row holds its block's unit u_c in c's over-entry column and
+    P's -1 in the next passage's entry column, so pivoting on that -1
+    gives v_next = u_c * v_entry.  Along an arc, from just after one under
+    passage to the next, each entry slot is thus m times the arc's first,
+    m the product of the units passed.  The Schur complement left has one
+    row per under passage, its block row plus P's -1 with each entry
+    times the m of its slot, over one column per arc.  A component with
+    no under passage keeps its last over row, whose one entry u*m - 1
+    closes the cycle.  In walk order the eliminated rows against their -1
+    columns form a triangular block with -1 down its diagonal.
+    """
+    rows_of = _block_rows()
+    # the over passage enters on l at a positive crossing and on r at a
+    # negative one, the under passage on the other side (diagram.py)
+    over_entry = {cid: 2 * i + (d.crossings[cid].sign < 0)
+                  for i, cid in enumerate(d.classical_ids())}
+    at = [(0, 0, 0)] * (2 * len(over_entry))  # entry slot -> (its arc, m as key and coefficient)
+    row_order: list[int] = []
+    col_order: list[int] = []
+    arcs: list[int] = []  # the first entry slot of each arc
+    kept: list[tuple[int, int, int]] = []  # (entry slot, crossing, next entry slot)
+    for comp in d.components:
+        ends = [t for t, p in enumerate(comp) if p.role == UNDER]
+        start = ends[-1] + 1 if ends else 0
+        walk = comp[start:] + comp[:start]
+        slots = [over_entry[p.crossing] ^ (p.role == UNDER) for p in walk]
+        slots.append(slots[0])
+        arc, mk, mc = len(arcs), 0, 1
+        arcs.append(slots[0])
+        for t, p in enumerate(walk):
+            e, nxt = slots[t], slots[t + 1]
+            at[e] = (arc, mk, mc)
+            if p.role == UNDER:
+                kept.append((e, p.crossing, nxt))
+                if t + 1 < len(walk):  # the last one closes onto the first arc
+                    arc, mk, mc = len(arcs), 0, 1
+                    arcs.append(nxt)
+            elif ends or t + 1 < len(walk):
+                (uk, uc), = rows_of[d.crossings[p.crossing].sign][0].items()
+                mk, mc = mk + uk, mc * uc
+                row_order.append(e ^ 1)
+                col_order.append(nxt)
+            else:  # the closing row of a component with no under passage
+                kept.append((e, p.crossing, nxt))
+    rows = []
+    for e, cid, nxt in kept:
+        o = over_entry[cid]
+        u, a, w = rows_of[d.crossings[cid].sign]
+        cells = [(at[o], u)] if e == o else [(at[o], a), (at[o ^ 1], w)]
+        cells.append(((at[nxt][0], 0, -1), ONE._t))  # P's -1; m is 1 there
+        row: dict[int, dict[int, int]] = {}
+        for (arc, mk, mc), terms in cells:
+            entry = row.setdefault(arc, {})
+            for k, c in terms.items():
+                v = entry.get(k + mk, 0) + c * mc
+                if v:
+                    entry[k + mk] = v
+                else:
+                    del entry[k + mk]
+        rows.append({j: entry for j, entry in row.items() if entry})
+    odd = len(row_order) + _odd(row_order + [e ^ 1 for e, _, _ in kept]) + _odd(col_order + arcs)
+    return rows, odd % 2 == 1
 
 
 @functools.lru_cache(maxsize=Z_MEMO_SIZE)
@@ -139,12 +243,10 @@ def _z_memo(d: Diagram) -> LaurentPoly2:
     n = d.n_classical()
     if n == 0 or d.has_empty_component():
         return ZERO
-    P = build_P(d)
-    blocks = [_blocks[d.crossings[cid].sign] for cid in d.classical_ids()]
-    value = det(_slot_matrix(blocks, P, _MINUS_ONE))
-    if (n + len(d.components)) % 2:
-        value = -value
-    return value
+    _require_valid(d)
+    rows, negated = _arc_matrix(d)
+    value = det_terms(rows)
+    return -value if (negated + n + len(d.components)) % 2 else value
 
 
 def z_normalized(d: Diagram) -> LaurentPoly2:
@@ -185,7 +287,7 @@ def c0_via_tp(d: Diagram) -> LaurentPoly2:
     crossing-free component, where the identity holds.
     """
     TP = _companion_TP(d)
-    return det(_slot_matrix([((Y_INV, ZERO), (ZERO, Y))] * TP.n, TP, ONE))
+    return det(_slot_matrix([((Y_INV, ZERO), (ZERO, Y))] * TP.n, TP))
 
 
 def c0_cycle_form(d: Diagram) -> LaurentPoly2:

@@ -25,8 +25,9 @@ the digits back.  B is 8, 16, 32 or 64 bits, read back as one `array`,
 or beyond that as many whole bytes as the coefficient bound needs, read
 back one `memoryview` slice at a time, so no operand is too wide to
 pack.  A packed quotient is used only once its product with the divisor
-is shown to give the numerator; failing that, long division decides.  A
-determinant residual of side 3 to 5 is packed whole, unless
+is shown to give the numerator; failing that, long division decides.
+`det_terms` closes a determinant residual of side 1 or 2 itself, by its
+entry or by a*d - b*c.  One of side 3 to 5 is packed whole, unless
 `_det_packed` declines by terms or slots: each entry becomes one
 integer, shifted into the exponent box that the residual's perfect
 matchings span, the integer determinant is expanded, and its digits
@@ -35,7 +36,7 @@ The Conway expansion packs each x-column into one integer,
 a digit per y-exponent, and Taylor-shifts every row at once.  Small
 operands, and sparse ones whose box of slots would dwarf their term
 count, go term by term through one multiply-add, `_addmul`, which also
-makes the Schur updates of `det` and the steps of long division.
+makes the Schur updates of `det_terms` and the steps of long division.
 Matrices (`PolyMatrix`) keep only their nonzero entries, and every
 determinant reads just those.
 
@@ -636,42 +637,46 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
 
 
 def det(matrix: PolyMatrix) -> LaurentPoly2:
-    """Exact determinant: unit pivots first, then the small residual.
+    """Exact determinant: the entries are copied into owned term dicts, in
+    column order, and `det_terms` eliminates them."""
+    return det_terms([{j: dict(row[j]._t) for j in sorted(row) if row[j]._t}
+                      for row in matrix.entries])
 
-    It reads only the matrix's nonzero entries, row by row in column
-    order.  Phase one eliminates on pivots that are units of the ring,
+
+def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
+    """The determinant of the matrix whose row i maps each column j in
+    range(len(entries)) to the term dict of its nonzero entry (i, j):
+    unit pivots first, then the small residual.  The dicts are owned and
+    updated in place; `det` copies a `PolyMatrix` into them, and Z builds
+    them already reduced (see `invariants`).
+
+    Phase one eliminates on pivots that are units of the ring,
     i.e. +-x^a*y^b.  The inverse of such a pivot is again a monomial, so
     the Schur update a_ij - a_ic * p^-1 * a_rj needs no division: it runs
-    on term dicts copied once from the matrix and updated in place by
-    `_addmul`.  Each step takes a unit of a row with the fewest entries,
-    in a column with few entries, which keeps fill-in low; rows are kept
-    in buckets by entry count, so the search reads only the first bucket
-    that holds a unit (`_unit_pivot`).
+    on the term dicts in place through `_addmul`.  Each step takes a unit
+    of a row with the fewest entries, in a column with few entries, which
+    keeps fill-in low; rows are kept in buckets by entry count, so the
+    search reads only the first bucket that holds a unit (`_unit_pivot`).
     No output depends on the pivot order, since the determinant is exact
     and canonical.  The pivots multiply into a monomial, and the Laplace
     sign comes once, at the end, from the parity of the order in which
-    rows and columns were eliminated.  The matrices this package builds
-    are mostly monomials (M - P has only the 1 - x^+-1 diagonal terms as
-    non-units), so typically a few rows are left, with no unit entry.
-    That residual goes by its side alone.  Sides 3 to 5 go to
-    `_det_packed`, one integer determinant over all n! permutations, which
-    declines by terms or slots.  Every other residual, and one
-    `_det_packed` declines, goes to `_bareiss`, which divides only by 1 at
-    sides 1 and 2.
+    rows and columns were eliminated.  What is left, a few rows with no
+    unit entry, is the residual, and it goes by its side alone.  Side 1 is
+    its entry and side 2 is a*d - b*c by `__mul__`, which packs large
+    entries; both close here, with no matrix built.  Sides 3 to 5 go
+    to `_det_packed`, one integer determinant over all n! permutations,
+    which declines by terms or slots.  Every other residual, and one
+    `_det_packed` declines, goes to `_bareiss`.
     """
-    n = matrix.n
-    if n == 0:
-        return ONE
-    rows: dict[int, dict[int, dict[int, int]]] = {}
+    n = len(entries)
+    rows = dict(enumerate(entries))
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
     buckets: list[set[int]] = [set() for _ in range(n + 1)]
-    for i, row in enumerate(matrix.entries):
-        entries = {j: dict(row[j]._t) for j in sorted(row) if row[j]._t}
-        if not entries:
+    for i, row in rows.items():
+        if not row:
             return ZERO
-        rows[i] = entries
-        buckets[len(entries)].add(i)
-        for j in entries:
+        buckets[len(row)].add(i)
+        for j in row:
             cols[j].add(i)
     row_order: list[int] = []
     col_order: list[int] = []
@@ -710,14 +715,22 @@ def det(matrix: PolyMatrix) -> LaurentPoly2:
             if len(row_i) != before:
                 buckets[before].discard(i)
                 buckets[len(row_i)].add(i)
-    if _odd(row_order + sorted(rows)) != _odd(col_order + sorted(cols)):
+    left, right = sorted(rows), sorted(cols)
+    if _odd(row_order + left) != _odd(col_order + right):
         sign = -sign
-    value = ONE
-    if rows:
-        order = {j: pos for pos, j in enumerate(sorted(cols))}
-        residual = PolyMatrix(len(rows), tuple(
-            {order[j]: LaurentPoly2._raw(t) for j, t in rows[i].items()} for i in sorted(rows)))
-        packed = _det_packed(residual) if 3 <= len(rows) <= 5 else None
+    side = len(left)
+    if side == 0:
+        value = ONE
+    elif side == 1:
+        value = LaurentPoly2._raw(rows[left[0]][right[0]])
+    elif side == 2:
+        (a, b), (c, d) = ([LaurentPoly2._raw(rows[i].get(j, {})) for j in right] for i in left)
+        value = a * d - b * c
+    else:
+        order = {j: pos for pos, j in enumerate(right)}
+        residual = PolyMatrix(side, tuple(
+            {order[j]: LaurentPoly2._raw(t) for j, t in rows[i].items()} for i in left))
+        packed = _det_packed(residual) if side <= 5 else None
         value = _bareiss(residual) if packed is None else packed
     return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
 
@@ -764,7 +777,7 @@ def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     """The determinant of a small matrix as one integer determinant at a
     Kronecker point, or None, for `_bareiss`, when it declines by terms
     (past `_PACK_TERMS` on its perfect matchings) or by slots (past
-    `_SLOTS_PER_PAIR` per pair of those terms); `det` sends sides 3 to 5.
+    `_SLOTS_PER_PAIR` per pair of those terms); `det_terms` sends sides 3 to 5.
 
     A term of the expansion takes the entries of one perfect matching of
     the nonzero pattern, so entries on no such matching are left out, and
@@ -891,7 +904,7 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     dense residuals of large diagrams most products and quotients take
     the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
-    `det` calls it on the residuals `_det_packed` does not take, and the
+    `det_terms` calls it on the residuals `_det_packed` does not take, and the
     tests use it on whole matrices as an oracle for `det`.
     """
     n = matrix.n

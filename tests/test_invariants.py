@@ -1,11 +1,14 @@
+import contextlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vconway.diagram import (
     Crossing,
     Diagram,
     Passage,
+    build_P,
     disjoint_union,
     format_diagram,
     parse_diagram,
@@ -35,8 +38,12 @@ from vconway.laurent import (
     ONE,
     X,
     X_INV,
+    Y_INV,
     ZERO,
     LaurentPoly2,
+    PolyMatrix,
+    _bareiss,
+    det_cofactor,
     eval_x1,
     normalize_x,
     substitute_y_inverse,
@@ -179,9 +186,11 @@ def test_kink_factor_table():
 
 
 def _count_dets(monkeypatch):
+    """The side of each arc matrix Z hands to the determinant kernel."""
     calls = []
-    det = invariants.det
-    monkeypatch.setattr(invariants, "det", lambda m: calls.append(m.n) or det(m))
+    det_terms = invariants.det_terms
+    monkeypatch.setattr(invariants, "det_terms",
+                        lambda rows: calls.append(len(rows)) or det_terms(rows))
     return calls
 
 
@@ -191,10 +200,10 @@ def test_repeated_z_computes_one_det(vtref, monkeypatch):
     assert z_polynomial(vtref) == first
     assert c0(vtref) == eval_x1(first)
     assert c1(vtref) == conway(vtref).coeff(1)
-    assert calls == [4]
+    assert calls == [2]
     # an equal diagram built anew hits the same entry
     assert z_polynomial(parse_diagram("component: O1+ O2+ U1+ U2+")) == first
-    assert calls == [4]
+    assert calls == [2]
 
 
 def test_z_memo_keeps_blocks_apart(monkeypatch):
@@ -229,6 +238,59 @@ def test_z_memo_is_bounded():
         z_polynomial(d)
         assert invariants._z_memo.cache_info().currsize <= Z_MEMO_SIZE
     assert invariants._z_memo.cache_info().currsize == Z_MEMO_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the arc matrix: Z with M - P's over-exit rows eliminated along each component
+
+
+def _z_of_m_minus_p(d):
+    """(-1)^(n+r) * det(M - P), with M - P assembled from the blocks in use,
+    as criterion 10 assembles it, and no code of the arc walk: by cofactors
+    up to side 12 and by Bareiss on the whole matrix beyond."""
+    m = PolyMatrix.block_diag(*(PolyMatrix.from_rows(invariants._blocks[d.crossings[cid].sign])
+                                for cid in d.classical_ids())) - build_P(d).matrix()
+    value = det_cofactor(m) if m.n <= 12 else _bareiss(m)
+    return -value if (d.n_classical() + len(d.components)) % 2 else value
+
+
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_arc_matrix_gives_det_of_m_minus_p(crossings, components, seed, mutate):
+    d = random_diagram(GeneratorConfig(crossings, components, 0, seed=seed))
+    assume(not d.has_empty_component())
+    with mutated_blocks() if mutate else contextlib.nullcontext():
+        assert z_polynomial(d) == _z_of_m_minus_p(d)
+
+
+@pytest.mark.parametrize("code, side", [
+    ("component: O1+ O2+\ncomponent: U2+ U1+", 3),  # one component with no under passage
+    ("component: O1-\ncomponent: U1-", 2),  # and with one passage
+    ("component: O1+ U1+", 1),  # kinks
+    ("component: U1- O1-", 1),
+    ("component: O1+ O2-\ncomponent: O3+\ncomponent: U1+ U3+ U2-", 5),  # two with none
+    ("component: O1+ O2-\ncomponent: U2- U1+", 3),  # units multiplying to 1: Z is 0
+])
+def test_arc_matrix_edge_cases(monkeypatch, code, side):
+    # the arc matrix has side n plus one per component with no under passage
+    d = parse_diagram(code)
+    calls = _count_dets(monkeypatch)
+    for mutate in (False, True):
+        with mutated_blocks() if mutate else contextlib.nullcontext():
+            assert z_polynomial(d) == _z_of_m_minus_p(d)
+    assert calls == [side, side]
+
+
+def test_arc_matrix_needs_a_one_unit_over_row(monkeypatch):
+    # the over-exit row of the positive block is (-x*y^-1, 0); anything else raises
+    d = parse_diagram("component: O1+ U1+")
+    under = invariants.POS_BLOCK[0]
+    for over in ((LaurentPoly2.monomial(-2, 1, -1), ZERO), (-X * Y_INV, ONE), (ONE - X, ZERO),
+                 (ZERO, ZERO)):
+        monkeypatch.setattr(invariants, "_blocks", {1: (under, over), -1: invariants.NEG_BLOCK})
+        invariants._z_memo.cache_clear()
+        with pytest.raises(ValueError, match=r"over-exit row of the \+1 block is not one unit"):
+            z_polynomial(d)
 
 
 # ---------------------------------------------------------------------------

@@ -694,14 +694,16 @@ def test_det_singular_cases():
 
 
 def diagram_matrices():
-    # the matrices that z_polynomial and c0_via_tp hand to det
+    # M - P, assembled here as criterion 10 assembles it, and the matrix that
+    # c0_via_tp hands to det
     mats = []
-    invariants._z_memo.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariants, "det", lambda m: mats.append(m) or det(m))
         for seed, (k, c) in enumerate([(16, 1), (20, 2), (24, 3), (24, 1)]):
             d = random_diagram(GeneratorConfig(k, c, 0, seed=seed))
-            invariants.z_polynomial(d)
+            mats.append(PolyMatrix.block_diag(*(M_POS if d.crossings[cid].sign > 0 else M_NEG
+                                                for cid in d.classical_ids()))
+                        - build_P(d).matrix())
             invariants.c0_via_tp(d)
     assert [m.n for m in mats] == [32, 32, 40, 40, 48, 48, 48, 48]
     return mats
@@ -1024,18 +1026,58 @@ def test_small_side_3_residuals_are_packed(monkeypatch):
     assert paths == [("packed", 3)] * len(mats)
 
 
-def test_side_2_residual_with_large_entries_goes_to_bareiss(monkeypatch):
-    # 2 x 2 entries of 13 terms, 169 term pairs each: still Bareiss, whose
-    # one step divides by 1
+def thirteen_terms(rng):
+    """An entry of 13 terms in a 4 x 4 box: two of them make 169 term pairs,
+    past _PACK_PAIRS, so their product packs."""
+    return LaurentPoly2({(k % 4, k // 4): rng.choice((1, -1)) * rng.randint(1, 9) for k in range(13)})
+
+
+def spy_packed_products(monkeypatch):
+    pairs = []
+    mul_packed = laurent._mul_packed
+    monkeypatch.setattr(laurent, "_mul_packed",
+                        lambda a, b: pairs.append(len(a) * len(b)) or mul_packed(a, b))
+    return pairs
+
+
+def test_side_2_residual_with_large_entries_closes_in_det(monkeypatch):
+    # 2 x 2 entries of 13 terms, no unit among them: det closes the whole
+    # matrix as a*d - b*c, reaching neither _det_packed nor _bareiss, and
+    # both products pack
     rng = random.Random(22)
-    rows = [[LaurentPoly2({(k % 4, k // 4): rng.choice((1, -1)) * rng.randint(1, 9) for k in range(13)})
-             for _ in range(2)] for _ in range(2)]
-    m = PolyMatrix.from_rows(rows)
+    m = PolyMatrix.from_rows([[thirteen_terms(rng) for _ in range(2)] for _ in range(2)])
     expect = det_cofactor(m)
     assert expect == _bareiss(m) != ZERO
     paths = spy_residuals(monkeypatch)
+    packed = spy_packed_products(monkeypatch)
     assert det(m) == expect
-    assert paths == [("bareiss", 2)]
+    assert paths == []
+    assert packed == [169, 169]
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_side_1_and_2_residuals_close_in_det(monkeypatch, side):
+    # units down the diagonal of the first rows, nothing else in those rows,
+    # and entries of 13 terms in every other row: unit elimination leaves those
+    # rows' corner as the residual, which det closes itself, as its one entry
+    # or as a*d - b*c with packed products, wherever rows and columns are shuffled
+    rng = random.Random(40 + side)
+    mats = []
+    for units in range(6):
+        n = units + side
+        cells = [[ZERO] * n for _ in range(units)]
+        for i in range(units):
+            cells[i][i] = mono(rng.choice((1, -1)), rng.randint(-2, 2), rng.randint(-2, 2))
+        cells += [[thirteen_terms(rng) for _ in range(n)] for _ in range(side)]
+        rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+        mats.append(PolyMatrix.from_rows([[cells[i][j] for j in cp] for i in rp]))
+    expect = [det_cofactor(m) for m in mats]
+    assert expect == [_bareiss(m) for m in mats] and all(expect)
+    paths = spy_residuals(monkeypatch)
+    packed = spy_packed_products(monkeypatch)
+    assert [det(m) for m in mats] == expect
+    assert paths == []
+    assert packed == ([169] * 2 * len(mats) if side == 2 else [])
 
 
 def matched_terms(m):
@@ -1047,8 +1089,8 @@ def matched_terms(m):
 
 def test_det_takes_both_residual_paths():
     # a residual of side 3-5 packs unless the entries on its perfect
-    # matchings have more than _PACK_TERMS terms; sides 1-2 and 6 on go to
-    # Bareiss, and no entry size changes that
+    # matchings have more than _PACK_TERMS terms, side 6 on goes to Bareiss,
+    # and sides 1-2 close in det itself; no entry size changes that
     rng = random.Random(12)
     mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
     mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
@@ -1082,10 +1124,12 @@ def test_det_takes_both_residual_paths():
     taken = [n for p, n, _ in paths if p == "bareiss"]
     declined = [n for p, n, _ in paths if p == "declined"]
     assert sorted(n for n in taken if 3 <= n <= 5) == sorted(declined)
-    # both paths are taken, Bareiss for each reason: sides 1 and 2, beyond
-    # side 5, and past the ceiling
+    # both paths are taken, Bareiss for each reason: beyond side 5 and past
+    # the ceiling.  The dense matrices of side 1 and 2 hold no unit, so they
+    # are whole residuals, and neither path sees them
     assert any(p == "packed" for p, _, _ in paths)
-    assert {1, 2} <= set(taken) and max(taken) > 5 and sorted(declined) == [4, 5]
+    assert min(n for _, n, _ in paths) >= 3
+    assert max(taken) > 5 and sorted(declined) == [4, 5]
 
 
 def test_z_renders_are_pinned():
