@@ -56,10 +56,10 @@ LINK_SEARCH_BUDGET = 10000
 # a hit, took 50 s
 MAX_LINK_SEARCH_BUDGET = 100000
 
-# most `verify --trials`: the default 500 took 3.2 s and 10,000 took 60 s
+# most `verify --trials`: the default 500 took 0.9 s and 10,000 took 17 s
 MAX_TRIALS = 10000
 
-# most `verify --moves` per walk: 100 trials of 1,000 moves took 2.1-2.3 s
+# most `verify --moves` per walk: 100 trials of 1,000 moves took 1.0 s
 MAX_MOVES = 1000
 
 # most resolved diagrams `verify --random K,C,M` with M > 0 may check, trials
@@ -78,7 +78,10 @@ MAX_SAMPLED_CROSSINGS = 24
 
 # most crossings of a diagram file, each double point counted (a resolution
 # makes it classical), and most components `random` and `verify --random`
-# draw: one Z took 0.15-0.3 s at 64 crossings and 2.5-15 s at 96
+# draw.  One Z of random_diagram(GeneratorConfig(K, C, 0, seed=S)) took
+# 0.12-0.15 s at K = 64 (C, S = 1, 1000 and 2, 1001), 1.3-1.6 s at K = 96
+# (1, 1000; 2, 1001; 3, 1002) and 4.5 s at K = 96 (1, 1003), on a 2-core
+# shared machine with Python 3.11.7
 MAX_CLASSICAL_CROSSINGS = 64
 
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "

@@ -51,8 +51,7 @@ identity down.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .laurent import ONE, LaurentPoly2, PolyMatrix
 
@@ -65,42 +64,49 @@ CLASSICAL_ROLES = (OVER, UNDER)
 DOUBLE_ROLES = (FIRST, SECOND)
 
 
-@dataclass(frozen=True, slots=True)
-class Passage:
+class Passage(NamedTuple):
     """One traversal of a crossing: which crossing, and in which role."""
 
     crossing: int
     role: str
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
-    """A crossing record: classical ('x', signed) or double point ('d', unsigned)."""
-
+class _CrossingFields(NamedTuple):
     id: int
     kind: str
     sign: int | None
 
-    def __post_init__(self) -> None:
-        if self.kind == "x":
-            if self.sign not in (1, -1):
-                raise ValueError(f"classical crossing {self.id} needs sign +1 or -1")
-        elif self.kind == "d":
-            if self.sign is not None:
-                raise ValueError(f"double point {self.id} must not carry a sign")
+
+class Crossing(_CrossingFields):
+    """A crossing record: classical ('x', signed) or double point ('d', unsigned)."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, kind: str, sign: int | None) -> "Crossing":
+        if kind == "x":
+            if sign not in (1, -1):
+                raise ValueError(f"classical crossing {id} needs sign +1 or -1")
+        elif kind == "d":
+            if sign is not None:
+                raise ValueError(f"double point {id} must not carry a sign")
         else:
-            raise ValueError(f"unknown crossing kind {self.kind!r}")
+            raise ValueError(f"unknown crossing kind {kind!r}")
+        return tuple.__new__(cls, (id, kind, sign))
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """An immutable signed Gauss code: components of passages plus a crossing table."""
-
+class _DiagramFields(NamedTuple):
     components: tuple[tuple[Passage, ...], ...]
     crossings: dict[int, Crossing]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crossings", dict(self.crossings))
+
+class Diagram(_DiagramFields):
+    """An immutable signed Gauss code: components of passages plus a crossing table."""
+
+    __slots__ = ()
+
+    def __new__(cls, components: tuple[tuple[Passage, ...], ...],
+                crossings: dict[int, Crossing]) -> "Diagram":
+        return tuple.__new__(cls, (components, dict(crossings)))
 
     def classical_ids(self) -> list[int]:
         return sorted(i for i, c in self.crossings.items() if c.kind == "x")
@@ -222,16 +228,20 @@ def _require_valid(d: Diagram) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SlotPermutation:
-    """A permutation of the 2n crossing slots, stored as perm[src] = dst."""
-
+class _SlotPermutationFields(NamedTuple):
     n: int
     perm: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.perm) != 2 * self.n or sorted(self.perm) != list(range(2 * self.n)):
-            raise ValueError(f"not a permutation of {2 * self.n} slots: {self.perm}")
+
+class SlotPermutation(_SlotPermutationFields):
+    """A permutation of the 2n crossing slots, stored as perm[src] = dst."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, perm: tuple[int, ...]) -> "SlotPermutation":
+        if len(perm) != 2 * n or sorted(perm) != list(range(2 * n)):
+            raise ValueError(f"not a permutation of {2 * n} slots: {perm}")
+        return tuple.__new__(cls, (n, perm))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * (2 * self.n)

@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .laurent import (
     ONE,
@@ -373,8 +372,7 @@ def order_one_defect(d: Diagram, id1: int, id2: int) -> LaurentPoly2:
     return at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Everything the CLI prints for one diagram."""
 
     z: LaurentPoly2

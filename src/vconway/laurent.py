@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, combinations, permutations
 from math import comb, prod
 from typing import Iterable, Mapping
@@ -507,21 +507,39 @@ def expand_conway(p: LaurentPoly2) -> ConwayPoly:
                                          if d != half}) for s in range(0, h * length, h))
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
     """A square matrix over the Laurent ring, kept as its nonzero entries.
 
     `entries[i]` maps each column j to the nonzero entry (i, j), so a
     sparse matrix costs by its entries, not by its n^2 cells; it has no
     dense form, and `det`, `_bareiss` and `det_cofactor` read `entries`.
+    Its fields `n` and `entries` cannot be reassigned.  It is no tuple, so
+    that `len` and `+` do not read as a matrix's side and sum.
     """
 
+    __slots__ = ("n", "entries")
     n: int
     entries: tuple[dict[int, LaurentPoly2], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.n:
-            raise ValueError(f"matrix of side {self.n} has {len(self.entries)} rows")
+    def __init__(self, n: int, entries: tuple[dict[int, LaurentPoly2], ...]) -> None:
+        if len(entries) != n:
+            raise ValueError(f"matrix of side {n} has {len(entries)} rows")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.entries) == (other.n, other.entries)
+
+    def __repr__(self) -> str:
+        return f"PolyMatrix(n={self.n!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable["LaurentPoly2 | int"]]) -> "PolyMatrix":
@@ -624,8 +642,14 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
     dc = dt[dk]
     rem = dict(nt)
     quo: dict[int, int] = {}
+    # a max-heap of the remainder's keys; a key cancelled since its push
+    # is skipped, and no key comes back once it has led
+    heap = [-k for k in rem]
+    heapify(heap)
     while rem:
-        lk = max(rem)
+        lk = -heappop(heap)
+        if lk not in rem:
+            continue
         qc, r = divmod(rem[lk], dc)
         qk = lk - dk
         qx, qy = _unpack(qk)
@@ -633,6 +657,9 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
             raise ArithmeticError("non-exact division")
         quo[qk] = qc
         _addmul(rem, dt, {qk: -qc})
+        for k in dt:
+            if qk + k in rem:
+                heappush(heap, -(qk + k))
     return quo
 
 

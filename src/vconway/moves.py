@@ -47,7 +47,7 @@ these lists with a seeded rng, so the order makes a walk, and every
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     CLASSICAL_ROLES,
@@ -67,24 +67,28 @@ class MoveError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class MoveEvent:
+class MoveEvent(NamedTuple):
     kind: str
     site: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorConfig:
+class _GeneratorConfigFields(NamedTuple):
     classical_crossings: int
     components: int
-    double_points: int = 0
-    seed: int = 0
+    double_points: int
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.classical_crossings < 0 or self.double_points < 0:
+
+class GeneratorConfig(_GeneratorConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, classical_crossings: int, components: int, double_points: int = 0,
+                seed: int = 0) -> "GeneratorConfig":
+        if classical_crossings < 0 or double_points < 0:
             raise ValueError("crossing counts must be non-negative")
-        if self.components < 1:
+        if components < 1:
             raise ValueError("need at least one component")
+        return tuple.__new__(cls, (classical_crossings, components, double_points, seed))
 
 
 # The four kink types, in the canonical order used for factor tables:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .diagram import (
@@ -63,13 +62,28 @@ DEFAULT_MOVES = 50
 Outcome = tuple[int, list[str]] | None
 
 
-@dataclass
 class CheckResult:
-    name: str
-    trials: int
-    failures: int = 0
-    examples: list[str] = field(default_factory=list)
-    informational: bool = False
+    """The running tally of one check: its trials, failures and the first
+    MAX_SHOWN failure texts."""
+
+    __slots__ = ("name", "trials", "failures", "examples", "informational")
+
+    def __init__(self, name: str, trials: int, failures: int = 0,
+                 examples: list[str] | None = None, informational: bool = False) -> None:
+        self.name = name
+        self.trials = trials
+        self.failures = failures
+        self.examples = [] if examples is None else examples
+        self.informational = informational
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"CheckResult({args})"
 
     @property
     def passed(self) -> bool:

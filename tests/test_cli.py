@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -674,3 +676,13 @@ def test_unknown_command():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_importing_the_cli_leaves_out_dataclasses():
+    # start-up: the value types are named tuples, built without the
+    # dataclasses machinery (and the inspect module it imports)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, vconway.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"

@@ -18,8 +18,9 @@ from vconway.diagram import (
     switch,
     validate,
 )
-from vconway.laurent import ZERO
-from vconway.moves import GeneratorConfig, random_diagram
+from vconway.invariants import InvariantReport
+from vconway.laurent import ZERO, PolyMatrix
+from vconway.moves import GeneratorConfig, MoveEvent, random_diagram
 
 
 def dense(m):
@@ -209,6 +210,32 @@ def test_disjoint_union_offsets(vhopf, vtref):
     assert len(u.components) == 3
     assert sorted(u.crossings) == [1, 2, 3]
     assert u.n_classical() == 3
+
+
+def test_value_types_check_copy_and_stay_fixed():
+    # GeneratorConfig's checks are tested in test_moves.py
+    for kind, sign in (("x", 0), ("x", None), ("d", 1), ("y", 1)):
+        with pytest.raises(ValueError):
+            Crossing(1, kind, sign)
+    with pytest.raises(ValueError, match="not a permutation of 4 slots"):
+        SlotPermutation(2, (0, 1, 1, 3))
+    with pytest.raises(ValueError, match="matrix of side 2 has 1 rows"):
+        PolyMatrix(2, ({},))
+    table = {1: Crossing(1, "x", 1)}
+    d = Diagram(((Passage(1, "O"), Passage(1, "U")),), table)
+    table[2] = Crossing(2, "x", -1)
+    assert list(d.crossings) == [1]
+    # the hash of a value is that of its fields, so memo and set orders stay put
+    assert hash(Passage(3, "O")) == hash((3, "O"))
+    assert hash(table[2]) == hash((2, "x", -1))
+    fields = [(Passage(3, "O"), "role"), (table[1], "sign"), (d, "crossings"),
+              (SlotPermutation(1, (1, 0)), "perm"), (PolyMatrix(0, ()), "n"),
+              (MoveEvent("R1_remove", (0, 0)), "site"), (GeneratorConfig(1, 1), "seed"),
+              (InvariantReport(*[ZERO] * 5, 1, 0, 0), "c1")]
+    for v, name in fields:
+        for attr in (name, "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, attr, None)
 
 
 def test_diagram_equality_and_hash(vtref):

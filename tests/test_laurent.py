@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from array import array
 from itertools import permutations
 from math import comb, prod
@@ -997,6 +998,27 @@ def test_sparse_residual_is_not_packed(monkeypatch):
     paths = spy_residuals(monkeypatch)
     assert det(m) == expect
     assert paths == [("declined", 3), ("bareiss", 3)]
+
+
+def test_sparse_long_division_takes_leading_terms_from_a_heap(monkeypatch):
+    # 13-term entries spread over 2^29 exponents: Bareiss's last step divides
+    # a 145,002-term numerator by the 13-term first pivot into 13,182
+    # quotient terms, too sparse to pack, so long division decides.  With a
+    # scan of the whole remainder per quotient term it took 13.7 s (2-core
+    # machine, Python 3.11.7); with the heap, 0.26 s.
+    rng = random.Random(7)
+    rows = [[LaurentPoly2({(rng.randrange(2**29), rng.randrange(2**29)): rng.choice((1, -1))
+                           for _ in range(13)}) for _ in range(3)] for _ in range(3)]
+    m = PolyMatrix.from_rows(rows)
+    expect = det_cofactor(m)
+    sizes = []
+    long = laurent._long_div
+    monkeypatch.setattr(laurent, "_long_div",
+                        lambda nt, dt, box: sizes.append((len(nt), len(dt))) or long(nt, dt, box))
+    t0 = time.perf_counter()
+    assert det(m) == expect
+    assert time.perf_counter() - t0 < 5
+    assert sizes == [(145002, 13)] and expect.term_count() == 13182
 
 
 def campaign_entry(rng):
