@@ -12,9 +12,11 @@ drops n by one and moves r by one, so without the r term the skein
 relation below would flip sign at every smoothing.  The property suite
 (classical vanishing, kink factors, the skein relation, and the
 companion-permutation formula for c0) holds with this prefactor and
-with no other, which is what pins it down.
+with no other, which is what pins it down.  The prefactor is det P:
+TP = T P^-1, with T the swap of each crossing's two slots, has one cycle
+per component, so sgn P = (-1)^n * (-1)^(2n-r), and Z = det(M P^-1 - 1).
 
-Z is computed on a smaller matrix with the same determinant up to sign.
+Z is computed on a smaller matrix, as Z = (-1)^r * det(arc matrix).
 Each crossing's over-exit row of M - P holds one unit and P's -1, so
 those n rows are eliminated along each component without a search or a
 division (Silver & Williams, JKTR 10, 2001, present the generalized
@@ -56,7 +58,7 @@ from .laurent import (
     ConwayPoly,
     LaurentPoly2,
     PolyMatrix,
-    _odd,
+    _addmul,
     det,
     det_terms,
     eval_x1,
@@ -64,9 +66,11 @@ from .laurent import (
     normalize_x,
 )
 from .diagram import (
+    OVER,
     UNDER,
     Diagram,
     SlotPermutation,
+    _entry_side,
     _require_valid,
     build_TP,
     resolve_double,
@@ -121,11 +125,11 @@ def z_polynomial(d: Diagram) -> LaurentPoly2:
     """The raw determinant polynomial Z(d) of a classical-only diagram.
 
     M is made of the crossing pair above; inside `mutated_blocks()` its
-    negative block is wrong.  det(M - P) is taken on the arc matrix
-    (`_arc_matrix`), of side n plus one per component with no under
-    passage.  The Z_MEMO_SIZE most recently used values are kept, keyed
-    by the diagram, so a diagram evaluated again (c1 after c0, D+ or D-
-    equal to D in a skein triple) costs no determinant.
+    negative block is wrong.  Z = (-1)^r * det(`_arc_matrix`), r the
+    component count, on a matrix of side n plus one per component with no
+    under passage.  The Z_MEMO_SIZE most recently used values are kept,
+    keyed by the diagram, so a diagram evaluated again (c1 after c0, D+ or
+    D- equal to D in a skein triple) costs no determinant.
     """
     if d.has_doubles():
         raise ValueError("resolve double points first: Z is defined on classical diagrams")
@@ -146,6 +150,8 @@ def _slot_matrix(blocks: list[tuple[tuple[LaurentPoly2, ...], ...]],
     return PolyMatrix(2 * perm.n, tuple(rows))
 
 
+# the over passage's entry side by crossing sign (0 = l, 1 = r), as diagram's slot convention
+_OVER_SIDE = {sign: _entry_side(OVER, sign) for sign in (1, -1)}
 _split: tuple = (None, {})  # (a block set, its rows by sign), read once per block set
 
 
@@ -158,7 +164,7 @@ def _block_rows() -> dict[int, tuple]:
     if _split[0] is not _blocks:
         rows = {}
         for sign, block in _blocks.items():
-            o = 0 if sign > 0 else 1  # the over-entry side, as in diagram's slot convention
+            o = _OVER_SIDE[sign]
             over = block[o ^ 1][o]._t
             if block[o ^ 1][o ^ 1] or len(over) != 1 or abs(*over.values()) != 1:
                 raise ValueError(f"the over-exit row of the {sign:+d} block is not one unit")
@@ -167,10 +173,9 @@ def _block_rows() -> dict[int, tuple]:
     return _split[1]
 
 
-def _arc_matrix(d: Diagram) -> tuple[list[dict[int, dict[int, int]]], bool]:
+def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
     """M - P with its over-exit rows eliminated along each component, as
-    rows of term dicts for `det_terms`, and whether det(M - P) is minus
-    their determinant.
+    rows of term dicts for `det_terms`.
 
     Rows of M - P are exit slots and columns entry slots.  Crossing c's
     over-exit row holds its block's unit u_c in c's over-entry column and
@@ -181,18 +186,21 @@ def _arc_matrix(d: Diagram) -> tuple[list[dict[int, dict[int, int]]], bool]:
     row per under passage, its block row plus P's -1 with each entry
     times the m of its slot, over one column per arc.  A component with
     no under passage keeps its last over row, whose one entry u*m - 1
-    closes the cycle.  In walk order the eliminated rows against their -1
-    columns form a triangular block with -1 down its diagonal.
+    closes the cycle.
+
+    Z is (-1)^r times their determinant, by three facts: sgn P =
+    (-1)^(n+r); the eliminated rows against their -1 columns form a
+    triangular block of determinant (-1)^(n-a), a the components with no
+    under passage; and rows go in walk order and arcs in creation order,
+    which rotates each component's k_c under passages against their P
+    columns by one step, a sign of (-1)^(k_c-1).  With r - a such
+    components the product is (-1)^n, and this order is part of correctness.
     """
     rows_of = _block_rows()
-    # the over passage enters on l at a positive crossing and on r at a
-    # negative one, the under passage on the other side (diagram.py)
-    over_entry = {cid: 2 * i + (d.crossings[cid].sign < 0)
+    over_entry = {cid: 2 * i + _OVER_SIDE[d.crossings[cid].sign]
                   for i, cid in enumerate(d.classical_ids())}
     at = [(0, 0, 0)] * (2 * len(over_entry))  # entry slot -> (its arc, m as key and coefficient)
-    row_order: list[int] = []
-    col_order: list[int] = []
-    arcs: list[int] = []  # the first entry slot of each arc
+    n_arcs = 0
     kept: list[tuple[int, int, int]] = []  # (entry slot, crossing, next entry slot)
     for comp in d.components:
         ends = [t for t, p in enumerate(comp) if p.role == UNDER]
@@ -200,21 +208,19 @@ def _arc_matrix(d: Diagram) -> tuple[list[dict[int, dict[int, int]]], bool]:
         walk = comp[start:] + comp[:start]
         slots = [over_entry[p.crossing] ^ (p.role == UNDER) for p in walk]
         slots.append(slots[0])
-        arc, mk, mc = len(arcs), 0, 1
-        arcs.append(slots[0])
+        arc, mk, mc = n_arcs, 0, 1
+        n_arcs += 1
         for t, p in enumerate(walk):
             e, nxt = slots[t], slots[t + 1]
             at[e] = (arc, mk, mc)
             if p.role == UNDER:
                 kept.append((e, p.crossing, nxt))
                 if t + 1 < len(walk):  # the last one closes onto the first arc
-                    arc, mk, mc = len(arcs), 0, 1
-                    arcs.append(nxt)
+                    arc, mk, mc = n_arcs, 0, 1
+                    n_arcs += 1
             elif ends or t + 1 < len(walk):
                 (uk, uc), = rows_of[d.crossings[p.crossing].sign][0].items()
                 mk, mc = mk + uk, mc * uc
-                row_order.append(e ^ 1)
-                col_order.append(nxt)
             else:  # the closing row of a component with no under passage
                 kept.append((e, p.crossing, nxt))
     rows = []
@@ -225,27 +231,18 @@ def _arc_matrix(d: Diagram) -> tuple[list[dict[int, dict[int, int]]], bool]:
         cells.append(((at[nxt][0], 0, -1), ONE._t))  # P's -1; m is 1 there
         row: dict[int, dict[int, int]] = {}
         for (arc, mk, mc), terms in cells:
-            entry = row.setdefault(arc, {})
-            for k, c in terms.items():
-                v = entry.get(k + mk, 0) + c * mc
-                if v:
-                    entry[k + mk] = v
-                else:
-                    del entry[k + mk]
+            _addmul(row.setdefault(arc, {}), terms, {mk: mc})
         rows.append({j: entry for j, entry in row.items() if entry})
-    odd = len(row_order) + _odd(row_order + [e ^ 1 for e, _, _ in kept]) + _odd(col_order + arcs)
-    return rows, odd % 2 == 1
+    return rows
 
 
 @functools.lru_cache(maxsize=Z_MEMO_SIZE)
 def _z_memo(d: Diagram) -> LaurentPoly2:
-    n = d.n_classical()
-    if n == 0 or d.has_empty_component():
+    if d.n_classical() == 0 or d.has_empty_component():
         return ZERO
     _require_valid(d)
-    rows, negated = _arc_matrix(d)
-    value = det_terms(rows)
-    return -value if (negated + n + len(d.components)) % 2 else value
+    value = det_terms(_arc_matrix(d))
+    return -value if len(d.components) % 2 else value
 
 
 def z_normalized(d: Diagram) -> LaurentPoly2:

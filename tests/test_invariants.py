@@ -43,6 +43,7 @@ from vconway.laurent import (
     LaurentPoly2,
     PolyMatrix,
     _bareiss,
+    _odd,
     det_cofactor,
     eval_x1,
     normalize_x,
@@ -261,6 +262,16 @@ def test_arc_matrix_gives_det_of_m_minus_p(crossings, components, seed, mutate):
     assume(not d.has_empty_component())
     with mutated_blocks() if mutate else contextlib.nullcontext():
         assert z_polynomial(d) == _z_of_m_minus_p(d)
+
+
+@given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_sign_of_p_is_the_prefactor(crossings, components, seed):
+    # TP = T P^-1 has one cycle per component, so sgn P = (-1)^(n+r); the arc
+    # matrix's sign rule, Z = (-1)^r * det, rests on this
+    d = random_diagram(GeneratorConfig(crossings, components, 0, seed=seed))
+    assume(not d.has_empty_component())
+    assert _odd(list(build_P(d).perm)) == ((d.n_classical() + len(d.components)) % 2 == 1)
 
 
 @pytest.mark.parametrize("code, side", [
