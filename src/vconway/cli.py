@@ -63,17 +63,18 @@ MAX_TRIALS = 10000
 MAX_MOVES = 1000
 
 # most resolved diagrams `verify --random K,C,M` with M > 0 may check, trials
-# times 2^M, at up to 4 components: `24,3,6 --trials 100` (6,400) took 43 s, so
-# 8,192 takes about a minute and lets the default 500 trials run up to M = 4.
+# times 2^M, at up to 4 components: `24,3,6 --trials 128` (8,192) took 21 s,
+# and the default 500 trials may run up to M = 4.
 # A resolution costs more with more components, so at C components the most
 # is MAX_RESOLUTIONS // ceil(C^2 / 16).  One trial of `24,C,6` (64
-# resolutions) took 0.5 s at C = 1-4, 0.8 s at 5, 1.5 s at 8, 1.9 s at 10,
-# 2.1-4.6 s at 12 and 3.3-5.0 s at 14 (means over 3-10 trials); at 20-24 a
-# trial with no empty component took up to 21 s, one with one about 0.01 s
+# resolutions) took 0.2 s at C = 1-5, 0.9 s at 8, 1.3 s at 10, 2.5 s at 12
+# and 2.6-3.7 s at 14 (means over 3-10 trials at seed 0); at 20-24 a trial
+# with no empty component took up to 10 s, one with one about 0.01 s
 MAX_RESOLUTIONS = 8192
 
 # most crossings of a diagram sampled by `verify --random` or `search --links`:
-# one verify trial takes 0.9 s at 24 crossings and 38 s at 40
+# one verify trial of `K,1,0` took 0.06 s at 24 crossings and 1.4-1.5 s at 40
+# (means over 5 trials at seed 0)
 MAX_SAMPLED_CROSSINGS = 24
 
 # most crossings of a diagram file, each double point counted (a resolution

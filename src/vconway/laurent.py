@@ -26,12 +26,13 @@ or beyond that as many whole bytes as the coefficient bound needs, read
 back one `memoryview` slice at a time, so no operand is too wide to
 pack.  A packed quotient is used only once its product with the divisor
 is shown to give the numerator; failing that, long division decides.
-`det_terms` closes a determinant residual of side 1 or 2 itself, by its
-entry or by a*d - b*c.  One of side 3 to 5 is packed whole, unless
-`_det_packed` declines by terms or slots: each entry becomes one
-integer, shifted into the exponent box that the residual's perfect
-matchings span, the integer determinant is expanded, and its digits
-are the determinant's coefficients, bounded in advance by a permanent.
+`det_terms` routes a determinant residual, as rows of term dicts, by
+one rule: one of side 3 to 5 goes to `_det_packed`, and every other
+side, or one that `_det_packed` declines by terms or slots, goes to
+`_bareiss`.  Packed, each entry becomes one integer, shifted into the
+exponent box that the residual's perfect matchings span, the integer
+determinant is expanded, and its digits are the determinant's
+coefficients, bounded in advance by a permanent.
 The Conway expansion packs each x-column into one integer,
 a digit per y-exponent, and Taylor-shifts every row at once.  Small
 operands, and sparse ones whose box of slots would dwarf their term
@@ -512,7 +513,8 @@ class PolyMatrix:
 
     `entries[i]` maps each column j to the nonzero entry (i, j), so a
     sparse matrix costs by its entries, not by its n^2 cells; it has no
-    dense form, and `det`, `_bareiss` and `det_cofactor` read `entries`.
+    dense form.  Of the determinants, `det_cofactor` reads `entries`, and
+    `det` copies them into the term-dict rows that `det_terms` takes.
     Its fields `n` and `entries` cannot be reassigned.  It is no tuple, so
     that `len` and `+` do not read as a matrix's side and sum.
     """
@@ -688,12 +690,12 @@ def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     and canonical.  The pivots multiply into a monomial, and the Laplace
     sign comes once, at the end, from the parity of the order in which
     rows and columns were eliminated.  What is left, a few rows with no
-    unit entry, is the residual, and it goes by its side alone.  Side 1 is
-    its entry and side 2 is a*d - b*c by `__mul__`, which packs large
-    entries; both close here, with no matrix built.  Sides 3 to 5 go
-    to `_det_packed`, one integer determinant over all n! permutations,
-    which declines by terms or slots.  Every other residual, and one
-    `_det_packed` declines, goes to `_bareiss`.
+    unit entry, is the residual.  Its term dicts go on as they are, in
+    rows keyed by column in range(side), and one rule routes them by the
+    side alone: sides 3 to 5 go to `_det_packed`, one integer determinant
+    over all n! permutations, which declines by terms or slots; every
+    other side, 0 to 2 included, and a residual `_det_packed` declines go
+    to `_bareiss`.
     """
     n = len(entries)
     rows = dict(enumerate(entries))
@@ -745,20 +747,10 @@ def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     left, right = sorted(rows), sorted(cols)
     if _odd(row_order + left) != _odd(col_order + right):
         sign = -sign
-    side = len(left)
-    if side == 0:
-        value = ONE
-    elif side == 1:
-        value = LaurentPoly2._raw(rows[left[0]][right[0]])
-    elif side == 2:
-        (a, b), (c, d) = ([LaurentPoly2._raw(rows[i].get(j, {})) for j in right] for i in left)
-        value = a * d - b * c
-    else:
-        order = {j: pos for pos, j in enumerate(right)}
-        residual = PolyMatrix(side, tuple(
-            {order[j]: LaurentPoly2._raw(t) for j, t in rows[i].items()} for i in left))
-        packed = _det_packed(residual) if side <= 5 else None
-        value = _bareiss(residual) if packed is None else packed
+    order = {j: pos for pos, j in enumerate(right)}
+    residual = [{order[j]: t for j, t in rows[i].items()} for i in left]
+    packed = _det_packed(residual) if 3 <= len(residual) <= 5 else None
+    value = _bareiss(residual) if packed is None else packed
     return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
 
 
@@ -800,11 +792,12 @@ def _odd(order: list[int]) -> bool:
     return odd
 
 
-def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
-    """The determinant of a small matrix as one integer determinant at a
-    Kronecker point, or None, for `_bareiss`, when it declines by terms
-    (past `_PACK_TERMS` on its perfect matchings) or by slots (past
-    `_SLOTS_PER_PAIR` per pair of those terms); `det_terms` sends sides 3 to 5.
+def _det_packed(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2 | None:
+    """The determinant of a residual's rows, as `det_terms` holds them, as
+    one integer determinant at a Kronecker point, or None, for `_bareiss`,
+    when it declines by terms (past `_PACK_TERMS` on its perfect matchings)
+    or by slots (past `_SLOTS_PER_PAIR` per pair of those terms);
+    `det_terms` sends sides 3 to 5 and every other side to `_bareiss`.
 
     A term of the expansion takes the entries of one perfect matching of
     the nonzero pattern, so entries on no such matching are left out, and
@@ -822,8 +815,8 @@ def _det_packed(matrix: PolyMatrix) -> LaurentPoly2 | None:
     packed once, the integer determinant is expanded by `_expand`, and
     the result is decoded once.
     """
-    n = matrix.n
-    spreads = [{j: _spread(e._t) for j, e in row.items()} for row in matrix.entries]
+    n = len(rows)
+    spreads = [{j: _spread(t) for j, t in row.items()} for row in rows]
     matchings = [p for p in permutations(range(n))
                  if all(j in row for j, row in zip(p, spreads))]
     if not matchings:
@@ -914,7 +907,7 @@ def _expand(rows: list[list[int]]) -> int:
     return minors[tuple(range(n))]
 
 
-def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
+def _bareiss(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     """Exact determinant by fraction-free elimination.
 
     Bareiss-style one-step elimination with full pivoting, run directly
@@ -931,37 +924,40 @@ def _bareiss(matrix: PolyMatrix) -> LaurentPoly2:
     dense residuals of large diagrams most products and quotients take
     the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
-    `det_terms` calls it on the residuals `_det_packed` does not take, and the
-    tests use it on whole matrices as an oracle for `det`.
+    It takes a residual's rows as `det_terms` holds them and wraps each
+    cell once.  `det_terms` sends it every side but 3 to 5, and those
+    `_det_packed` declines: side 0 is ONE, side 1 its entry, and side 2
+    one step, whose division is by ONE.  The tests use it on whole
+    matrices as an oracle for `det`.
     """
-    n = matrix.n
+    n = len(rows)
     if n == 0:
         return ONE
-    rows = [[row.get(j, ZERO) for j in range(n)] for row in matrix.entries]
+    cells = [[LaurentPoly2._raw(row[j]) if j in row else ZERO for j in range(n)] for row in rows]
     sign = 1
     prev = ONE
     for k in range(n - 1):
         best = min(((len(e._t), i, j) for i in range(k, n)
-                    for j, e in enumerate(rows[i][k:], k) if e._t), default=None)
+                    for j, e in enumerate(cells[i][k:], k) if e._t), default=None)
         if best is None:
             return ZERO
         _, pi, pj = best
         if pi != k:
-            rows[k], rows[pi] = rows[pi], rows[k]
+            cells[k], cells[pi] = cells[pi], cells[k]
             sign = -sign
         if pj != k:
-            for r in rows:
+            for r in cells:
                 r[k], r[pj] = r[pj], r[k]
             sign = -sign
-        piv = rows[k][k]
-        row_k = rows[k]
+        piv = cells[k][k]
+        row_k = cells[k]
         for i in range(k + 1, n):
-            row_i = rows[i]
+            row_i = cells[i]
             aik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = _exact_div(piv * row_i[j] - aik * row_k[j], prev)
         prev = piv
-    result = rows[n - 1][n - 1]
+    result = cells[n - 1][n - 1]
     return -result if sign < 0 else result
 
 

@@ -4,6 +4,12 @@ from vconway import invariants
 from vconway.diagram import parse_diagram
 
 
+def term_rows(m):
+    """The rows of term dicts that `laurent.det` builds from the PolyMatrix m:
+    the form in which `det_terms` hands a residual to `_det_packed` and `_bareiss`."""
+    return [{j: dict(row[j]._t) for j in sorted(row) if row[j]._t} for row in m.entries]
+
+
 @pytest.fixture(autouse=True)
 def empty_z_memo():
     # a test that counts determinants must not see Z values memoised by an earlier one

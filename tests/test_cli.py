@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +233,25 @@ def test_verify_random_resolution_budget(m, capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err == (f"error: {(trials + 1) << m} resolutions (trials x 2^M) for "
                                 f"C = {c} exceed the supported maximum of {limit}\n")
+
+
+def test_input_ceilings_table_lists_every_max_constant():
+    # every MAX_* constant of cli and invariants has a row of README's "Input
+    # ceilings" table that names it and starts its Value cell with the
+    # constant's value, written as the table writes it (10,000); cli's copy
+    # of an invariants constant is named under invariants
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Input ceilings\n", 1)[1].split("\n#", 1)[0]
+    values = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 4:
+            for name in re.findall(r"`((?:cli|invariants)\.MAX_\w+)`", cells[1]):
+                values[name] = cells[2].split()[0]
+    constants = {f"invariants.{n}": v for n, v in vars(invariants).items() if n.startswith("MAX_")}
+    constants.update({f"cli.{n}": v for n, v in vars(cli).items()
+                      if n.startswith("MAX_") and n not in vars(invariants)})
+    assert values == {name: f"{v:,}" for name, v in constants.items()}
 
 
 def test_verify_file_rejects_random(vhopf_file, capsys):

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import term_rows
 from vconway.diagram import (
     Crossing,
     Diagram,
@@ -251,7 +252,7 @@ def _z_of_m_minus_p(d):
     up to side 12 and by Bareiss on the whole matrix beyond."""
     m = PolyMatrix.block_diag(*(PolyMatrix.from_rows(invariants._blocks[d.crossings[cid].sign])
                                 for cid in d.classical_ids())) - build_P(d).matrix()
-    value = det_cofactor(m) if m.n <= 12 else _bareiss(m)
+    value = det_cofactor(m) if m.n <= 12 else _bareiss(term_rows(m))
     return -value if (d.n_classical() + len(d.components)) % 2 else value
 
 

@@ -8,6 +8,7 @@ from math import comb, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import term_rows
 from vconway import invariants, laurent
 from vconway.diagram import build_P
 from vconway.laurent import (
@@ -616,11 +617,14 @@ def test_det_matches_cofactor_on_mixed_matrices():
     for n in range(1, 13):
         for _ in range(4 if n <= 10 else 2):
             m = mixed_matrix(rng, n)
-            assert det(m) == det_cofactor(m) == _bareiss(m)
+            assert det(m) == det_cofactor(m) == _bareiss(term_rows(m))
 
 
-def _no_bareiss(matrix):
-    raise AssertionError(f"unexpected Bareiss remainder of side {matrix.n}")
+def _no_bareiss(rows):
+    # unit elimination left no residual: `det_terms` hands Bareiss only side 0
+    if rows:
+        raise AssertionError(f"unexpected Bareiss remainder of side {len(rows)}")
+    return ONE
 
 
 def test_det_all_unit_pivots(monkeypatch):
@@ -655,7 +659,7 @@ def test_det_without_units_is_all_bareiss(monkeypatch):
     n = 7
     m = PolyMatrix.from_rows([[non_unit() for _ in range(n)] for _ in range(n)])
     sides = []
-    monkeypatch.setattr(laurent, "_bareiss", lambda mat: sides.append(mat.n) or _bareiss(mat))
+    monkeypatch.setattr(laurent, "_bareiss", lambda rows: sides.append(len(rows)) or _bareiss(rows))
     got = det(m)
     assert got == det_cofactor(m)
     assert not got.is_zero()
@@ -712,7 +716,7 @@ def diagram_matrices():
 
 def test_det_matches_bareiss_on_diagram_matrices():
     for m in diagram_matrices():
-        assert det(m) == _bareiss(m)
+        assert det(m) == _bareiss(term_rows(m))
 
 
 @pytest.mark.parametrize("pairs", [0, 10**9], ids=["packed", "schoolbook"])
@@ -721,7 +725,7 @@ def test_det_oracles_agree_on_either_path(monkeypatch, pairs):
     mats = diagram_matrices()
     expect = [det(m) for m in mats]
     monkeypatch.setattr(laurent, "_PACK_PAIRS", pairs)
-    assert [det(m) for m in mats] == [_bareiss(m) for m in mats] == expect
+    assert [det(m) for m in mats] == [_bareiss(term_rows(m)) for m in mats] == expect
     test_det_matches_cofactor_on_mixed_matrices()
 
 
@@ -757,7 +761,7 @@ def test_unit_pivot_takes_a_fewest_entry_row_and_column(monkeypatch):
 
     rng = random.Random(30)
     mats = diagram_matrices() + [mixed_matrix(rng, n) for n in range(1, 16) for _ in range(3)]
-    expect = [_bareiss(m) for m in mats]
+    expect = [_bareiss(term_rows(m)) for m in mats]
     monkeypatch.setattr(laurent, "_unit_pivot", checked)
     assert [det(m) for m in mats] == expect
     assert len(picks) > 300
@@ -775,7 +779,7 @@ def test_bareiss_zero_rows_in_the_active_block():
     zero_row = PolyMatrix.from_rows([rest[0], [ZERO] * 4, first, rest[1]])
     zero_block = PolyMatrix.from_rows([[X, ONE + X, Y], [ZERO] * 3, [ZERO] * 3])
     for m in (vanishing, zero_row, zero_block):
-        assert _bareiss(m) == ZERO == det_cofactor(m)
+        assert _bareiss(term_rows(m)) == ZERO == det_cofactor(m)
     # a row that is a unit times another, in sparse matrices
     rng = random.Random(31)
     for n in range(2, 9):
@@ -784,7 +788,7 @@ def test_bareiss_zero_rows_in_the_active_block():
         unit = mono(rng.choice((1, -1)), 1, -1)
         rows[i] = [unit * e for e in rows[j]]
         m = PolyMatrix.from_rows(rows)
-        assert _bareiss(m) == ZERO == det_cofactor(m)
+        assert _bareiss(term_rows(m)) == ZERO == det_cofactor(m)
 
 
 def permutation_sign(order):
@@ -833,9 +837,9 @@ def test_packed_residual_matches_oracles(n):
         if trial >= 6:
             rows[rng.randrange(n)] = [ZERO] * n
         m = PolyMatrix.from_rows(rows)
-        got = laurent._det_packed(m)
+        got = laurent._det_packed(term_rows(m))
         assert got is not None
-        assert got == _bareiss(m) == det_cofactor(m)
+        assert got == _bareiss(term_rows(m)) == det_cofactor(m)
         if trial >= 6:
             assert got.is_zero()
         elif dense:
@@ -846,14 +850,14 @@ def spy_residuals(monkeypatch):
     paths = []
     packed, bareiss = laurent._det_packed, laurent._bareiss
 
-    def spy_packed(m):
-        out = packed(m)
-        paths.append(("packed" if out is not None else "declined", m.n))
+    def spy_packed(rows):
+        out = packed(rows)
+        paths.append(("packed" if out is not None else "declined", len(rows)))
         return out
 
     monkeypatch.setattr(laurent, "_det_packed", spy_packed)
     monkeypatch.setattr(laurent, "_bareiss",
-                        lambda m: paths.append(("bareiss", m.n)) or bareiss(m))
+                        lambda rows: paths.append(("bareiss", len(rows))) or bareiss(rows))
     monkeypatch.setattr(laurent, "det_cofactor",
                         lambda m: pytest.fail("det called the cofactor oracle"))
     return paths
@@ -922,8 +926,8 @@ def test_packed_residual_leaves_out_entries_on_no_matching():
         m = PolyMatrix.from_rows(rows)
         with pytest.MonkeyPatch.context() as mp:
             boxes = spy_packing(mp)
-            got = laurent._det_packed(m)
-        assert got == _bareiss(m) == det_cofactor(m) != ZERO
+            got = laurent._det_packed(term_rows(m))
+        assert got == _bareiss(term_rows(m)) == det_cofactor(m) != ZERO
         (w, h, _), = boxes
         assert (w, h) == exact_box(m)
         assert w <= 4 and h <= 4
@@ -941,9 +945,9 @@ def test_packed_residual_takes_two_byte_digits(monkeypatch):
     assert sum(prod(norms[i][j] for i, j in enumerate(p)) for p in permutations(range(3))) == 162000
     assert packed_digit_bound(m) == 16200
     boxes = spy_packing(monkeypatch)
-    got = laurent._det_packed(m)
+    got = laurent._det_packed(term_rows(m))
     assert [nb for _, _, nb in boxes] == [2]
-    assert got == _bareiss(m) == det_cofactor(m)
+    assert got == _bareiss(term_rows(m)) == det_cofactor(m)
     assert max(map(abs, got._t.values())) < 2 ** 15
 
 
@@ -978,8 +982,8 @@ def test_packed_residual_on_spread_exponents(m):
 
         mp.setattr(laurent, "_to_int", small_to_int)
         boxes = spy_packing(mp)
-        got = laurent._det_packed(m)
-    assert got == _bareiss(m) == det_cofactor(m)
+        got = laurent._det_packed(term_rows(m))
+    assert got == _bareiss(term_rows(m)) == det_cofactor(m)
     if boxes:
         (w, h, _), = boxes
         assert (w, h) == exact_box(m)
@@ -1041,11 +1045,22 @@ def test_small_side_3_residuals_are_packed(monkeypatch):
         if all(m.entries):
             mats.append(m)
     expect = [det_cofactor(m) for m in mats]
-    assert expect == [_bareiss(m) for m in mats]
+    assert expect == [_bareiss(term_rows(m)) for m in mats]
     assert sum(not e.is_zero() for e in expect) >= 10
     paths = spy_residuals(monkeypatch)
     assert [det(m) for m in mats] == expect
     assert paths == [("packed", 3)] * len(mats)
+
+
+def test_z_hands_residuals_over_as_term_rows(monkeypatch):
+    # Z's residuals reach the kernels as the rows of term dicts that
+    # `det_terms` holds: no PolyMatrix is built, and sides 3 to 5 still pack
+    monkeypatch.setattr(PolyMatrix, "__init__", lambda *args: pytest.fail("Z built a PolyMatrix"))
+    paths = spy_residuals(monkeypatch)
+    for i in range(40):
+        invariants.z_polynomial(random_diagram(GeneratorConfig(24, 1 + i % 3, 0, seed=1000 + i)))
+    assert {n for p, n in paths if p == "packed"} == {3, 4, 5}
+    assert all(p == "bareiss" for p, n in paths if not 3 <= n <= 5)
 
 
 def thirteen_terms(rng):
@@ -1062,27 +1077,27 @@ def spy_packed_products(monkeypatch):
     return pairs
 
 
-def test_side_2_residual_with_large_entries_closes_in_det(monkeypatch):
-    # 2 x 2 entries of 13 terms, no unit among them: det closes the whole
-    # matrix as a*d - b*c, reaching neither _det_packed nor _bareiss, and
-    # both products pack
+def test_side_2_residual_with_large_entries_packs_both_products(monkeypatch):
+    # 2 x 2 entries of 13 terms, no unit among them: the whole matrix is the
+    # residual, Bareiss closes it in one step that divides by 1, a*d - b*c,
+    # and both products pack
     rng = random.Random(22)
     m = PolyMatrix.from_rows([[thirteen_terms(rng) for _ in range(2)] for _ in range(2)])
     expect = det_cofactor(m)
-    assert expect == _bareiss(m) != ZERO
+    assert expect == _bareiss(term_rows(m)) != ZERO
     paths = spy_residuals(monkeypatch)
     packed = spy_packed_products(monkeypatch)
     assert det(m) == expect
-    assert paths == []
+    assert paths == [("bareiss", 2)]
     assert packed == [169, 169]
 
 
 @pytest.mark.parametrize("side", [1, 2])
-def test_side_1_and_2_residuals_close_in_det(monkeypatch, side):
+def test_side_1_and_2_residuals_go_to_bareiss(monkeypatch, side):
     # units down the diagonal of the first rows, nothing else in those rows,
     # and entries of 13 terms in every other row: unit elimination leaves those
-    # rows' corner as the residual, which det closes itself, as its one entry
-    # or as a*d - b*c with packed products, wherever rows and columns are shuffled
+    # rows' corner as the residual, which Bareiss closes as its one entry or
+    # as a*d - b*c with packed products, wherever rows and columns are shuffled
     rng = random.Random(40 + side)
     mats = []
     for units in range(6):
@@ -1094,25 +1109,25 @@ def test_side_1_and_2_residuals_close_in_det(monkeypatch, side):
         rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
         mats.append(PolyMatrix.from_rows([[cells[i][j] for j in cp] for i in rp]))
     expect = [det_cofactor(m) for m in mats]
-    assert expect == [_bareiss(m) for m in mats] and all(expect)
+    assert expect == [_bareiss(term_rows(m)) for m in mats] and all(expect)
     paths = spy_residuals(monkeypatch)
     packed = spy_packed_products(monkeypatch)
     assert [det(m) for m in mats] == expect
-    assert paths == []
+    assert paths == [("bareiss", side)] * len(mats)
     assert packed == ([169] * 2 * len(mats) if side == 2 else [])
 
 
-def matched_terms(m):
-    """The terms of the entries on the perfect matchings of m."""
-    on = {(i, j) for p in permutations(range(m.n))
-          if all(j in row for j, row in zip(p, m.entries)) for i, j in enumerate(p)}
-    return sum(m.entries[i][j].term_count() for i, j in on)
+def matched_terms(rows):
+    """The terms of the entries on the perfect matchings of a residual's rows."""
+    on = {(i, j) for p in permutations(range(len(rows)))
+          if all(j in row for j, row in zip(p, rows)) for i, j in enumerate(p)}
+    return sum(len(rows[i][j]) for i, j in on)
 
 
 def test_det_takes_both_residual_paths():
     # a residual of side 3-5 packs unless the entries on its perfect
-    # matchings have more than _PACK_TERMS terms, side 6 on goes to Bareiss,
-    # and sides 1-2 close in det itself; no entry size changes that
+    # matchings have more than _PACK_TERMS terms, and every other side, 0 to
+    # 2 included, goes to Bareiss; no entry size changes that
     rng = random.Random(12)
     mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
     mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
@@ -1127,17 +1142,17 @@ def test_det_takes_both_residual_paths():
     for pairs in (0, laurent._PACK_PAIRS, 10**9):
         paths = []
 
-        def spy_packed(m):
-            out = packed(m)
-            paths.append(("packed" if out is not None else "declined", m.n,
-                          matched_terms(m) > laurent._PACK_TERMS))
+        def spy_packed(rows):
+            out = packed(rows)
+            paths.append(("packed" if out is not None else "declined", len(rows),
+                          matched_terms(rows) > laurent._PACK_TERMS))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(laurent, "_PACK_PAIRS", pairs)
             mp.setattr(laurent, "_det_packed", spy_packed)
             mp.setattr(laurent, "_bareiss",
-                       lambda m: paths.append(("bareiss", m.n, None)) or bareiss(m))
+                       lambda rows: paths.append(("bareiss", len(rows), None)) or bareiss(rows))
             assert [det(m) for m in mats] == expect
         runs.append(paths)
     # the routing reads no entry size: the same paths at any _PACK_PAIRS
@@ -1146,11 +1161,11 @@ def test_det_takes_both_residual_paths():
     taken = [n for p, n, _ in paths if p == "bareiss"]
     declined = [n for p, n, _ in paths if p == "declined"]
     assert sorted(n for n in taken if 3 <= n <= 5) == sorted(declined)
-    # both paths are taken, Bareiss for each reason: beyond side 5 and past
-    # the ceiling.  The dense matrices of side 1 and 2 hold no unit, so they
-    # are whole residuals, and neither path sees them
+    # both paths are taken, Bareiss for each reason: below side 3, beyond
+    # side 5 and past the ceiling.  The dense matrices of side 1 and 2 hold
+    # no unit, so they are whole residuals
     assert any(p == "packed" for p, _, _ in paths)
-    assert min(n for _, n, _ in paths) >= 3
+    assert {0, 1, 2} <= set(taken)
     assert max(taken) > 5 and sorted(declined) == [4, 5]
 
 
