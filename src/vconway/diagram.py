@@ -37,6 +37,11 @@ left and right throughout.  Hence:
                  under -> r if sign > 0 else l
     exit side:   the opposite letter of the entry side
 
+`entry_slots` is the one place that maps a passage to its slot: it
+lists each component's entry slots in traversal order, and a passage
+leaves by the other slot of its crossing, entry ^ 1.  P, TP and the
+arc matrix of the invariants module are all read off that list.
+
 The permutation P maps, for each pair of consecutive passages p -> q
 along a component (cyclically), the entry slot of q to the exit slot
 of p.  As a matrix, column s carries a single 1 in row P.perm[s].  The
@@ -51,7 +56,7 @@ identity down.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .laurent import ONE, LaurentPoly2, PolyMatrix
 
@@ -273,36 +278,30 @@ def _entry_side(role: str, sign: int) -> int:
     return 1 if sign > 0 else 0
 
 
-def _exit_side(role: str, sign: int) -> int:
-    return _entry_side(role, sign) ^ 1
+def entry_slots(d: Diagram) -> list[list[int]]:
+    """Each component's entry slots in traversal order, 2 * rank + entry
+    side; a passage exits by the other slot, entry ^ 1.  No validation."""
+    base = {cid: 2 * i for i, cid in enumerate(d.classical_ids())}
+    table = d.crossings
+    return [[base[cid] + _entry_side(role, table[cid].sign) for cid, role in comp]
+            for comp in d.components]
 
 
-def _classical_rank(d: Diagram) -> dict[int, int]:
-    return {cid: i for i, cid in enumerate(d.classical_ids())}
-
-
-def _consecutive_passages(d: Diagram) -> Iterable[tuple[Passage, Passage]]:
-    for comp in d.components:
-        L = len(comp)
-        for t in range(L):
-            yield comp[t], comp[(t + 1) % L]
+def _classical_slots(d: Diagram) -> list[list[int]]:
+    """entry_slots of d, once d is a valid diagram without double points."""
+    if d.has_doubles():
+        raise ValueError("resolve double points first: slot permutations need a classical diagram")
+    _require_valid(d)
+    return entry_slots(d)
 
 
 def build_P(d: Diagram) -> SlotPermutation:
     """Connection permutation: entry slot of each passage -> exit slot of the previous."""
-    if d.has_doubles():
-        raise ValueError("resolve double points first: slot permutations need a classical diagram")
-    _require_valid(d)
-    rank = _classical_rank(d)
-    n = len(rank)
-    perm = [-1] * (2 * n)
-    for p, q in _consecutive_passages(d):
-        sp = d.crossings[p.crossing].sign
-        sq = d.crossings[q.crossing].sign
-        src = 2 * rank[q.crossing] + _entry_side(q.role, sq)
-        dst = 2 * rank[p.crossing] + _exit_side(p.role, sp)
-        perm[src] = dst
-    return SlotPermutation(n, tuple(perm))
+    perm = [-1] * (2 * d.n_classical())
+    for slots in _classical_slots(d):
+        for prev, e in zip(slots[-1:] + slots[:-1], slots):
+            perm[e] = prev ^ 1
+    return SlotPermutation(len(perm) // 2, tuple(perm))
 
 
 def build_TP(d: Diagram) -> SlotPermutation:
@@ -312,19 +311,11 @@ def build_TP(d: Diagram) -> SlotPermutation:
     traversal order, one cycle per component.  Independent of build_P;
     tests pin down that it equals T composed with the inverse of P.
     """
-    if d.has_doubles():
-        raise ValueError("resolve double points first: slot permutations need a classical diagram")
-    _require_valid(d)
-    rank = _classical_rank(d)
-    n = len(rank)
-    perm = [-1] * (2 * n)
-    for p, q in _consecutive_passages(d):
-        sp = d.crossings[p.crossing].sign
-        sq = d.crossings[q.crossing].sign
-        src = 2 * rank[p.crossing] + _exit_side(p.role, sp)
-        dst = 2 * rank[q.crossing] + _exit_side(q.role, sq)
-        perm[src] = dst
-    return SlotPermutation(n, tuple(perm))
+    perm = [-1] * (2 * d.n_classical())
+    for slots in _classical_slots(d):
+        for e, nxt in zip(slots, slots[1:] + slots[:1]):
+            perm[e ^ 1] = nxt ^ 1
+    return SlotPermutation(len(perm) // 2, tuple(perm))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ from .diagram import (
     _entry_side,
     _require_valid,
     build_TP,
+    entry_slots,
     resolve_double,
     set_sign,
     smooth,
@@ -136,22 +137,6 @@ def z_polynomial(d: Diagram) -> LaurentPoly2:
     return _z_memo(d)
 
 
-def _slot_matrix(blocks: list[tuple[tuple[LaurentPoly2, ...], ...]],
-                 perm: SlotPermutation) -> PolyMatrix:
-    """The 2n x 2n matrix with the 2 x 2 `blocks` down the diagonal, one per
-    crossing by rank, plus 1 in row perm[s] of each column s; only its
-    nonzero entries are written."""
-    rows = [{j: e for j, e in enumerate(half, 2 * i) if e._t}
-            for i, blk in enumerate(blocks) for half in blk]
-    for s, t in enumerate(perm.perm):
-        e = rows[t].pop(s, ZERO) + ONE
-        if e._t:
-            rows[t][s] = e
-    return PolyMatrix(2 * perm.n, tuple(rows))
-
-
-# the over passage's entry side by crossing sign (0 = l, 1 = r), as diagram's slot convention
-_OVER_SIDE = {sign: _entry_side(OVER, sign) for sign in (1, -1)}
 _split: tuple = (None, {})  # (a block set, its rows by sign), read once per block set
 
 
@@ -164,7 +149,7 @@ def _block_rows() -> dict[int, tuple]:
     if _split[0] is not _blocks:
         rows = {}
         for sign, block in _blocks.items():
-            o = _OVER_SIDE[sign]
+            o = _entry_side(OVER, sign)  # the over passage's entry side, 0 = l, 1 = r
             over = block[o ^ 1][o]._t
             if block[o ^ 1][o ^ 1] or len(over) != 1 or abs(*over.values()) != 1:
                 raise ValueError(f"the over-exit row of the {sign:+d} block is not one unit")
@@ -177,7 +162,8 @@ def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
     """M - P with its over-exit rows eliminated along each component, as
     rows of term dicts for `det_terms`.
 
-    Rows of M - P are exit slots and columns entry slots.  Crossing c's
+    Rows of M - P are exit slots and columns entry slots, both taken from
+    `diagram.entry_slots` (a passage exits by entry ^ 1).  Crossing c's
     over-exit row holds its block's unit u_c in c's over-entry column and
     P's -1 in the next passage's entry column, so pivoting on that -1
     gives v_next = u_c * v_entry.  Along an arc, from just after one under
@@ -197,37 +183,36 @@ def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
     components the product is (-1)^n, and this order is part of correctness.
     """
     rows_of = _block_rows()
-    over_entry = {cid: 2 * i + _OVER_SIDE[d.crossings[cid].sign]
-                  for i, cid in enumerate(d.classical_ids())}
-    at = [(0, 0, 0)] * (2 * len(over_entry))  # entry slot -> (its arc, m as key and coefficient)
+    at = [(0, 0, 0)] * (2 * d.n_classical())  # entry slot -> (its arc, m as key and coefficient)
     n_arcs = 0
-    kept: list[tuple[int, int, int]] = []  # (entry slot, crossing, next entry slot)
-    for comp in d.components:
+    kept: list[tuple[int, bool, int, int]] = []  # (entry slot, under?, sign, next entry slot)
+    for comp, slots in zip(d.components, entry_slots(d)):
         ends = [t for t, p in enumerate(comp) if p.role == UNDER]
         start = ends[-1] + 1 if ends else 0
         walk = comp[start:] + comp[:start]
-        slots = [over_entry[p.crossing] ^ (p.role == UNDER) for p in walk]
+        slots = slots[start:] + slots[:start]
         slots.append(slots[0])
         arc, mk, mc = n_arcs, 0, 1
         n_arcs += 1
         for t, p in enumerate(walk):
             e, nxt = slots[t], slots[t + 1]
             at[e] = (arc, mk, mc)
+            sign = d.crossings[p.crossing].sign
             if p.role == UNDER:
-                kept.append((e, p.crossing, nxt))
+                kept.append((e, True, sign, nxt))
                 if t + 1 < len(walk):  # the last one closes onto the first arc
                     arc, mk, mc = n_arcs, 0, 1
                     n_arcs += 1
             elif ends or t + 1 < len(walk):
-                (uk, uc), = rows_of[d.crossings[p.crossing].sign][0].items()
+                (uk, uc), = rows_of[sign][0].items()
                 mk, mc = mk + uk, mc * uc
             else:  # the closing row of a component with no under passage
-                kept.append((e, p.crossing, nxt))
+                kept.append((e, False, sign, nxt))
     rows = []
-    for e, cid, nxt in kept:
-        o = over_entry[cid]
-        u, a, w = rows_of[d.crossings[cid].sign]
-        cells = [(at[o], u)] if e == o else [(at[o], a), (at[o ^ 1], w)]
+    for e, under, sign, nxt in kept:
+        u, a, w = rows_of[sign]
+        # an under row's over-entry column is its crossing's other slot
+        cells = [(at[e ^ 1], a), (at[e], w)] if under else [(at[e], u)]
         cells.append(((at[nxt][0], 0, -1), ONE._t))  # P's -1; m is 1 there
         row: dict[int, dict[int, int]] = {}
         for (arc, mk, mc), terms in cells:
@@ -283,7 +268,10 @@ def c0_via_tp(d: Diagram) -> LaurentPoly2:
     crossing-free component, where the identity holds.
     """
     TP = _companion_TP(d)
-    return det(_slot_matrix([((Y_INV, ZERO), (ZERO, Y))] * TP.n, TP))
+    rows = [{s: Y if s & 1 else Y_INV} for s in range(2 * TP.n)]
+    for s, t in enumerate(TP.perm):
+        rows[t][s] = rows[t].get(s, ZERO) + ONE
+    return det(PolyMatrix(2 * TP.n, tuple(rows)))
 
 
 def c0_cycle_form(d: Diagram) -> LaurentPoly2:

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
 from vconway.diagram import (
+    OVER,
     Crossing,
     Diagram,
     Passage,
     SlotPermutation,
     build_P,
     build_TP,
+    _entry_side,
     disjoint_union,
+    entry_slots,
     format_diagram,
     mirror,
     parse_diagram,
@@ -113,6 +118,54 @@ def test_TP_anchors(kink, vhopf, vtref):
     # single component: one cycle through all four slots
     cycles = build_TP(vtref).cycles()
     assert len(cycles) == 1 and len(cycles[0]) == 4
+
+
+def _reference_P_TP(d):
+    """P and TP by the per-passage formulas of the slot convention: for
+    consecutive passages p -> q, P takes q's entry slot to p's exit slot and
+    TP takes p's exit slot to q's exit slot."""
+    rank = {cid: i for i, cid in enumerate(d.classical_ids())}
+
+    def slot(p, exiting):
+        sign = d.crossings[p.crossing].sign
+        entry = (0 if sign > 0 else 1) if p.role == "O" else (1 if sign > 0 else 0)
+        return 2 * rank[p.crossing] + (entry ^ exiting)
+
+    P, TP = [-1] * (2 * len(rank)), [-1] * (2 * len(rank))
+    for comp in d.components:
+        for t, q in enumerate(comp):
+            p = comp[t - 1]
+            P[slot(q, 0)] = slot(p, 1)
+            TP[slot(p, 1)] = slot(q, 1)
+    return tuple(P), tuple(TP)
+
+
+def test_entry_slots_follow_the_slot_convention():
+    rng = random.Random(27)
+    lone = empty = 0
+    for seed in range(200):
+        d = random_diagram(GeneratorConfig(rng.randrange(9), 1 + rng.randrange(6), 0, seed=seed))
+        # spread the ids out of order, so that a crossing's rank is not its id - 1
+        ids = rng.sample(range(1, 100), d.n_classical())
+        new_id = dict(zip(sorted(d.crossings), ids))
+        d = Diagram(tuple(tuple(Passage(new_id[p.crossing], p.role) for p in comp)
+                          for comp in d.components),
+                    {new_id[c]: Crossing(new_id[c], "x", x.sign) for c, x in d.crossings.items()})
+        lone += any(len(comp) == 1 for comp in d.components)
+        empty += d.has_empty_component()
+        slots = entry_slots(d)
+        assert [len(s) for s in slots] == [len(comp) for comp in d.components]
+        rank = {cid: i for i, cid in enumerate(d.classical_ids())}
+        taken = {cid: set() for cid in rank}
+        for comp, comp_slots in zip(d.components, slots):
+            for p, e in zip(comp, comp_slots):
+                taken[p.crossing].add(e)
+                if p.role == OVER:
+                    sign = d.crossings[p.crossing].sign
+                    assert e % 2 == _entry_side(OVER, sign) == (0 if sign > 0 else 1)
+        assert taken == {cid: {2 * i, 2 * i + 1} for cid, i in rank.items()}
+        assert (build_P(d).perm, build_TP(d).perm) == _reference_P_TP(d)
+    assert lone and empty
 
 
 def test_TP_is_sideswap_of_inverse_P():

@@ -1,10 +1,12 @@
 """The benchmark tracer in perfbench/tracing.py wraps vconway module
 attributes by name; a name that moves breaks every traced benchmark run."""
 
+import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_traced_attributes_exist(monkeypatch):
@@ -14,3 +16,27 @@ def test_traced_attributes_exist(monkeypatch):
     missing = [(mod, attr) for mod, attr in targets
                if not hasattr(importlib.import_module(f"vconway.{mod}"), attr)]
     assert missing == []
+
+
+def test_every_module_import_is_used(monkeypatch):
+    """A module-level import nobody in its module reads is dead code, unless
+    it is one of the `# noqa: F401` imports that exist for the tracer to wrap."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wrapped = set(importlib.import_module("tracing").WRAPPED)
+    unused, for_tracer = [], []
+    for path in sorted((ROOT / "src" / "vconway").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        lines = text.splitlines()
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    (for_tracer if noqa else unused).append((path.stem, name))
+    assert unused == []
+    assert for_tracer == [("cli", "z_polynomial"), ("invariants", "build_P"), ("moves", "validate")]
+    assert set(for_tracer) <= wrapped
