@@ -38,15 +38,16 @@ determinant built from the companion permutation TP, which gives an
 independent route used for cross-checking.
 
 Diagrams with double points are evaluated through the alternating-sum
-extension: a function f on classical diagrams extends to
-sum over sign patterns of (product of signs) * f(resolved diagram).
+extension of normalized Z, the sum over sign patterns of (product of
+signs) * Z_normalized(resolved diagram); c0, c1 and the Conway form are
+read off that one sum.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .laurent import (
     ONE,
@@ -316,31 +317,25 @@ def skein_terms(d: Diagram, cid: int):
     return zp, zm, z0, zp - X * zm - (ONE - X) * z0
 
 
-def vassiliev_eval(d: Diagram, f: Callable[[Diagram], LaurentPoly2]) -> LaurentPoly2:
-    """Alternating-sum extension of f to diagrams with double points.
-
-    Resolves every double point to + or -, weighting each full
-    resolution by the product of its signs, and sums the values in the
-    Laurent ring.  `eval_x1` and `expand_conway` are linear, so extended
-    c0, c1 and Conway series all read off one sum of normalized Z.
+def vassiliev_eval(d: Diagram) -> LaurentPoly2:
+    """The alternating sum of normalized Z over the resolutions of d's
+    double points: at each one, the positive resolution minus its switch
+    (on a classical d, normalized Z itself).  `eval_x1` and `expand_conway`
+    are linear, so the extended c0, c1 and Conway series read off this sum.
     """
     doubles = d.double_ids()
     if len(doubles) > MAX_DOUBLE_POINTS:
         raise ValueError(
             f"{len(doubles)} double points exceed the supported maximum of {MAX_DOUBLE_POINTS}"
         )
-    total = ZERO
-    stack = [(d, 1, 0)]
-    while stack:
-        cur, weight, idx = stack.pop()
-        if idx == len(doubles):
-            total = total + f(cur) if weight > 0 else total - f(cur)
-            continue
-        cid = doubles[idx]
-        pos = resolve_double(cur, cid)
-        stack.append((pos, weight, idx + 1))
-        stack.append((switch(pos, cid), -weight, idx + 1))
-    return total
+
+    def extend(cur: Diagram, i: int) -> LaurentPoly2:
+        if i == len(doubles):
+            return z_normalized(cur)
+        pos = resolve_double(cur, doubles[i])
+        return extend(pos, i + 1) - extend(switch(pos, doubles[i]), i + 1)
+
+    return extend(d, 0)
 
 
 def order_one_defect(d: Diagram, id1: int, id2: int) -> LaurentPoly2:
@@ -408,7 +403,7 @@ def report(d: Diagram) -> InvariantReport:
     """Compute the full report from one sum of normalized Z over the
     resolutions of the double points (just normalized Z on a classical
     diagram); raw Z is reported on classical diagrams only."""
-    zn = vassiliev_eval(d, z_normalized)
+    zn = vassiliev_eval(d)
     cw = expand_conway(zn)
     return InvariantReport(
         z=ZERO if d.has_doubles() else z_polynomial(d),

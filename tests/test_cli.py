@@ -11,9 +11,10 @@ import pytest
 from vconway import cli, invariants
 from vconway.cli import MAX_CLASSICAL_CROSSINGS, MAX_SAMPLED_CROSSINGS, main
 from vconway.diagram import format_diagram, parse_diagram, reverse, validate
-from vconway.invariants import MAX_DOUBLE_POINTS, c1, vassiliev_eval
+from vconway.invariants import MAX_DOUBLE_POINTS, vassiliev_eval
+from vconway.laurent import expand_conway
 from vconway.moves import GeneratorConfig, random_diagram
-from vconway.verify import MAX_SHOWN
+from vconway.verify import MAX_SHOWN, CheckResult
 
 VHOPF = "component: O1+\ncomponent: U1+\n"
 VTREF = "component: O1+ O2+ U1+ U2+\n"
@@ -221,8 +222,8 @@ def test_verify_random_resolution_budget(m, capsys, monkeypatch):
         trials = limit >> m
         assert trials << m <= limit < (trials + 1) << m and trials <= cli.MAX_TRIALS
         runs = []
-        monkeypatch.setattr(cli, "check_singular_orders",
-                            lambda *args, **kwargs: runs.append(args) or [])
+        monkeypatch.setattr(cli, "check_singular_orders", lambda *args, **kwargs: runs.append(
+            args) or [CheckResult("extended c0 vanishes", args[0])])
         assert main(["verify", "--random", f"4,{c},{m}", "--trials", str(trials)]) == 0
         assert runs == [(trials, 0)]
         capsys.readouterr()
@@ -317,6 +318,17 @@ def test_verify_lists_no_check_without_trials(tmp_path, capsys):
         assert main(["verify", *argv, "--format", "json"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert checks and all(c["trials"] > 0 for c in checks), argv
+
+
+@pytest.mark.parametrize("argv", [["--random", "0,3,1", "--trials", "5"],
+                                  ["--random", "24,32,2", "--trials", "4", "--seed", "0"]])
+def test_verify_with_no_trial_run_fails(argv, capsys):
+    # one double point on three components, or 24 crossings on 32, always
+    # leaves a component empty, so every draw is skipped and nothing is verified
+    assert main(["verify", *argv]) == 1
+    assert capsys.readouterr().out == "no check ran a trial\nresult: FAIL\n"
+    assert main(["verify", *argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"passed": False, "checks": []}
 
 
 def test_verify_campaign_lists_no_check_without_trials(capsys):
@@ -521,7 +533,7 @@ def test_search_links_finds_hit(capsys):
     d = parse_diagram("\n".join(lines[1:-2]))
     assert validate(d) == []
     assert len(d.components) == 2 and len(d.double_ids()) == 2
-    value, reversed_value = vassiliev_eval(d, c1), vassiliev_eval(reverse(d), c1)
+    value, reversed_value = (expand_conway(vassiliev_eval(v)).coeff(1) for v in (d, reverse(d)))
     assert lines[-2] == f"c1           {value.render()}"
     assert lines[-1] == f"c1 reversed  {reversed_value.render()}"
     assert value.render() == "y^-2 - 2 + y^2"
@@ -537,8 +549,8 @@ def test_search_links_json(capsys):
         "found": True,
         "examined": 4,
         "code": format_diagram(d),
-        "c1": vassiliev_eval(d, c1).render(),
-        "c1_reversed": vassiliev_eval(reverse(d), c1).render(),
+        "c1": expand_conway(vassiliev_eval(d)).coeff(1).render(),
+        "c1_reversed": expand_conway(vassiliev_eval(reverse(d))).coeff(1).render(),
     }
 
 

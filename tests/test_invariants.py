@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import json
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +49,7 @@ from vconway.laurent import (
     _odd,
     det_cofactor,
     eval_x1,
+    expand_conway,
     normalize_x,
     substitute_y_inverse,
 )
@@ -318,16 +321,16 @@ def test_z_rejects_singular():
 
 
 def test_vassiliev_eval_base_cases(vtref):
-    assert vassiliev_eval(vtref, c1) == c1(vtref)
+    assert vassiliev_eval(vtref) == z_normalized(vtref)
     one_double = parse_diagram("component: A1 O2+ B1 U2+")
     pos = resolve_double(one_double, 1)
     expect = c1(pos) - c1(switch(pos, 1))
-    assert vassiliev_eval(one_double, c1) == expect
+    assert expand_conway(vassiliev_eval(one_double)).coeff(1) == expect
 
 
 def test_vassiliev_eval_zero_default():
     d = parse_diagram("component: A1 B1")
-    assert vassiliev_eval(d, c0) == ZERO
+    assert eval_x1(vassiliev_eval(d)) == ZERO
 
 
 def test_vassiliev_cap():
@@ -337,7 +340,7 @@ def test_vassiliev_cap():
     table = {cid: Crossing(cid, "d", None) for cid in range(1, 22)}
     d = Diagram((comps,), table)
     with pytest.raises(ValueError, match="double points"):
-        vassiliev_eval(d, c0)
+        eval_x1(vassiliev_eval(d))
 
 
 def test_extended_c0_vanishes():
@@ -347,7 +350,7 @@ def test_extended_c0_vanishes():
     for _ in range(25):
         d = random_diagram(GeneratorConfig(rng.randint(0, 4), rng.randint(1, 2), 1,
                                            seed=rng.randrange(1 << 30)))
-        assert vassiliev_eval(d, c0).is_zero()
+        assert eval_x1(vassiliev_eval(d)).is_zero()
 
 
 def test_extended_c1_vanishes_on_singular_knots():
@@ -357,7 +360,31 @@ def test_extended_c1_vanishes_on_singular_knots():
     for _ in range(20):
         d = random_diagram(GeneratorConfig(rng.randint(0, 4), 1, 2,
                                            seed=rng.randrange(1 << 30)))
-        assert vassiliev_eval(d, c1).is_zero()
+        assert expand_conway(vassiliev_eval(d)).coeff(1).is_zero()
+
+
+@given(st.integers(0, 5), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_vassiliev_eval_is_the_signed_sum_over_sign_patterns(crossings, components, doubles,
+                                                             seed):
+    # the reference lists the sign patterns outright; the sum of c1 over them
+    # is the per-resolution route to the extended c1
+    d = random_diagram(GeneratorConfig(crossings, components, doubles, seed=seed))
+    ids = d.double_ids()
+    z_sum = c1_sum = ZERO
+    for eps in itertools.product((1, -1), repeat=len(ids)):
+        resolved = d
+        for cid in ids:
+            resolved = resolve_double(resolved, cid)
+        for cid, e in zip(ids, eps):
+            if e == -1:
+                resolved = switch(resolved, cid)
+        sign = math.prod(eps)
+        z_sum += z_normalized(resolved) * sign
+        c1_sum += c1(resolved) * sign
+    value = vassiliev_eval(d)
+    assert value == z_sum
+    assert expand_conway(value).coeff(1) == c1_sum
 
 
 def test_order_one_defect_matches_definition():
