@@ -195,30 +195,37 @@ def format_diagram(d: Diagram) -> str:
     return "\n".join(lines)
 
 
+# each kind's two roles, and the orders in which two visits cover them
+_ROLES = {"x": CLASSICAL_ROLES, "d": DOUBLE_ROLES}
+_COVERS = {kind: (roles, roles[::-1]) for kind, roles in _ROLES.items()}
+
+
 def validate(d: Diagram) -> list[str]:
-    """Structural checks; returns human-readable problems (empty list if sound)."""
+    """Structural checks; returns human-readable problems (empty list if sound).
+
+    One pass over the passages reports each passage through an undeclared
+    crossing or in a role its crossing's kind lacks, in traversal order,
+    and notes the roles each crossing is visited in; then each crossing not
+    visited exactly twice, in the two roles of its kind, is reported, by id.
+    """
     problems: list[str] = []
-    seen: dict[int, list[str]] = {}
+    crossings = d.crossings
+    visits: dict[int, tuple[str, ...]] = dict.fromkeys(crossings, ())
     for ci, comp in enumerate(d.components):
-        for p in comp:
-            rec = d.crossings.get(p.crossing)
+        for cid, role in comp:
+            rec = crossings.get(cid)
             if rec is None:
-                problems.append(f"component {ci}: passage through undeclared crossing {p.crossing}")
+                problems.append(f"component {ci}: passage through undeclared crossing {cid}")
                 continue
-            expected = CLASSICAL_ROLES if rec.kind == "x" else DOUBLE_ROLES
-            if p.role not in expected:
-                problems.append(
-                    f"component {ci}: role {p.role!r} invalid for {rec.kind!r} crossing {p.crossing}"
-                )
-            seen.setdefault(p.crossing, []).append(p.role)
-    for cid, rec in sorted(d.crossings.items()):
-        roles = seen.get(cid, [])
+            if role not in _ROLES[rec.kind]:
+                problems.append(f"component {ci}: role {role!r} invalid for {rec.kind!r} crossing {cid}")
+            visits[cid] += (role,)
+    for cid in sorted(cid for cid, roles in visits.items() if roles not in _COVERS[crossings[cid].kind]):
+        roles, kind = visits[cid], crossings[cid].kind
         if len(roles) != 2:
             problems.append(f"crossing {cid}: visited {len(roles)} times, expected exactly 2")
-            continue
-        expected = set(CLASSICAL_ROLES if rec.kind == "x" else DOUBLE_ROLES)
-        if set(roles) != expected:
-            problems.append(f"crossing {cid}: roles {sorted(roles)} do not cover {sorted(expected)}")
+        else:
+            problems.append(f"crossing {cid}: roles {sorted(roles)} do not cover {sorted(_ROLES[kind])}")
     return problems
 
 

@@ -113,9 +113,12 @@ def mutated_blocks():
         _z_memo.cache_clear()
 
 
-# most double points `vassiliev_eval` resolves, 2^m diagrams in all: `compute`
-# took 32 s on a 64-crossing file with m = 6 (58 crossings, 2 components), and
-# `verify --random 24,1,m --trials 1` 0.7 / 2.8 / 22 s at m = 6 / 8 / 10
+# most double points `vassiliev_eval` resolves, 2^m diagrams in all.  On a
+# 2-core shared machine with Python 3.11.7, `compute` of the file `random
+# --crossings 58 --components 2 --doubles 6 --seed 0` emits took 38 s; the
+# whole `verify --random 24,1,6 --trials 1` process took 0.3 s, and its check
+# in-process, `check_singular_orders` with this ceiling lifted, 0.7 s at m = 8
+# and 11 s at m = 10
 MAX_DOUBLE_POINTS = 6
 
 # Small on purpose: a campaign's repeats come within a few calls of each

@@ -13,7 +13,11 @@ coefficients.  Internally the pair (ex, ey) is packed into one integer
 single integer add; the empty mapping is the zero polynomial.  Keys are
 packed only from exponent pairs given by the caller; everything else
 adds keys or decodes them (`_spread`, `_unpack`) and never packs them
-again, so y -> y^-1 maps a key k to k - 2*ey.
+again, so y -> y^-1 maps a key k to k - 2*ey.  A key decodes while
+|ey| < 2^31, so a product or shift whose y-exponents would leave that
+field raises the `OverflowError` that `_pack` raises, decided from each
+operand's lowest and highest y-exponent; x, the key's high part, has no
+field to leave.
 
 Large products and quotients use Kronecker substitution (Schoenhage
 1982; Harvey, J. Symb. Comp. 44, 2009): a polynomial becomes one
@@ -27,12 +31,16 @@ back one `memoryview` slice at a time, so no operand is too wide to
 pack.  A packed quotient is used only once its product with the divisor
 is shown to give the numerator; failing that, long division decides.
 `det_terms` routes a determinant residual, as rows of term dicts, by
-one rule: one of side 3 to 5 goes to `_det_packed`, and every other
-side, or one that `_det_packed` declines by terms or slots, goes to
-`_bareiss`.  Packed, each entry becomes one integer, shifted into the
-exponent box that the residual's perfect matchings span, the integer
-determinant is expanded, and its digits are the determinant's
-coefficients, bounded in advance by a permanent.
+one rule: sides 0 to 2, and side 3 up to `_LEIBNIZ_TERMS` terms, close
+by the Leibniz formula on the term dicts (`_leibniz`); a larger side 3
+and sides 4 and 5 go to `_det_packed`; every other side, or one that
+`_det_packed` declines by terms or slots, goes to `_bareiss`.  Packed,
+each entry becomes one integer, shifted into the exponent box that the
+residual's perfect matchings span, the integer determinant is expanded,
+and its digits are the determinant's coefficients, bounded in advance
+by a permanent.  Every product of two term dicts, in `__mul__`, Leibniz
+and Bareiss alike, follows one rule (`_mul_into`): packed from
+`_PACK_PAIRS` term pairs on, else term by term.
 The Conway expansion packs each x-column into one integer,
 a digit per y-exponent, and Taylor-shifts every row at once.  Small
 operands, and sparse ones whose box of slots would dwarf their term
@@ -75,6 +83,12 @@ _PACK_PAIRS = 150
 _SLOTS_PER_PAIR = 8
 # most terms on a residual's perfect matchings that `_det_packed` packs
 _PACK_TERMS = 750
+# most terms of a side-3 residual that `_leibniz` closes; on the side-3
+# residuals of campaign codes and of 16- and 24-crossing codes (2-core shared
+# machine, Python 3.11.7), medians of Leibniz against `_det_packed` were 38
+# against 125 us at 30-39 terms, 120 against 153 us at 50-59, 175 against
+# 171 us at 60-69 and 247 against 183 us at 80-89
+_LEIBNIZ_TERMS = 60
 # unsigned array typecode for each digit width in bytes
 _DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -91,12 +105,29 @@ def _unpack(key: int) -> tuple[int, int]:
     return (key - ey) >> 32, ey
 
 
+def _ys(t: dict[int, int]) -> list[int]:
+    """The y-exponents of packed terms, in the dict's order."""
+    return [((k + _HALF) & _MASK) - _HALF for k in t]
+
+
+def _y_span(t: dict[int, int]) -> tuple[int, int]:
+    ys = _ys(t)
+    return min(ys), max(ys)
+
+
+def _check_y(lo: int, hi: int) -> None:
+    """`OverflowError`, as `_pack` raises, unless y-exponents from lo to hi
+    fit a key's y field, |ey| < 2^31, past which they would wrap."""
+    if not (-_HALF < lo and hi < _HALF):
+        raise OverflowError(f"y-exponents {lo} to {hi} out of supported range")
+
+
 _Spread = tuple[list[int], list[int], list[int]]
 
 
 def _spread(t: dict[int, int]) -> _Spread:
     """The x-exponents, y-exponents and coefficients of packed terms, in step."""
-    ys = [((k + _HALF) & _MASK) - _HALF for k in t]
+    ys = _ys(t)
     return [(k - y) >> 32 for k, y in zip(t, ys)], ys, list(t.values())
 
 
@@ -191,6 +222,18 @@ def _addmul(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[i
             else:
                 del out[k]
     return out
+
+
+def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Add a*b into the term dict `out` and return the sum, which is `out`
+    unless that was empty: from `_PACK_PAIRS` term pairs on a*b is one
+    bigint product, unless `_mul_packed` declines, else `_addmul` adds it
+    term pair by term pair."""
+    if len(a) * len(b) >= _PACK_PAIRS:
+        ab = _mul_packed(a, b)
+        if ab is not None:
+            return _addmul(out, ab, ONE._t) if out else ab
+    return _addmul(out, a, b)
 
 
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
@@ -291,8 +334,8 @@ class LaurentPoly2:
         return LaurentPoly2.const(other) + (-self)
 
     def __mul__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
-        """The product; packed into one bigint product from `_PACK_PAIRS`
-        term pairs on, unless `_mul_packed` declines, else by `_addmul`."""
+        """The product, by `_mul_into`; `OverflowError` if its y-exponents
+        would leave the key's y field."""
         if isinstance(other, int):
             if not other:
                 return ZERO
@@ -302,24 +345,26 @@ class LaurentPoly2:
         a, b = self._t, other._t
         if not a or not b:
             return ZERO
+        (alo, ahi), (blo, bhi) = _y_span(a), _y_span(b)
+        _check_y(alo + blo, ahi + bhi)
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
             (ka, ca), = a.items()
             return LaurentPoly2._raw({k + ka: c * ca for k, c in b.items()})
-        if len(a) * len(b) >= _PACK_PAIRS:
-            out = _mul_packed(a, b)
-            if out is not None:
-                return LaurentPoly2._raw(out)
-        return LaurentPoly2._raw(_addmul({}, a, b))
+        return LaurentPoly2._raw(_mul_into({}, a, b))
 
     __rmul__ = __mul__
 
     def shifted(self, dex: int, dey: int) -> "LaurentPoly2":
-        """Multiply by the monomial x^dex * y^dey."""
+        """Multiply by the monomial x^dex * y^dey; `OverflowError` if a
+        y-exponent would leave the key's y field."""
         if not (dex or dey) or not self._t:
             return self
         dk = _pack(dex, dey)
+        if dey:
+            lo, hi = _y_span(self._t)
+            _check_y(lo + dey, hi + dey)
         return LaurentPoly2._raw({k + dk: c for k, c in self._t.items()})
 
     def render(self) -> str:
@@ -408,7 +453,7 @@ class ConwayPoly:
     def __init__(self, coeffs: Iterable[LaurentPoly2] = ()):
         cs = list(coeffs)
         for c in cs:
-            # a key is ex * 2^32 + ey with |ey| < 2^30, so ex = 0 exactly when |key| < 2^31
+            # a key is ex * 2^32 + ey with |ey| < 2^31, so ex = 0 exactly when |key| < 2^31
             if c._t and not -_HALF < min(c._t) <= max(c._t) < _HALF:
                 raise ValueError("conway coefficients must be polynomials in y only")
         while cs and cs[-1].is_zero():
@@ -667,9 +712,22 @@ def _long_div(nt: dict[int, int], dt: dict[int, int],
 
 def det(matrix: PolyMatrix) -> LaurentPoly2:
     """Exact determinant: the entries are copied into owned term dicts, in
-    column order, and `det_terms` eliminates them."""
-    return det_terms([{j: dict(row[j]._t) for j in sorted(row) if row[j]._t}
-                      for row in matrix.entries])
+    column order, and `det_terms` eliminates them.
+
+    `OverflowError` if the rows' y-reaches sum to 2^31 or more, a row's
+    reach being the span of its entries' y-exponents and 0.  That sum
+    bounds the y-exponents of every minor and every Schur complement
+    entry that elimination forms, so below it every key `det_terms`
+    decodes lies in the y field; each product of two of them is checked
+    by `LaurentPoly2.__mul__`.
+    """
+    rows = [{j: dict(row[j]._t) for j in sorted(row) if row[j]._t} for row in matrix.entries]
+    reach = 0
+    for row in rows:
+        ys = [0, *chain.from_iterable(map(_ys, row.values()))]
+        reach += max(ys) - min(ys)
+    _check_y(0, reach)
+    return det_terms(rows)
 
 
 def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
@@ -691,11 +749,16 @@ def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     sign comes once, at the end, from the parity of the order in which
     rows and columns were eliminated.  What is left, a few rows with no
     unit entry, is the residual.  Its term dicts go on as they are, in
-    rows keyed by column in range(side), and one rule routes them by the
-    side alone: sides 3 to 5 go to `_det_packed`, one integer determinant
-    over all n! permutations, which declines by terms or slots; every
-    other side, 0 to 2 included, and a residual `_det_packed` declines go
-    to `_bareiss`.
+    rows keyed by column in range(side), and one rule routes them by side
+    and, at side 3, by term count: sides 0 to 2, and side 3 up to
+    `_LEIBNIZ_TERMS` terms, close by the Leibniz formula (`_leibniz`);
+    larger side-3 residuals and sides 4 and 5 go to `_det_packed`, one
+    integer determinant over all n! permutations, which declines by terms
+    or slots; every other side, and a residual `_det_packed` declines, go
+    to `_bareiss`.  The kernel decodes keys only in the residual, so its
+    entries' y-exponents must stay in the key's y field: `det` checks a
+    bound for that, and Z's arc matrix, whose exponents stay within its
+    side, needs none.
     """
     n = len(entries)
     rows = dict(enumerate(entries))
@@ -749,9 +812,49 @@ def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
         sign = -sign
     order = {j: pos for pos, j in enumerate(right)}
     residual = [{order[j]: t for j, t in rows[i].items()} for i in left]
-    packed = _det_packed(residual) if 3 <= len(residual) <= 5 else None
-    value = _bareiss(residual) if packed is None else packed
-    return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value._t.items()})
+    side = len(residual)
+    if side < 3 or side == 3 and (sum(len(t) for row in residual for t in row.values())
+                                  <= _LEIBNIZ_TERMS):
+        value = _leibniz(residual)
+    else:
+        packed = _det_packed(residual) if side <= 5 else None
+        value = (_bareiss(residual) if packed is None else packed)._t
+    return LaurentPoly2._raw({k + unit_key: v * sign for k, v in value.items()})
+
+
+def _leibniz(rows: list[dict[int, dict[int, int]]]) -> dict[int, int]:
+    """The determinant of a residual of side 0 to 3, as `det_terms` holds
+    it, by the Leibniz formula: the sum over permutations of the signed
+    products of entries, summed into one term dict, each product by
+    `_mul_into`.  Side 3 expands along its first row, each entry times
+    its 2 x 2 minor; a product with a zero entry is skipped, so a
+    pattern with no perfect matching sums to zero."""
+    if len(rows) < 2:
+        return rows[0].get(0, {}) if rows else {0: 1}
+    if len(rows) == 2:
+        return _minor(rows[0], rows[1], 0, 1)
+    top, mid, low = rows
+    out: dict[int, int] = {}
+    for j, k, l, odd in ((0, 1, 2, False), (1, 0, 2, True), (2, 0, 1, False)):
+        a = top.get(j)
+        if a:
+            m = _minor(mid, low, k, l)
+            if m:
+                out = _mul_into(out, {key: -c for key, c in a.items()} if odd else a, m)
+    return out
+
+
+def _minor(upper: dict[int, dict[int, int]], lower: dict[int, dict[int, int]],
+           k: int, l: int) -> dict[int, int]:
+    """upper[k] * lower[l] - upper[l] * lower[k], a missing entry zero."""
+    out: dict[int, int] = {}
+    a, d = upper.get(k), lower.get(l)
+    if a and d:
+        out = _mul_into(out, a, d)
+    b, c = upper.get(l), lower.get(k)
+    if b and c:
+        out = _mul_into(out, {key: -v for key, v in b.items()}, c)
+    return out
 
 
 def _unit_pivot(rows: dict[int, dict[int, dict[int, int]]], cols: dict[int, set[int]],
@@ -797,7 +900,8 @@ def _det_packed(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2 | None:
     one integer determinant at a Kronecker point, or None, for `_bareiss`,
     when it declines by terms (past `_PACK_TERMS` on its perfect matchings)
     or by slots (past `_SLOTS_PER_PAIR` per pair of those terms);
-    `det_terms` sends sides 3 to 5 and every other side to `_bareiss`.
+    `det_terms` sends it side-3 residuals of more than `_LEIBNIZ_TERMS`
+    terms and sides 4 and 5.
 
     A term of the expansion takes the entries of one perfect matching of
     the nonzero pattern, so entries on no such matching are left out, and
@@ -925,10 +1029,9 @@ def _bareiss(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
     It takes a residual's rows as `det_terms` holds them and wraps each
-    cell once.  `det_terms` sends it every side but 3 to 5, and those
-    `_det_packed` declines: side 0 is ONE, side 1 its entry, and side 2
-    one step, whose division is by ONE.  The tests use it on whole
-    matrices as an oracle for `det`.
+    cell once.  `det_terms` sends it every side from 6 on, and the
+    residuals of sides 3 to 5 that `_det_packed` declines.  The tests
+    use it on whole matrices, of any side, as an oracle for `det`.
     """
     n = len(rows)
     if n == 0:

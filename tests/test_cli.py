@@ -135,6 +135,18 @@ def test_compute_invalid_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_compute_invalid_code_message_is_pinned(tmp_path, capsys):
+    # validate's problems, crossing by id, joined on one error line
+    p = tmp_path / "bad.txt"
+    p.write_text("component: O3- O3- U1+ O2+ U2+ U2+\n")
+    assert main(["compute", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: crossing 1: visited 1 times, expected exactly 2; "
+                            "crossing 2: visited 3 times, expected exactly 2; "
+                            "crossing 3: roles ['O', 'O'] do not cover ['O', 'U']\n")
+
+
 def test_verify_campaign(capsys):
     assert main(["verify", "--trials", "12", "--moves", "8", "--seed", "2"]) == 0
     out = capsys.readouterr().out

@@ -101,6 +101,30 @@ def test_validate_catches_bad_role_pairs():
     assert validate(ok) == []
 
 
+def test_validate_messages_are_pinned():
+    # each of the four problem kinds, in the order validate reports them: the
+    # passages' problems in traversal order, then each crossing's, by id
+    d = Diagram(
+        ((Passage(3, "O"), Passage(9, "U"), Passage(1, "A"), Passage(3, "O"), Passage(4, "A")),
+         (Passage(2, "B"), Passage(1, "O"), Passage(7, "U"), Passage(4, "O"), Passage(6, "U")),
+         (Passage(6, "O"), Passage(6, "U"))),
+        {5: Crossing(5, "x", 1), 4: Crossing(4, "d", None), 3: Crossing(3, "x", 1),
+         2: Crossing(2, "d", None), 1: Crossing(1, "x", -1), 6: Crossing(6, "x", -1)},
+    )
+    assert validate(d) == [
+        "component 0: passage through undeclared crossing 9",
+        "component 0: role 'A' invalid for 'x' crossing 1",
+        "component 1: passage through undeclared crossing 7",
+        "component 1: role 'O' invalid for 'd' crossing 4",
+        "crossing 1: roles ['A', 'O'] do not cover ['O', 'U']",
+        "crossing 2: visited 1 times, expected exactly 2",
+        "crossing 3: roles ['O', 'O'] do not cover ['O', 'U']",
+        "crossing 4: roles ['A', 'O'] do not cover ['A', 'B']",
+        "crossing 5: visited 0 times, expected exactly 2",
+        "crossing 6: visited 3 times, expected exactly 2",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # slot permutations
 

@@ -6,7 +6,7 @@ from itertools import permutations
 from math import comb, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import term_rows
 from vconway import invariants, laurent
@@ -228,6 +228,47 @@ def test_keys_at_the_edge_of_their_range(terms):
     assert eval_x1(p).render() == reference_render({k: c for k, c in collapsed.items() if c})
     assert substitute_y_inverse(p).render() == reference_render(
         {(ex, -ey): c for (ex, ey), c in nonzero.items()})
+
+
+def test_products_and_shifts_that_would_wrap_raise():
+    # a key decodes while |ey| < 2^31: the square of y^(2^30 - 1) still does,
+    # its cube would wrap, and so would a shift past the field; x has no field
+    edge = mono(1, 0, EDGE)
+    square = edge * edge
+    assert square.render() == "y^2147483646"
+    assert (-square * mono(1, 0, 1)).render() == "-y^2147483647"
+    with pytest.raises(OverflowError):
+        square * edge
+    with pytest.raises(OverflowError):
+        edge * edge * edge
+    with pytest.raises(OverflowError):
+        (ONE + square).shifted(0, 2)
+    assert (ONE + square).shifted(0, 1).render() == "y + y^2147483647"
+    low = mono(3, 1, -EDGE)
+    with pytest.raises(OverflowError):
+        low * low * (X + Y_INV * Y_INV)
+    assert (low * low * X).render() == "9*x^3*y^-2147483646"
+    wide = mono(1, EDGE, 0)
+    assert (wide * wide * wide).render() == f"x^{3 * EDGE}"
+
+
+def test_det_refuses_rows_that_could_wrap():
+    # the rows' y-reaches sum to 4 * (2^29 + 1) >= 2^31: the diagonal's
+    # determinant, y^(2^31 + 4), would wrap.  At side 3 it fits
+    def diagonal(*exps):
+        n = len(exps)
+        return PolyMatrix.from_rows([[mono(1, 0, e) if i == j else ZERO for j in range(n)]
+                                     for i, e in enumerate(exps)])
+
+    with pytest.raises(OverflowError):
+        det(diagonal(*[2**29 + 1] * 4))
+    assert det(diagonal(*[2**29 + 1] * 3)).render() == f"y^{3 * (2**29 + 1)}"
+    # the bound is the field's: a reach sum of 2^31 - 1 fits, 2^31 does not,
+    # on either side of 0
+    for sign in (1, -1):
+        assert det(diagonal(sign * EDGE, sign * EDGE, sign)).render() == f"y^{sign * (2**31 - 1)}"
+        with pytest.raises(OverflowError):
+            det(diagonal(sign * EDGE, sign * EDGE, 2 * sign))
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +888,9 @@ def test_packed_residual_matches_oracles(n):
 
 
 def spy_residuals(monkeypatch):
+    """The (kernel, side) of each residual `det_terms` closes, in order."""
     paths = []
-    packed, bareiss = laurent._det_packed, laurent._bareiss
+    packed, bareiss, leibniz = laurent._det_packed, laurent._bareiss, laurent._leibniz
 
     def spy_packed(rows):
         out = packed(rows)
@@ -858,6 +900,8 @@ def spy_residuals(monkeypatch):
     monkeypatch.setattr(laurent, "_det_packed", spy_packed)
     monkeypatch.setattr(laurent, "_bareiss",
                         lambda rows: paths.append(("bareiss", len(rows))) or bareiss(rows))
+    monkeypatch.setattr(laurent, "_leibniz",
+                        lambda rows: paths.append(("leibniz", len(rows))) or leibniz(rows))
     monkeypatch.setattr(laurent, "det_cofactor",
                         lambda m: pytest.fail("det called the cofactor oracle"))
     return paths
@@ -993,15 +1037,19 @@ def test_packed_residual_on_spread_exponents(m):
 
 def test_sparse_residual_is_not_packed(monkeypatch):
     # entries of 3 terms spread over 2^29 exponents: a packed residual would
-    # need about 2^58 slots, so packing declines and Bareiss decides
+    # need about 2^58 slots, so packing declines.  With 27 terms det closes it
+    # by the Leibniz formula, whose products are too small to pack, and
+    # Bareiss agrees
     rng = random.Random(7)
     rows = [[LaurentPoly2({(rng.randrange(2**29), rng.randrange(2**29)): rng.choice((1, -1))
                            for _ in range(3)}) for _ in range(3)] for _ in range(3)]
     m = PolyMatrix.from_rows(rows)
     expect = det_cofactor(m)
+    assert laurent._det_packed(term_rows(m)) is None
+    assert _bareiss(term_rows(m)) == expect
     paths = spy_residuals(monkeypatch)
     assert det(m) == expect
-    assert paths == [("declined", 3), ("bareiss", 3)]
+    assert paths == [("leibniz", 3)]
 
 
 def test_sparse_long_division_takes_leading_terms_from_a_heap(monkeypatch):
@@ -1037,30 +1085,35 @@ def campaign_entry(rng):
             return e
 
 
-def test_small_side_3_residuals_are_packed(monkeypatch):
+def test_small_side_3_residuals_close_by_leibniz(monkeypatch):
+    # at most _LEIBNIZ_TERMS terms, as in the campaign's side-3 residuals
     rng = random.Random(21)
     mats = []
     while len(mats) < 20:
         m = PolyMatrix.from_rows([[campaign_entry(rng) for _ in range(3)] for _ in range(3)])
         if all(m.entries):
             mats.append(m)
+    assert all(residual_terms(term_rows(m)) <= laurent._LEIBNIZ_TERMS for m in mats)
     expect = [det_cofactor(m) for m in mats]
     assert expect == [_bareiss(term_rows(m)) for m in mats]
+    assert expect == [laurent._det_packed(term_rows(m)) for m in mats]
     assert sum(not e.is_zero() for e in expect) >= 10
     paths = spy_residuals(monkeypatch)
     assert [det(m) for m in mats] == expect
-    assert paths == [("packed", 3)] * len(mats)
+    assert paths == [("leibniz", 3)] * len(mats)
 
 
 def test_z_hands_residuals_over_as_term_rows(monkeypatch):
     # Z's residuals reach the kernels as the rows of term dicts that
-    # `det_terms` holds: no PolyMatrix is built, and sides 3 to 5 still pack
+    # `det_terms` holds: no PolyMatrix is built, sides 3 to 5 still pack, and
+    # sides 1 and 2 close by the Leibniz formula
     monkeypatch.setattr(PolyMatrix, "__init__", lambda *args: pytest.fail("Z built a PolyMatrix"))
     paths = spy_residuals(monkeypatch)
     for i in range(40):
         invariants.z_polynomial(random_diagram(GeneratorConfig(24, 1 + i % 3, 0, seed=1000 + i)))
     assert {n for p, n in paths if p == "packed"} == {3, 4, 5}
-    assert all(p == "bareiss" for p, n in paths if not 3 <= n <= 5)
+    assert all(p == "leibniz" for p, n in paths if n < 3)
+    assert all(p == "bareiss" for p, n in paths if n > 5)
 
 
 def thirteen_terms(rng):
@@ -1079,8 +1132,8 @@ def spy_packed_products(monkeypatch):
 
 def test_side_2_residual_with_large_entries_packs_both_products(monkeypatch):
     # 2 x 2 entries of 13 terms, no unit among them: the whole matrix is the
-    # residual, Bareiss closes it in one step that divides by 1, a*d - b*c,
-    # and both products pack
+    # residual, the Leibniz formula closes it as a*d - b*c, and both products
+    # pack
     rng = random.Random(22)
     m = PolyMatrix.from_rows([[thirteen_terms(rng) for _ in range(2)] for _ in range(2)])
     expect = det_cofactor(m)
@@ -1088,16 +1141,17 @@ def test_side_2_residual_with_large_entries_packs_both_products(monkeypatch):
     paths = spy_residuals(monkeypatch)
     packed = spy_packed_products(monkeypatch)
     assert det(m) == expect
-    assert paths == [("bareiss", 2)]
+    assert paths == [("leibniz", 2)]
     assert packed == [169, 169]
 
 
 @pytest.mark.parametrize("side", [1, 2])
-def test_side_1_and_2_residuals_go_to_bareiss(monkeypatch, side):
+def test_side_1_and_2_residuals_close_by_leibniz(monkeypatch, side):
     # units down the diagonal of the first rows, nothing else in those rows,
     # and entries of 13 terms in every other row: unit elimination leaves those
-    # rows' corner as the residual, which Bareiss closes as its one entry or
-    # as a*d - b*c with packed products, wherever rows and columns are shuffled
+    # rows' corner as the residual, which the Leibniz formula closes as its one
+    # entry or as a*d - b*c with packed products, wherever rows and columns are
+    # shuffled
     rng = random.Random(40 + side)
     mats = []
     for units in range(6):
@@ -1113,8 +1167,59 @@ def test_side_1_and_2_residuals_go_to_bareiss(monkeypatch, side):
     paths = spy_residuals(monkeypatch)
     packed = spy_packed_products(monkeypatch)
     assert [det(m) for m in mats] == expect
-    assert paths == [("bareiss", side)] * len(mats)
+    assert paths == [("leibniz", side)] * len(mats)
     assert packed == ([169] * 2 * len(mats) if side == 2 else [])
+
+
+@st.composite
+def small_residuals(draw):
+    """A matrix of side 0 to 3, as `_leibniz` gets its rows: zero entries,
+    sometimes a zero row or column (no perfect matching),
+    sometimes a row that is a monomial times another (every product
+    cancels), and at side 2 sometimes entries of 13 to 16 terms, whose
+    products pack."""
+    n = draw(st.integers(0, 3))
+    terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                            st.integers(-3, 3), max_size=4)
+    if n == 2 and draw(st.booleans()):
+        terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                st.integers(1, 9) | st.integers(-9, -1), min_size=13, max_size=16)
+    cells = [[LaurentPoly2(draw(terms)) for _ in range(n)] for _ in range(n)]
+    if n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        shape = draw(st.sampled_from(["free", "zero row", "zero column", "multiple"]))
+        if shape == "zero row":
+            cells[i] = [ZERO] * n
+        elif shape == "zero column":
+            for row in cells:
+                row[j] = ZERO
+        elif shape == "multiple":
+            unit = mono(draw(st.sampled_from((1, -1, 2))), draw(st.integers(-2, 2)), 1)
+            cells[i] = [unit * e for e in cells[j]]
+    return PolyMatrix.from_rows(cells)
+
+
+# a*d = b*c, so both products cancel term for term; a zero column, so no
+# perfect matching and no product
+_A, _B = ONE + X, Y - 2 * X
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_residuals())
+@example(PolyMatrix.from_rows([[_A, _B], [mono(-1, 1, 2) * _A, mono(-1, 1, 2) * _B]]))
+@example(PolyMatrix.from_rows([[_A, ZERO, _B], [X, ZERO, ONE - Y], [_B, ZERO, _A]]))
+@example(PolyMatrix.from_rows([[_A, _B, ONE], [ZERO, ZERO, X], [ZERO, ZERO, Y]]))
+def test_leibniz_matches_the_oracles(m):
+    rows = term_rows(m)
+    big = m.n == 2 and min((e.term_count() for row in m.entries for e in row.values()),
+                           default=0) >= 13 and all(len(row) == 2 for row in m.entries)
+    with pytest.MonkeyPatch.context() as mp:
+        packed = spy_packed_products(mp)
+        got = LaurentPoly2._raw(laurent._leibniz(rows))
+    assert got == det_cofactor(m) == _bareiss(term_rows(m))
+    assert rows == term_rows(m)  # the entries are left as they were
+    if big:
+        assert len(packed) == 2 and min(packed) >= laurent._PACK_PAIRS
 
 
 def matched_terms(rows):
@@ -1124,10 +1229,16 @@ def matched_terms(rows):
     return sum(len(rows[i][j]) for i, j in on)
 
 
+def residual_terms(rows):
+    """The terms of all entries of a residual's rows, which route side 3."""
+    return sum(len(t) for row in rows for t in row.values())
+
+
 def test_det_takes_both_residual_paths():
-    # a residual of side 3-5 packs unless the entries on its perfect
-    # matchings have more than _PACK_TERMS terms, and every other side, 0 to
-    # 2 included, goes to Bareiss; no entry size changes that
+    # sides 0 to 2, and side 3 up to _LEIBNIZ_TERMS terms, close by the
+    # Leibniz formula; a larger side 3 and sides 4 and 5 pack unless the
+    # entries on their perfect matchings have more than _PACK_TERMS terms;
+    # every other side, and a declined residual, goes to Bareiss
     rng = random.Random(12)
     mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
     mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
@@ -1137,12 +1248,13 @@ def test_det_takes_both_residual_paths():
                                                   for k in range(48)}) for _ in range(n)]
                                    for _ in range(n)]) for n in (4, 5)]
     expect = [det_cofactor(m) for m in mats]
-    packed, bareiss = laurent._det_packed, laurent._bareiss
+    packed, bareiss, leibniz = laurent._det_packed, laurent._bareiss, laurent._leibniz
     runs = []
     for pairs in (0, laurent._PACK_PAIRS, 10**9):
         paths = []
 
         def spy_packed(rows):
+            assert len(rows) > 3 or residual_terms(rows) > laurent._LEIBNIZ_TERMS
             out = packed(rows)
             paths.append(("packed" if out is not None else "declined", len(rows),
                           matched_terms(rows) > laurent._PACK_TERMS))
@@ -1153,19 +1265,25 @@ def test_det_takes_both_residual_paths():
             mp.setattr(laurent, "_det_packed", spy_packed)
             mp.setattr(laurent, "_bareiss",
                        lambda rows: paths.append(("bareiss", len(rows), None)) or bareiss(rows))
+            mp.setattr(laurent, "_leibniz",
+                       lambda rows: paths.append(("leibniz", len(rows),
+                                                  residual_terms(rows))) or leibniz(rows))
             assert [det(m) for m in mats] == expect
         runs.append(paths)
-    # the routing reads no entry size: the same paths at any _PACK_PAIRS
+    # the routing reads side 3's term count and no other entry size, and no
+    # _PACK_PAIRS: the same paths at any value of it
     assert runs == [paths] * 3
-    assert all(3 <= n <= 5 and past == (p == "declined") for p, n, past in paths if p != "bareiss")
+    assert all(n < 3 or terms <= laurent._LEIBNIZ_TERMS for p, n, terms in paths if p == "leibniz")
+    assert all(3 <= n <= 5 and past == (p == "declined")
+               for p, n, past in paths if p in ("packed", "declined"))
     taken = [n for p, n, _ in paths if p == "bareiss"]
     declined = [n for p, n, _ in paths if p == "declined"]
     assert sorted(n for n in taken if 3 <= n <= 5) == sorted(declined)
-    # both paths are taken, Bareiss for each reason: below side 3, beyond
-    # side 5 and past the ceiling.  The dense matrices of side 1 and 2 hold
-    # no unit, so they are whole residuals
-    assert any(p == "packed" for p, _, _ in paths)
-    assert {0, 1, 2} <= set(taken)
+    # every path is taken, Bareiss for each reason: beyond side 5 and past the
+    # ceiling.  The dense matrices of side 1 to 3 hold no unit, so they are
+    # whole residuals: those of side 3 are past _LEIBNIZ_TERMS and pack
+    assert {(n, p) for p, n, _ in paths if n <= 3} >= {
+        (0, "leibniz"), (1, "leibniz"), (2, "leibniz"), (3, "leibniz"), (3, "packed")}
     assert max(taken) > 5 and sorted(declined) == [4, 5]
 
 
