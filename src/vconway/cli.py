@@ -56,7 +56,10 @@ LINK_SEARCH_BUDGET = 10000
 # a hit, took 26 s (2-core shared machine, Python 3.11.7)
 MAX_LINK_SEARCH_BUDGET = 100000
 
-# most `verify --trials`: the default 500 took 0.9 s and 10,000 took 17 s
+# most `verify --trials`.  Whole process, 2-core shared machine, Python
+# 3.11.7: the default campaign took 0.9-1.0 s at 500 trials and 20 s at
+# 10,000; the ceiling does not weigh code size, and `verify --random
+# 24,14,0 --seed 0` took 26 s for 60 trials, about 75 minutes at 10,000
 MAX_TRIALS = 10000
 
 # most `verify --moves` per walk: 100 trials of 1,000 moves took 1.0 s

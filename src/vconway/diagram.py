@@ -132,7 +132,7 @@ class Diagram(_DiagramFields):
         return sum(c.sign for c in self.crossings.values() if c.kind == "x")
 
     def __hash__(self) -> int:
-        return hash((self.components, tuple(sorted(self.crossings.items(), key=lambda kv: kv[0]))))
+        return hash((self.components, frozenset(self.crossings.items())))
 
 
 _TOKEN_RE = re.compile(r"^([OUAB])([0-9]+)([+-]?)$")
@@ -285,12 +285,18 @@ def _entry_side(role: str, sign: int) -> int:
     return 1 if sign > 0 else 0
 
 
+# (role, sign) -> entry side, for the two classical roles only
+_SIDES = {(role, sign): _entry_side(role, sign) for role in CLASSICAL_ROLES for sign in (1, -1)}
+
+
 def entry_slots(d: Diagram) -> list[list[int]]:
     """Each component's entry slots in traversal order, 2 * rank + entry
-    side; a passage exits by the other slot, entry ^ 1.  No validation."""
+    side; a passage exits by the other slot, entry ^ 1.  Raises KeyError
+    on a passage that has no slot: one through an undeclared crossing or a
+    double point, or in a role other than O or U.  Nothing else is checked."""
     base = {cid: 2 * i for i, cid in enumerate(d.classical_ids())}
     table = d.crossings
-    return [[base[cid] + _entry_side(role, table[cid].sign) for cid, role in comp]
+    return [[base[cid] + _SIDES[role, table[cid].sign] for cid, role in comp]
             for comp in d.components]
 
 

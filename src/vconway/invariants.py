@@ -22,7 +22,10 @@ those n rows are eliminated along each component without a search or a
 division (Silver & Williams, JKTR 10, 2001, present the generalized
 Alexander polynomial on arcs the same way).  What is left is the arc
 matrix: one row per under passage over one column per arc, plus one row
-and column per component with no under passage, n + a in all.
+and column per component with no under passage, n + a in all.  The walk
+that builds it also checks the code: every passage must have a slot, and
+2n passages must fill the 2n slots once each; on a code that fails,
+`diagram.validate` gives the error message.
 
 A crossing-free diagram, or any diagram with a crossing-free
 component, has Z = 0 by definition; the second case is forced by
@@ -135,6 +138,12 @@ def z_polynomial(d: Diagram) -> LaurentPoly2:
     under passage.  The Z_MEMO_SIZE most recently used values are kept,
     keyed by the diagram, so a diagram evaluated again (c1 after c0, D+ or
     D- equal to D in a skein triple) costs no determinant.
+
+    Raises ValueError on double points, and on an invalid code with a
+    crossing on every component, where validity is read off the slot fill
+    of `_arc_matrix` and the message, "invalid diagram: ...", from
+    `diagram.validate`.  A crossing-free code, or one with a crossing-free
+    component, has Z = 0 without a check.
     """
     if d.has_doubles():
         raise ValueError("resolve double points first: Z is defined on classical diagrams")
@@ -145,10 +154,10 @@ _split: tuple = (None, {})  # (a block set, its rows by sign), read once per blo
 
 
 def _block_rows() -> dict[int, tuple]:
-    """For each sign, from `_blocks`, the term dicts of the over-exit row's
-    one entry, a unit in the over-entry column, and of the under-exit
-    row's entries in the over-entry and under-entry columns.  Raises
-    ValueError if an over-exit row is not one unit."""
+    """For each sign, from `_blocks`, the (key, coefficient) pairs of the
+    over-exit row's one entry, a unit in the over-entry column, and of the
+    under-exit row's entries in the over-entry and under-entry columns, as
+    tuples.  Raises ValueError if an over-exit row is not one unit."""
     global _split
     if _split[0] is not _blocks:
         rows = {}
@@ -157,14 +166,16 @@ def _block_rows() -> dict[int, tuple]:
             over = block[o ^ 1][o]._t
             if block[o ^ 1][o ^ 1] or len(over) != 1 or abs(*over.values()) != 1:
                 raise ValueError(f"the over-exit row of the {sign:+d} block is not one unit")
-            rows[sign] = (over, block[o][o]._t, block[o][o ^ 1]._t)
+            entries = (block[o ^ 1][o], block[o][o], block[o][o ^ 1])
+            rows[sign] = tuple(tuple(e._t.items()) for e in entries)
         _split = (_blocks, rows)
     return _split[1]
 
 
 def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
     """M - P with its over-exit rows eliminated along each component, as
-    rows of term dicts for `det_terms`.
+    rows of term dicts for `det_terms`.  Raises `validate`'s ValueError if
+    d is not a valid code.
 
     Rows of M - P are exit slots and columns entry slots, both taken from
     `diagram.entry_slots` (a passage exits by entry ^ 1).  Crossing c's
@@ -176,7 +187,13 @@ def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
     row per under passage, its block row plus P's -1 with each entry
     times the m of its slot, over one column per arc.  A component with
     no under passage keeps its last over row, whose one entry u*m - 1
-    closes the cycle.
+    closes the cycle.  Each cell is built in one go, and merged with
+    another only where two fall on one arc.
+
+    Validity comes from the same walk: `entry_slots` raises KeyError on a
+    passage with no slot, and otherwise 2n passages fill the 2n slots once
+    each exactly when every crossing is passed once over and once under.
+    On a code that fails, `validate` gives the message.
 
     Z is (-1)^r times their determinant, by three facts: sgn P =
     (-1)^(n+r); the eliminated rows against their -1 columns form a
@@ -187,10 +204,16 @@ def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
     components the product is (-1)^n, and this order is part of correctness.
     """
     rows_of = _block_rows()
-    at = [(0, 0, 0)] * (2 * d.n_classical())  # entry slot -> (its arc, m as key and coefficient)
+    # entry slot -> (its arc, m as key and coefficient); Z admits no double points
+    at = [None] * (2 * len(d.crossings))
+    try:
+        slots_of = entry_slots(d)
+    except KeyError:
+        _require_valid(d)
+        raise
     n_arcs = 0
     kept: list[tuple[int, bool, int, int]] = []  # (entry slot, under?, sign, next entry slot)
-    for comp, slots in zip(d.components, entry_slots(d)):
+    for comp, slots in zip(d.components, slots_of):
         ends = [t for t, p in enumerate(comp) if p.role == UNDER]
         start = ends[-1] + 1 if ends else 0
         walk = comp[start:] + comp[:start]
@@ -208,28 +231,31 @@ def _arc_matrix(d: Diagram) -> list[dict[int, dict[int, int]]]:
                     arc, mk, mc = n_arcs, 0, 1
                     n_arcs += 1
             elif ends or t + 1 < len(walk):
-                (uk, uc), = rows_of[sign][0].items()
+                (uk, uc), = rows_of[sign][0]
                 mk, mc = mk + uk, mc * uc
             else:  # the closing row of a component with no under passage
                 kept.append((e, False, sign, nxt))
+    if sum(map(len, d.components)) != len(at) or None in at:
+        _require_valid(d)
     rows = []
     for e, under, sign, nxt in kept:
         u, a, w = rows_of[sign]
+        row: dict[int, dict[int, int]] = {at[nxt][0]: {0: -1}}  # P's -1; m is 1 there
         # an under row's over-entry column is its crossing's other slot
-        cells = [(at[e ^ 1], a), (at[e], w)] if under else [(at[e], u)]
-        cells.append(((at[nxt][0], 0, -1), ONE._t))  # P's -1; m is 1 there
-        row: dict[int, dict[int, int]] = {}
-        for (arc, mk, mc), terms in cells:
-            _addmul(row.setdefault(arc, {}), terms, {mk: mc})
-        rows.append({j: entry for j, entry in row.items() if entry})
+        for (arc, mk, mc), terms in ((at[e ^ 1], a), (at[e], w)) if under else ((at[e], u),):
+            if arc in row:  # two cells on one arc: merge, dropping a cell that cancels
+                if not _addmul(row[arc], dict(terms), {mk: mc}):
+                    del row[arc]
+            elif terms:
+                row[arc] = {k + mk: c * mc for k, c in terms}
+        rows.append(row)
     return rows
 
 
 @functools.lru_cache(maxsize=Z_MEMO_SIZE)
 def _z_memo(d: Diagram) -> LaurentPoly2:
-    if d.n_classical() == 0 or d.has_empty_component():
+    if not d.crossings or d.has_empty_component():
         return ZERO
-    _require_valid(d)
     value = det_terms(_arc_matrix(d))
     return -value if len(d.components) % 2 else value
 

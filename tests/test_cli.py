@@ -430,6 +430,9 @@ PINNED_OUTPUTS = {
     "verify --random 4,1,2 --trials 5": (
         "3e75f77b233859a27c0015e7cfd8e3939063f431605f08de7d65b3de1b735521",
         "7659417b8109e9da69d5348a53ae9effd560d264a409c20e68b0c34908494197"),
+    "verify --random 4,1,2 --trials 50 --seed 1": (
+        "f5bdc81e5ce208cade8b1e542941686d466ff729d97a50f1fc74fac67d7b9191",
+        "969bb1ed1626a67409d5527944215b73f9a167a43c08ed3f9e0e5b0c188a77d7"),
     "verify --random 6,2,0 --trials 3": (
         "cd1d4eede413a58095afecf91dfff2602dccc74d7699e1392a5a39b747ea652e",
         "447b186a2df444adbff3737880d106ee273098924bdbfdc5e45d520e24cad461"),

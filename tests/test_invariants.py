@@ -2,12 +2,15 @@ import contextlib
 import itertools
 import json
 import math
+import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import term_rows
 from vconway.diagram import (
+    OVER,
+    UNDER,
     Crossing,
     Diagram,
     Passage,
@@ -20,6 +23,7 @@ from vconway.diagram import (
     set_sign,
     smooth,
     switch,
+    validate,
 )
 from vconway import invariants
 from vconway.invariants import (
@@ -58,8 +62,6 @@ from vconway.verify import enumerate_virtual_knot_codes
 
 
 def _sample(count, seed, components=None, max_crossings=6):
-    import random
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -308,6 +310,65 @@ def test_arc_matrix_needs_a_one_unit_over_row(monkeypatch):
             z_polynomial(d)
 
 
+def _corrupt(d, rng, times):
+    """d with `times` random corruptions, each of which may make the code invalid:
+    drop or duplicate a passage, flip its O and U, make it an A or B passage,
+    point it at an undeclared crossing, declare a crossing no passage visits,
+    or move a passage to another component."""
+    comps = [list(comp) for comp in d.components]
+    table = dict(d.crossings)
+    for _ in range(times):
+        fresh = max(table, default=0) + 1
+        places = [(comp, t) for comp in comps for t in range(len(comp))]
+        kind = rng.randrange(7) if places else 5
+        if kind == 5:
+            table[fresh] = Crossing(fresh, "x", rng.choice((1, -1)))
+            continue
+        comp, t = rng.choice(places)
+        cid, role = comp[t]
+        if kind == 0:
+            del comp[t]
+        elif kind == 1:
+            comp.insert(rng.randrange(len(comp) + 1), comp[t])
+        elif kind == 2:
+            comp[t] = Passage(cid, OVER if role == UNDER else UNDER)
+        elif kind == 3:
+            comp[t] = Passage(cid, rng.choice("AB"))
+        elif kind == 4:
+            comp[t] = Passage(fresh, role)
+        else:
+            other = rng.choice(comps)
+            other.insert(rng.randrange(len(other) + 1), comp.pop(t))
+    return Diagram(tuple(map(tuple, comps)), table)
+
+
+@st.composite
+def corrupted_codes(draw):
+    d = random_diagram(GeneratorConfig(draw(st.integers(0, 6)), draw(st.integers(1, 3)), 0,
+                                       seed=draw(st.integers(0, 2**32))))
+    return _corrupt(d, random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 2)))
+
+
+@given(corrupted_codes())
+@settings(max_examples=300, deadline=None)
+# an A passage where U2+ was: every slot is filled, but not by an O and a U
+@example(Diagram(((Passage(1, OVER), Passage(2, OVER), Passage(1, UNDER), Passage(2, "A")),),
+                 {1: Crossing(1, "x", 1), 2: Crossing(2, "x", 1)}))
+# a duplicated passage: every slot is filled, by 2n + 1 passages
+@example(parse_diagram("component: O1+ O2- U1+ U2- U1+"))
+def test_z_rejects_exactly_the_codes_validate_rejects(d):
+    problems = validate(d)
+    if not d.crossings or d.has_empty_component():
+        assert z_polynomial(d) == ZERO
+    elif problems:
+        for _ in range(2):  # a rejected code leaves nothing in the memo
+            with pytest.raises(ValueError) as err:
+                z_polynomial(d)
+            assert str(err.value) == "invalid diagram: " + "; ".join(problems)
+    else:
+        assert z_polynomial(d) == _z_of_m_minus_p(d)
+
+
 # ---------------------------------------------------------------------------
 # singular diagrams and the vassiliev extension
 
@@ -344,8 +405,6 @@ def test_vassiliev_cap():
 
 
 def test_extended_c0_vanishes():
-    import random
-
     rng = random.Random(31)
     for _ in range(25):
         d = random_diagram(GeneratorConfig(rng.randint(0, 4), rng.randint(1, 2), 1,
@@ -354,8 +413,6 @@ def test_extended_c0_vanishes():
 
 
 def test_extended_c1_vanishes_on_singular_knots():
-    import random
-
     rng = random.Random(32)
     for _ in range(20):
         d = random_diagram(GeneratorConfig(rng.randint(0, 4), 1, 2,
@@ -388,8 +445,6 @@ def test_vassiliev_eval_is_the_signed_sum_over_sign_patterns(crossings, componen
 
 
 def test_order_one_defect_matches_definition():
-    import random
-
     rng = random.Random(33)
     for _ in range(25):
         d = random_diagram(GeneratorConfig(rng.randint(2, 5), rng.randint(1, 2), 0,
@@ -406,8 +461,6 @@ def test_order_one_defect_vanishes_on_knots():
     # sign resolutions keep the component count, so every pair of a knot
     # diagram has all-knot resolutions and a vanishing defect; the
     # smoothed-c0 route of the same argument agrees term by term
-    import random
-
     rng = random.Random(34)
     for _ in range(20):
         d = random_diagram(GeneratorConfig(rng.randint(2, 5), 1, 0,
@@ -421,8 +474,6 @@ def test_order_one_defect_vanishes_on_knots():
 
 
 def test_order_one_defect_can_be_nonzero_on_links():
-    import random
-
     rng = random.Random(35)
     for _ in range(60):
         d = random_diagram(GeneratorConfig(rng.randint(2, 5), 2, 0,
@@ -475,8 +526,6 @@ def test_c1_index_form_on_every_small_knot():
 
 
 def test_c1_index_form_on_random_knots():
-    import random
-
     rng = random.Random(61)
     knots = [random_diagram(GeneratorConfig(rng.randint(0, 22), 1, 0, seed=rng.randrange(1 << 30)))
              for _ in range(300)]
