@@ -62,7 +62,8 @@ MAX_LINK_SEARCH_BUDGET = 100000
 # 24,14,0 --seed 0` took 26 s for 60 trials, about 75 minutes at 10,000
 MAX_TRIALS = 10000
 
-# most `verify --moves` per walk: 100 trials of 1,000 moves took 1.0 s
+# most `verify --moves` per walk: 100 trials of 1,000 moves took 1.1 s (whole
+# process, 2-core shared machine, Python 3.11.7)
 MAX_MOVES = 1000
 
 # most resolved diagrams `verify --random K,C,M` with M > 0 may check, trials

@@ -29,10 +29,14 @@ int passage keys 4·crossing + role, a sign table, and a site index kept
 current by three edits (insert a strand pair at a gap, delete a window's
 pair, swap a window).  A window is named by its first passage; the index
 holds successor and predecessor maps over the passages, the R1_remove,
-R2_remove and R3 site sets, and the sites of each window.  An edit
-changes at most three windows and re-indexes only those: a valid code
-holds each passage once, so a window's sites are dictionary lookups, not
-scans.  A walk converts its diagram once, steps on the code and builds
+R2_remove and R3 site sets, and the sites of each window, as the site
+tuples themselves (a site's kind is its length: 1, 2, or 4 with the
+variant).  An edit changes at most three windows and re-indexes only
+those: a valid code holds each passage once, so a window's sites are
+dictionary lookups, not scans.  Before a same-sign window is matched
+against the third-move patterns, one neighbour test asks for a third
+crossing next to the other passages of both its crossings; most windows
+fail it, and no site can.  A walk converts its diagram once, steps on the code and builds
 one Diagram at the end; `apply` makes the same edits on a code built from
 its diagram, and takes a removal or third-move site only if that code's
 index holds it.
@@ -118,20 +122,27 @@ _R3_RANK = {variant: i for i, variant in enumerate(_R3_PATTERNS)}
 _R3_FLIP = {"L+": "R+", "R+": "L+", "L-": "R-", "R-": "L-"}
 
 
-def _r3_slots() -> dict[tuple[int, int, int], list[tuple[str, int, tuple]]]:
-    """(first role, second role, sign) of a window -> (variant, slot j, windows)
-    of every pattern slot such a window can fill."""
-    slots: dict = {}
+def _slot_key(ra: int, rb: int, s: int) -> int:
+    """One small int for (first role, second role, sign) of a window; s & 4
+    is 4 for s = -1 and 0 for s = 1."""
+    return ra << 1 | rb | s & 4
+
+
+def _r3_slots() -> tuple[tuple[tuple[str, int, tuple], ...], ...]:
+    """`_slot_key` of a window -> (variant, slot j, windows) of every pattern
+    slot such a window can fill."""
+    slots: list[list] = [[] for _ in range(8)]
     for variant, (*windows, sign) in _R3_PATTERNS.items():
         for j, ((ra, _), (rb, _)) in enumerate(windows):
-            slots.setdefault((ra, rb, sign), []).append((variant, j, tuple(windows)))
-    return slots
+            slots[_slot_key(ra, rb, sign)].append((variant, j, tuple(windows)))
+    return tuple(map(tuple, slots))
 
 
 _R3_SLOTS = _r3_slots()
 
-# the windows of a site of each kind; an R3 site carries its variant last
-_N_WINDOWS = {"R1_remove": 1, "R2_remove": 2, "R3": 3}
+# a site's kind by its length: an R3 site carries its variant after its
+# three windows, the other kinds are their windows
+_KIND_OF_SIZE = (None, "R1_remove", "R2_remove", None, "R3")
 
 
 class _Code:
@@ -143,8 +154,9 @@ class _Code:
     `nxt` and `prv` link each passage to its neighbours along its component (a
     one-passage component links its passage to itself and has no window).
     `sites` holds the sites of each kind as tuples of window names, and `at`
-    holds the (kind, site) pairs of each window.  The three edits below change
-    at most three windows each and re-index only those.
+    holds the sites of each window, whose kind `_KIND_OF_SIZE` reads off
+    their length.  The three edits below change at most three windows each
+    and re-index only those.
     """
 
     __slots__ = ("comps", "sign", "comp_of", "nxt", "prv", "sites", "at")
@@ -156,10 +168,11 @@ class _Code:
         self.nxt: dict[int, int] = {}
         self.prv: dict[int, int] = {}
         for comp in self.comps:
-            if comp:
-                self._link(*comp, comp[0])
+            for p, q in zip(comp, comp[1:] + comp[:1]):
+                self.nxt[p] = q
+                self.prv[q] = p
         self.sites: dict[str, set[tuple]] = {kind: set() for kind in _REMOVAL_KINDS}
-        self.at: dict[int, set[tuple[str, tuple]]] = {}
+        self.at: dict[int, set[tuple]] = {}
         for w in self.nxt:
             self._find(w)
 
@@ -172,29 +185,34 @@ class _Code:
 
     # -- the site index
 
-    def _link(self, *keys: int) -> None:
-        for p, q in zip(keys, keys[1:]):
-            self.nxt[p] = q
-            self.prv[q] = p
-
     def _add(self, kind: str, site: tuple) -> None:
-        if site not in self.sites[kind]:
-            self.sites[kind].add(site)
-            for w in site[: _N_WINDOWS[kind]]:
-                self.at.setdefault(w, set()).add((kind, site))
+        sites = self.sites[kind]
+        if site not in sites:
+            sites.add(site)
+            for w in site[:3]:
+                self.at.setdefault(w, set()).add(site)
 
     def _drop(self, w: int) -> None:
         """Forget every site that has window w."""
-        for kind, site in self.at.pop(w, ()):
-            self.sites[kind].remove(site)
-            for u in site[: _N_WINDOWS[kind]]:
+        at = self.at
+        for site in at.pop(w, ()):
+            self.sites[_KIND_OF_SIZE[len(site)]].remove(site)
+            for u in site[:3]:
                 if u != w:
-                    self.at[u].remove((kind, site))
+                    at[u].remove(site)
 
     def _find(self, a: int) -> None:
         """Index every site that has window a; a valid code holds each passage
-        once, so the site's other windows are dictionary lookups."""
-        b = self.nxt[a]
+        once, so the site's other windows are dictionary lookups.
+
+        A third-move site needs a third crossing c next to both a ^ 1 and
+        b ^ 1: its six passages are distinct, and each of its other two
+        windows pairs one of them with a passage of c.  So a window without
+        such a c, as most same-sign windows are, is matched against no
+        pattern.  A passage not linked yet (between `add_bigon`'s two
+        inserts) stands in for its own neighbours, and so has none."""
+        nxt = self.nxt
+        b = nxt[a]
         if a == b or (a | b) & 2:
             return  # no window, or one through a double point
         ca, cb = a >> 2, b >> 2
@@ -205,10 +223,17 @@ class _Code:
         if s != self.sign[cb]:
             if (a ^ b) & 1 == 0:  # O-O or U-U; a site names its over-window first
                 for p, q in ((a ^ 1, b ^ 1), (b ^ 1, a ^ 1)):
-                    if self.nxt.get(p) == q:
+                    if nxt.get(p) == q:
                         self._add("R2_remove", (p, a) if a & 1 else (a, p))
             return
-        for variant, j, windows in _R3_SLOTS.get((a & 1, b & 1, s), ()):
+        prv, p, q = self.prv, a ^ 1, b ^ 1
+        u, v = nxt.get(p, p) >> 2, prv.get(p, p) >> 2
+        for c in (nxt.get(q, q) >> 2, prv.get(q, q) >> 2):
+            if (c == u or c == v) and c != ca and c != cb:
+                break
+        else:
+            return
+        for variant, j, windows in _R3_SLOTS[_slot_key(a & 1, b & 1, s)]:
             site = self._r3_site(variant, j, windows, s, a, b)
             if site is not None:
                 self._add("R3", site)
@@ -240,24 +265,25 @@ class _Code:
 
     def insert(self, ci: int, g: int, k1: int, k2: int) -> None:
         """Put passages k1, k2 at gap g of component ci."""
-        comp = self.comps[ci]
+        comp, nxt, prv = self.comps[ci], self.nxt, self.prv
         self.comp_of[k1] = self.comp_of[k2] = ci
+        nxt[k1], prv[k2] = k2, k1
         if comp:
             x, y = comp[g - 1], comp[g]
             self._drop(x)
-            self._link(x, k1, k2, y)
-            around: tuple[int, ...] = (x, k1, k2)
+            nxt[x], prv[k1], nxt[k2], prv[y] = k1, x, y, k2
+            self._find(x)
         else:
-            self._link(k1, k2, k1)
-            around = (k1, k2)
+            nxt[k2], prv[k1] = k1, k2
         comp[g:g] = (k1, k2)
-        for w in around:
-            self._find(w)
+        self._find(k1)
+        self._find(k2)
 
     def delete(self, a: int) -> None:
         """Take out the two passages of window a."""
-        b = self.nxt[a]
-        x, y = self.prv[a], self.nxt[b]
+        nxt, prv = self.nxt, self.prv
+        b = nxt[a]
+        x, y = prv[a], nxt[b]
         for w in (x, a, b):
             self._drop(w)
         comp = self.comps[self.comp_of.pop(a)]
@@ -267,16 +293,16 @@ class _Code:
             del comp[i : i + 2]
         else:
             del comp[i], comp[0]
-        for k in (a, b):
-            del self.nxt[k], self.prv[k]
+        del nxt[a], prv[a], nxt[b], prv[b]
         if comp:
-            self._link(x, y)
+            nxt[x], prv[y] = y, x
             self._find(x)
 
     def swap(self, a: int) -> None:
         """Exchange the two passages of window a."""
-        b = self.nxt[a]
-        x, y = self.prv[a], self.nxt[b]
+        nxt, prv = self.nxt, self.prv
+        b = nxt[a]
+        x, y = prv[a], nxt[b]
         comp = self.comps[self.comp_of[a]]
         i = comp.index(a)
         j = (i + 1) % len(comp)
@@ -285,7 +311,7 @@ class _Code:
             return  # a two-passage cycle reads the same either way round
         for w in (x, a, b):
             self._drop(w)
-        self._link(x, b, a, y)
+        nxt[x], prv[b], nxt[b], prv[a], nxt[a], prv[y] = b, x, a, b, y, a
         for w in (x, a, b):
             self._find(w)
 
@@ -308,11 +334,11 @@ class _Code:
         r2 = r1 ^ 1
         strand1 = (4 * c + r1, 4 * c + 4 + r1)
         strand2 = (4 * c + r2, 4 * c + 4 + r2) if parallel else (4 * c + 4 + r2, 4 * c + r2)
-        inserts = [(gap1, strand1), (gap2, strand2)]
         # same component: the later gap first, so the earlier gap stays in place
-        inserts.sort(key=lambda it: (it[0][0], -it[0][1]))
-        for (ci, g), strand in inserts:
-            self.insert(ci, g, *strand)
+        if (gap2[0], -gap2[1]) < (gap1[0], -gap1[1]):
+            gap1, strand1, gap2, strand2 = gap2, strand2, gap1, strand1
+        self.insert(*gap1, *strand1)
+        self.insert(*gap2, *strand2)
 
     def remove(self, kind: str, site: tuple) -> None:
         """Make a removal or third move at a site given by window names."""
@@ -343,12 +369,14 @@ class _Code:
 
     def listing(self, kind: str) -> list[tuple]:
         """The sites of one kind in window order, R3 sites by variant first."""
-        pos = self._pos
+        pos, sites = self._pos, self.sites[kind]
+        if len(sites) == 1:
+            return list(sites)
         if kind == "R1_remove":
-            return sorted(self.sites[kind], key=lambda s: pos(s[0]))
+            return sorted(sites, key=lambda s: pos(s[0]))
         if kind == "R2_remove":
-            return sorted(self.sites[kind], key=lambda s: (pos(s[0]), pos(s[1])))
-        return sorted(self.sites[kind], key=lambda s: (_R3_RANK[s[3]], pos(s[0])))
+            return sorted(sites, key=lambda s: (pos(s[0]), pos(s[1])))
+        return sorted(sites, key=lambda s: (_R3_RANK[s[3]], pos(s[0])))
 
     def removal_sites(self) -> tuple[list[tuple], list[tuple], list[tuple]]:
         """Every site listing with windows as (ci, t) positions."""
@@ -438,7 +466,7 @@ def _step(code: _Code, rng: random.Random, cap: int) -> None:
     """One random move on a code without double points: a kind uniformly
     among those available, then a site of that kind uniformly."""
     n = len(code.sign)
-    kinds = [kind for kind, sites in code.sites.items() if sites]
+    kinds = [kind for kind in _REMOVAL_KINDS if code.sites[kind]]
     if n + 1 <= cap:
         kinds.append("R1_add")
     if n + 2 <= cap:

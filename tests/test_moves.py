@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,8 @@ from vconway.moves import (
 )
 
 R3_TRIPLE = "component: O1+ O2+\ncomponent: U1+ O3+\ncomponent: U2+ U3+"
+# its negative twin
+NEG_R3_TRIPLE = "component: U1- U2-\ncomponent: O1- U3-\ncomponent: O2- O3-"
 # three kinks on a 6-passage component (windows 0, 2 and 4), then an empty one
 KINKS = "component: O1+ U1+ O2+ U2+ O3+ U3+\ncomponent:"
 
@@ -166,7 +169,7 @@ def test_r3_sites_and_involution():
 
 
 def test_r3_negative_variant():
-    d = parse_diagram("component: U1- U2-\ncomponent: O1- U3-\ncomponent: O2- O3-")
+    d = parse_diagram(NEG_R3_TRIPLE)
     sites = _sites(d, "R3")
     assert sites
     for m in sites:
@@ -548,6 +551,49 @@ def test_kept_index_matches_reference_along_one_code():
     assert {0, 1} <= lengths
 
 
+def _renumbered(text, by):
+    return re.sub(r"\d+", lambda m: str(int(m.group()) + by), text)
+
+
+def test_kept_index_matches_reference_on_r3_dense_codes():
+    # codes made of same-sign triples stay dense in third-move sites under a
+    # low cap, so every pattern slot goes through the neighbour test of
+    # `_Code._find` on windows that hold a site and on windows that nearly do
+    rng = random.Random(31)
+    seen = dict.fromkeys(moves._R3_PATTERNS, 0)
+    for first, second in ((R3_TRIPLE, NEG_R3_TRIPLE), (NEG_R3_TRIPLE, NEG_R3_TRIPLE),
+                          (R3_TRIPLE, R3_TRIPLE)):
+        code = moves._Code(parse_diagram(first + "\n" + _renumbered(second, 3)))
+        for i in range(400):
+            moves._step(code, rng, 6 + i // 50 % 4)
+            d = code.diagram()
+            got = code.removal_sites()
+            assert got == _ref_removal_sites(d), format_diagram(d)
+            for site in got[2]:
+                seen[site[3]] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_walk_step_matches_few_third_move_windows(monkeypatch):
+    # the neighbour test turns most same-sign windows away before any pattern
+    # is matched: about 0.45 `_r3_site` calls per step on walks from codes of
+    # 6-10 crossings, where matching every slot made 1.7
+    calls = [0]
+    r3_site = moves._Code._r3_site
+
+    def counting(*args):
+        calls[0] += 1
+        return r3_site(*args)
+
+    monkeypatch.setattr(moves._Code, "_r3_site", counting)
+    rng = random.Random(12)
+    for _ in range(30):
+        k, c = rng.randint(6, 10), rng.randint(1, 3)
+        d = random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30)))
+        random_walk(d, 300, seed=rng.randrange(1 << 30))
+    assert calls[0] < 0.8 * 30 * 300, calls[0] / (30 * 300)
+
+
 # codes whose site lists are checked against the reference
 FIXED_CODES = [
     R3_TRIPLE,
@@ -608,7 +654,7 @@ def test_apply_takes_exactly_the_reference_sites():
                 assert str(exc).startswith("inapplicable move:")
             else:
                 assert want, (format_diagram(d), kind, site)
-                windows = [site] if kind == "R1_remove" else site[: moves._N_WINDOWS[kind]]
+                windows = [site] if kind == "R1_remove" else site[:3]
                 assert [code._pos(w) for w in name[: len(windows)]] == list(windows)
                 taken[moves._REMOVAL_KINDS.index(kind)] += 1
             if want or rng.random() < 0.002:
