@@ -2,12 +2,18 @@ import pytest
 
 from vconway import invariants
 from vconway.diagram import parse_diagram
+from vconway.laurent import ZERO
 
 
 def term_rows(m):
     """The rows of term dicts that `laurent.det` builds from the PolyMatrix m:
     the form in which `det_terms` hands a residual to `_det_packed` and `_bareiss`."""
     return [{j: dict(row[j]._t) for j in sorted(row) if row[j]._t} for row in m.entries]
+
+
+def dense(m):
+    """The rows of a PolyMatrix, with ZERO in its empty cells."""
+    return tuple(tuple(row.get(j, ZERO) for j in range(m.n)) for row in m.entries)
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ VHOPF = "component: O1+\ncomponent: U1+\n"
 VTREF = "component: O1+ O2+ U1+ U2+\n"
 TREFOIL = "component: O1+ U2+ O3+ U1+ O2+ U3+\n"
 SINGULAR = "component: A1 O2+ B1 U2+\n"
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -253,7 +255,7 @@ def test_input_ceilings_table_lists_every_max_constant():
     # ceilings" table that names it and starts its Value cell with the
     # constant's value, written as the table writes it (10,000); cli's copy
     # of an invariants constant is named under invariants
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n### Input ceilings\n", 1)[1].split("\n#", 1)[0]
     values = {}
     for line in section.splitlines():
@@ -377,79 +379,149 @@ def test_verify_output_same_without_memo(monkeypatch, capsys):
     assert capsys.readouterr().out == memoised
 
 
-def test_verify_campaign_output_is_pinned(capsys):
-    # every walk, check and counterexample of a 100-trial campaign, by hash
-    assert main(["verify", "--trials", "100", "--seed", "9", "--format", "json"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "44f66d30a5b394c728407752e78e2f6800a4f46917f785400972e88afa5c46a0"
-
-
 PINNED_FILES = {
     "vhopf": VHOPF,
     "vtref": VTREF,
+    "small": TREFOIL,
     "singular": SINGULAR,
     "sensitive": "component: O1+ O2+ O3+ U1+ U3+ U2+\n",
-    "random24": format_diagram(random_diagram(GeneratorConfig(24, 2, 0, seed=5))) + "\n",
+    **{name: format_diagram(random_diagram(GeneratorConfig(k, c, 0, seed=seed))) + "\n"
+       for name, k, c, seed in [("random24", 24, 2, 5), ("random32", 32, 1, 5),
+                                ("random48", 48, 2, 5), ("random24x8", 24, 8, 1)]},
 }
 
-# SHA-256 of the exit code and stdout of each command, in text and in JSON
-PINNED_OUTPUTS = {
-    "compute vhopf": (
-        "07793b24835f134bd9c71509de6fd1032f2a4c412229bf4bae21eccaef670519",
-        "7fe1a818cfdbbda6341f522f9bf0fb08784c75788822525eaf5ef8b6a9c2682f"),
-    "compute vtref": (
-        "7ffb03cbc06a953517fc3ab2c68039d1b47b0aec1093206642253bc0b597385f",
-        "cb2531df8ffbfbfd4a2edff112a2d1a9b019ba334d44592e87eed4c241571a92"),
-    "compute singular": (
-        "6a49a6b65ee4a38fda8693aa95cd7f66cc7b0f47ae2e7c90e75a2c2056618e59",
-        "9491b8dad58564ccfd69bfbbb9712339ca32adbde02e7eef5c3d721b8a5359e7"),
-    "compute random24": (
-        "8555c0545ae9cfbe6e8291786f4e901a0109125e0ee0caadcfc99cbb6a473af9",
-        "bdb0e816e8d0bfa41e8115335bc32d001c8cd27ea615ae76f5f66745193434b3"),
-    "skein vtref --crossing 1": (
-        "80716c942c0e0deb410e701d926fb1863486157ad215ea49151117b7ed6a0cae",
-        "60ff24abe961305ee8115a69effa1cf1f857ba5e3117b9424f58fb77a02e5602"),
-    "orient sensitive": (
-        "32d0cfa9e07d5e22ef9c5c171b2c8f985e1ac2c90557ce28cb9b41d8a2d2763e",
-        "6854e0b804034d35c00e001fcc1f622a061248e22009641edf3e04311d664bba"),
-    "search --max-crossings 4": (
-        "0d19a99ad48361cea85e9d9f8724d74b57ff3a44ce0c26572368072af724b0a2",
-        "02f42299237dc33d21449f81e34600b9ca666e23b2d86be7dcea36bbb6102191"),
-    "search --links --max-crossings 6": (
-        "710fd041ed6a5643481475f759c5c31305dbcf25944d05769c26729c0b3fc023",
-        "cd0b6412882d430aa350d51399c415ad2b5eed9f55c8ab06f43b86eaec0b1053"),
-    "verify --trials 5 --seed 3": (
-        "c6cadc1c6a188338ea2b0221e6a8f772f1ac4a0f371f3211f964f11c0d58086e",
-        "42fe55a08b0c68ce2009a7a5b0a34d84815f6792f63bd1eaf3df2d58906f5fc6"),
-    "verify --trials 5 --mutate": (
-        "dd2b7f232c6c7f563441e2e8692d253ab1e3f3e01c7fffa00f81a327151677ac",
-        "7f00b3432204a07d77628edb3d7f7f65d71b7c60c8bc48542d341c83830b4d24"),
-    "verify vhopf": (
-        "a4c65ed21bdd96a136400ccdd07a5c804c654493afe76b53deb8ff20d302f3c2",
-        "9ea60c3a67e23476ffb137a0c31270165250c88193602361da8ef491b90d1b32"),
-    "verify --random 4,1,2 --trials 5": (
-        "3e75f77b233859a27c0015e7cfd8e3939063f431605f08de7d65b3de1b735521",
-        "7659417b8109e9da69d5348a53ae9effd560d264a409c20e68b0c34908494197"),
-    "verify --random 4,1,2 --trials 50 --seed 1": (
-        "f5bdc81e5ce208cade8b1e542941686d466ff729d97a50f1fc74fac67d7b9191",
-        "969bb1ed1626a67409d5527944215b73f9a167a43c08ed3f9e0e5b0c188a77d7"),
-    "verify --random 6,2,0 --trials 3": (
-        "cd1d4eede413a58095afecf91dfff2602dccc74d7699e1392a5a39b747ea652e",
-        "447b186a2df444adbff3737880d106ee273098924bdbfdc5e45d520e24cad461"),
-}
+# Every pinned command line: its words (a PINNED_FILES name stands for a file
+# holding that code), its exit code and the SHA-256 of f"{code}\n{stdout}".
+# CI's console step runs only rows of this table.
+COMMANDS = [
+    # argparse wraps the help text to the terminal width, so it has no digest
+    ("--help", 0, None),
+    ("frobnicate", 2, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("compute small", 0, "d3fbaa3ab4a034437bcc93b6dbbf9c2c7a00fd514e182320275a870236d6885c"),
+    ("compute small --format json", 0,
+     "9420034be7db11c846f0ef8a643987426c82f1e43114ca13728278f32440aeff"),
+    ("compute vhopf", 0, "07793b24835f134bd9c71509de6fd1032f2a4c412229bf4bae21eccaef670519"),
+    ("compute vhopf --format json", 0,
+     "7fe1a818cfdbbda6341f522f9bf0fb08784c75788822525eaf5ef8b6a9c2682f"),
+    ("compute vtref", 0, "7ffb03cbc06a953517fc3ab2c68039d1b47b0aec1093206642253bc0b597385f"),
+    ("compute vtref --format json", 0,
+     "cb2531df8ffbfbfd4a2edff112a2d1a9b019ba334d44592e87eed4c241571a92"),
+    ("compute singular", 0, "6a49a6b65ee4a38fda8693aa95cd7f66cc7b0f47ae2e7c90e75a2c2056618e59"),
+    ("compute singular --format json", 0,
+     "9491b8dad58564ccfd69bfbbb9712339ca32adbde02e7eef5c3d721b8a5359e7"),
+    # each `random --emit` writes the PINNED_FILES code that the compute row after it reads
+    ("random --crossings 24 --components 2 --seed 5 --emit", 0,
+     "7b2069989b6af785b0c9d628497a3c30a2170010052e2ab5a3c4c3fff69337d6"),
+    ("compute random24", 0, "8555c0545ae9cfbe6e8291786f4e901a0109125e0ee0caadcfc99cbb6a473af9"),
+    ("compute random24 --format json", 0,
+     "bdb0e816e8d0bfa41e8115335bc32d001c8cd27ea615ae76f5f66745193434b3"),
+    ("random --crossings 32 --components 1 --seed 5 --emit", 0,
+     "f76ef139bf5cccda50cea2c39a938abc4d9f08cc2522e6c7ee14c8ceb8329be0"),
+    ("compute random32", 0, "0a6af76bfc400c4f52a35d56fb664a1f9e2c9a12e99a6684622eff587eeacaa2"),
+    ("random --crossings 48 --components 2 --seed 5 --emit", 0,
+     "2b15fe509a48c3d17fef0503ee9e4ddbe7087573edd13926c8212c5de9c8a4fd"),
+    ("compute random48", 0, "33ecee84ae972b2a0ed7492b75b32eed00eb0943f879f503b53f870698f9e195"),
+    # Z of this 8-component code leaves a side-8 residual, so Bareiss runs on term-dict rows
+    ("random --crossings 24 --components 8 --seed 1 --emit", 0,
+     "4f780d4c4d1cbeec551a02dde85425cfe63c2f72cb3dcb11dcb32869c2654999"),
+    ("compute random24x8", 0, "ff4ce2f88b006a09262bb33afaec63ac2b262cdbea2645087ffc56c33af67efd"),
+    ("skein small --crossing 2", 0,
+     "cad20c90f2237411d90a855ea4c963c4a9a3fbe01c847b4ff55fcf18c25ffeb0"),
+    ("skein vtref --crossing 1", 0,
+     "80716c942c0e0deb410e701d926fb1863486157ad215ea49151117b7ed6a0cae"),
+    ("skein vtref --crossing 1 --format json", 0,
+     "60ff24abe961305ee8115a69effa1cf1f857ba5e3117b9424f58fb77a02e5602"),
+    # a crossing the code does not have is bad input: exit 2
+    ("skein small --crossing 9", 2,
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("orient small", 0, "ab2ac93216ea0bba77fd1492f25221c07040bddc714e29cb912faafb9215e0be"),
+    ("orient sensitive", 0, "32d0cfa9e07d5e22ef9c5c171b2c8f985e1ac2c90557ce28cb9b41d8a2d2763e"),
+    ("orient sensitive --format json", 0,
+     "6854e0b804034d35c00e001fcc1f622a061248e22009641edf3e04311d664bba"),
+    ("search --max-crossings 4", 0,
+     "0d19a99ad48361cea85e9d9f8724d74b57ff3a44ce0c26572368072af724b0a2"),
+    ("search --max-crossings 4 --format json", 0,
+     "02f42299237dc33d21449f81e34600b9ca666e23b2d86be7dcea36bbb6102191"),
+    ("search --links --max-crossings 6", 0,
+     "710fd041ed6a5643481475f759c5c31305dbcf25944d05769c26729c0b3fc023"),
+    ("search --links --max-crossings 6 --format json", 0,
+     "cd0b6412882d430aa350d51399c415ad2b5eed9f55c8ab06f43b86eaec0b1053"),
+    ("search --links --budget 200", 0,
+     "0a49bbca463624bacc0fa9194d0ef55f55d420ef9d3622146e04a3437b1caba1"),
+    ("verify small", 0, "11e05bc0cbda9723d1f98cb2ecd3dea5dd3eac809cfda7f0b146ef2d84d412fc"),
+    ("verify vhopf", 0, "a4c65ed21bdd96a136400ccdd07a5c804c654493afe76b53deb8ff20d302f3c2"),
+    ("verify vhopf --format json", 0,
+     "9ea60c3a67e23476ffb137a0c31270165250c88193602361da8ef491b90d1b32"),
+    ("verify --trials 5", 0, "5cc18e333e7e64a5fd4feb089aad7a19d6d196af7a0b756be63f65c62972bc04"),
+    ("verify --trials 5 --seed 3", 0,
+     "c6cadc1c6a188338ea2b0221e6a8f772f1ac4a0f371f3211f964f11c0d58086e"),
+    ("verify --trials 5 --seed 3 --format json", 0,
+     "42fe55a08b0c68ce2009a7a5b0a34d84815f6792f63bd1eaf3df2d58906f5fc6"),
+    # every walk, check and counterexample of a 100-trial campaign
+    ("verify --trials 100 --seed 9 --format json", 0,
+     "a894e9a7bfcff16f91f8a12e32d37549fe8c1c444221cb81cfbfad70717e803a"),
+    # the benchmark campaign's two commands at full size
+    ("verify --trials 100 --seed 1 --format json", 0,
+     "57b2b76d8bd8c41118996051baaed7bbdfe8848167a958d854f5e7862e6da037"),
+    ("verify --random 4,1,2 --trials 50 --seed 1", 0,
+     "f5bdc81e5ce208cade8b1e542941686d466ff729d97a50f1fc74fac67d7b9191"),
+    ("verify --random 4,1,2 --trials 50 --seed 1 --format json", 0,
+     "969bb1ed1626a67409d5527944215b73f9a167a43c08ed3f9e0e5b0c188a77d7"),
+    ("verify --random 4,1,2 --trials 5", 0,
+     "3e75f77b233859a27c0015e7cfd8e3939063f431605f08de7d65b3de1b735521"),
+    ("verify --random 4,1,2 --trials 5 --format json", 0,
+     "7659417b8109e9da69d5348a53ae9effd560d264a409c20e68b0c34908494197"),
+    ("verify --random 6,2,0 --trials 3", 0,
+     "cd1d4eede413a58095afecf91dfff2602dccc74d7699e1392a5a39b747ea652e"),
+    ("verify --random 6,2,0 --trials 3 --format json", 0,
+     "447b186a2df444adbff3737880d106ee273098924bdbfdc5e45d520e24cad461"),
+    ("verify --random 6,2,0 --trials 20", 0,
+     "a7ee31dd534c18030813c59aa7c5cef62df5dc81ab748c6bec54bd61f7e1b4d5"),
+    # every draw leaves a component empty, so no check runs a trial: exit 1
+    ("verify --random 0,3,1 --trials 5", 1,
+     "b62eb690f4959fdc838b9550bbf93edf669fe645ad84568a84b768b400605683"),
+    ("verify --trials 5 --mutate", 1,
+     "dd2b7f232c6c7f563441e2e8692d253ab1e3f3e01c7fffa00f81a327151677ac"),
+    ("verify --trials 5 --mutate --format json", 1,
+     "7f00b3432204a07d77628edb3d7f7f65d71b7c60c8bc48542d341c83830b4d24"),
+    # the wrong block must be caught through Z's arc matrix: exit 1, not 2 or a crash
+    ("verify --mutate --trials 20", 1,
+     "8755bcc142988b50caf995e32c9e31a227a0e705fb54468de9363d8379ec5e8c"),
+    # the benchmark campaign's second command with the wrong block, through the
+    # closed-form residuals: the singular checks must catch it
+    ("verify --random 4,1,2 --trials 20 --mutate", 1,
+     "bf896e9898a6969564a70ac7acc381c1a1f92d41ab3cf27cc28e633bfca74ae6"),
+    # and on the per-diagram path through the arc matrix, not only the campaign
+    ("verify --random 6,2,0 --trials 20 --mutate", 1,
+     "0e76c111d72b7be11dd0fe81722197c6cfdbc588d126ddc1fdb028dca21acd98"),
+]
+ROWS = {argv: (code, digest) for argv, code, digest in COMMANDS}
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", list(PINNED_OUTPUTS))
-def test_cli_outputs_are_pinned(command, fmt, tmp_path, capsys):
-    argv = command.split()
-    for i, word in enumerate(argv):
+def pinned_argv(argv, tmp_path):
+    words = argv.split()
+    for i, word in enumerate(words):
         if word in PINNED_FILES:
-            argv[i] = str(tmp_path / word)
+            words[i] = str(tmp_path / word)
             (tmp_path / word).write_text(PINNED_FILES[word])
-    code = main([*argv, "--format", fmt])
-    digest = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
-    assert digest == PINNED_OUTPUTS[command][fmt == "json"]
+    return words
+
+
+def output_digest(code, out):
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+def row_id(argv):
+    # "compute vhopf --format json" is "compute vhopf-json"
+    command = argv.removesuffix(" --format json")
+    return f"{command}-{'text' if command == argv else 'json'}"
+
+
+@pytest.mark.parametrize("argv, code, digest", COMMANDS, ids=[row_id(row[0]) for row in COMMANDS])
+def test_cli_outputs_are_pinned(argv, code, digest, tmp_path, capsys):
+    assert main(pinned_argv(argv, tmp_path)) == code
+    if digest is not None:
+        assert output_digest(code, capsys.readouterr().out) == digest
 
 
 def test_verify_random_bad_spec(capsys):
@@ -718,19 +790,44 @@ def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
     assert exc.value.code == code
 
 
-def test_unknown_command():
-    assert main(["frobnicate"]) == 2
-
-
-def test_help_exits_zero():
-    assert main(["--help"]) == 0
+# the source tree, importable without an install
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 def test_importing_the_cli_leaves_out_dataclasses():
     # start-up: the value types are named tuples, built without the
     # dataclasses machinery (and the inspect module it imports)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, vconway.cli; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+                         check=True, env=SRC_ENV).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv", ["compute small", "verify --random 0,3,1 --trials 5",
+                                  "skein small --crossing 9"])
+def test_exit_codes_cross_the_process_boundary(argv, tmp_path):
+    # a cheap row of each exit code, run as a process in development mode
+    # with warnings as errors; only bad input may write to stderr
+    code, digest = ROWS[argv]
+    run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "vconway",
+                          *pinned_argv(argv, tmp_path)], capture_output=True, text=True,
+                         env=SRC_ENV)
+    assert run.returncode == code
+    assert output_digest(code, run.stdout) == digest
+    assert code == 2 or run.stderr == ""
+
+
+def test_ci_console_step_runs_table_rows():
+    # the step smoke-tests the installed script; the suite runs every row
+    text = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    commands = [line.strip().removeprefix("vconway ") for line in lines
+                if line.strip().startswith("vconway ")]
+    assert commands and set(commands) <= set(ROWS)
+    assert f"printf '{PINNED_FILES['small'].strip()}\\n' > small" in text
+    run = next(i for i, line in enumerate(lines) if "Run its console script" in line)
+    run = next(i for i in range(run, len(lines)) if lines[i].strip() == "run: |")
+    depth = len(lines[run]) - len(lines[run].lstrip())
+    block = list(takewhile(lambda line: line[:depth + 1].isspace() or not line.strip(),
+                           lines[run + 1:]))
+    assert 0 < len(block) <= 10

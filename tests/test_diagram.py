@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import dense
 from vconway.diagram import (
     OVER,
     Crossing,
@@ -26,11 +27,6 @@ from vconway.diagram import (
 from vconway.invariants import InvariantReport
 from vconway.laurent import ZERO, PolyMatrix
 from vconway.moves import GeneratorConfig, MoveEvent, random_diagram
-
-
-def dense(m):
-    """The rows of a PolyMatrix, with ZERO in its empty cells."""
-    return tuple(tuple(row.get(j, ZERO) for j in range(m.n)) for row in m.entries)
 
 
 def _inv(perm):

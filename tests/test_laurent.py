@@ -8,7 +8,7 @@ from math import comb, prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import term_rows
+from conftest import dense, term_rows
 from vconway import invariants, laurent
 from vconway.diagram import build_P
 from vconway.laurent import (
@@ -31,11 +31,6 @@ from vconway.laurent import (
     substitute_y_inverse,
 )
 from vconway.moves import GeneratorConfig, random_diagram
-
-
-def dense(m):
-    """The rows of a PolyMatrix, with ZERO in its empty cells."""
-    return tuple(tuple(row.get(j, ZERO) for j in range(m.n)) for row in m.entries)
 
 
 def _identity(n):
