@@ -82,11 +82,11 @@ MAX_RESOLUTIONS = 8192
 MAX_SAMPLED_CROSSINGS = 24
 
 # most crossings of a diagram file, each double point counted (a resolution
-# makes it classical), and most components `random` and `verify --random`
-# draw.  One Z of random_diagram(GeneratorConfig(K, C, 0, seed=S)) took
-# 0.12-0.15 s at K = 64 (C, S = 1, 1000 and 2, 1001), 1.3-1.6 s at K = 96
-# (1, 1000; 2, 1001; 3, 1002) and 4.5 s at K = 96 (1, 1003), on a 2-core
-# shared machine with Python 3.11.7
+# makes it classical), and most components of a file and of what `random`
+# and `verify --random` draw.  One Z of random_diagram(GeneratorConfig(K, C,
+# 0, seed=S)) took 0.12-0.15 s at K = 64 (C, S = 1, 1000 and 2, 1001),
+# 1.3-1.6 s at K = 96 (1, 1000; 2, 1001; 3, 1002) and 4.5 s at K = 96 (1,
+# 1003), on a 2-core shared machine with Python 3.11.7
 MAX_CLASSICAL_CROSSINGS = 64
 
 LINK_NOTE = ("note: c1 is printed for links too, but its order-one property "
@@ -115,6 +115,7 @@ def _load(path: str, *, classical: bool = False) -> Diagram:
         raise InputError("; ".join(problems))
     _check_max(len(d.double_ids()), "double points", MAX_DOUBLE_POINTS)
     _check_max(len(d.crossings), "crossings", MAX_CLASSICAL_CROSSINGS)
+    _check_max(len(d.components), "components", MAX_CLASSICAL_CROSSINGS)
     if classical and d.has_doubles():
         raise InputError(f"{path} has double points; resolve them first")
     return d

@@ -278,15 +278,9 @@ class SlotPermutation(_SlotPermutationFields):
         return PolyMatrix(len(entries), tuple(entries))
 
 
-def _entry_side(role: str, sign: int) -> int:
-    # 0 = l, 1 = r; see the slot convention in the module docstring
-    if role == OVER:
-        return 0 if sign > 0 else 1
-    return 1 if sign > 0 else 0
-
-
-# (role, sign) -> entry side, for the two classical roles only
-_SIDES = {(role, sign): _entry_side(role, sign) for role in CLASSICAL_ROLES for sign in (1, -1)}
+# (role, sign) -> entry side, 0 = l and 1 = r, for the two classical roles
+# only; see the slot convention in the module docstring
+_SIDES = {(OVER, 1): 0, (OVER, -1): 1, (UNDER, 1): 1, (UNDER, -1): 0}
 
 
 def entry_slots(d: Diagram) -> list[list[int]]:

@@ -74,7 +74,7 @@ from .diagram import (
     UNDER,
     Diagram,
     SlotPermutation,
-    _entry_side,
+    _SIDES,
     _require_valid,
     build_TP,
     entry_slots,
@@ -162,7 +162,7 @@ def _block_rows() -> dict[int, tuple]:
     if _split[0] is not _blocks:
         rows = {}
         for sign, block in _blocks.items():
-            o = _entry_side(OVER, sign)  # the over passage's entry side, 0 = l, 1 = r
+            o = _SIDES[OVER, sign]  # the over passage's entry side, 0 = l, 1 = r
             over = block[o ^ 1][o]._t
             if block[o ^ 1][o ^ 1] or len(over) != 1 or abs(*over.values()) != 1:
                 raise ValueError(f"the over-exit row of the {sign:+d} block is not one unit")

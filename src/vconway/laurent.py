@@ -28,8 +28,10 @@ product or `divmod` does the whole ring operation and `to_bytes` reads
 the digits back.  B is 8, 16, 32 or 64 bits, read back as one `array`,
 or beyond that as many whole bytes as the coefficient bound needs, read
 back one `memoryview` slice at a time, so no operand is too wide to
-pack.  A packed quotient is used only once its product with the divisor
-is shown to give the numerator; failing that, long division decides.
+pack.  Every exact division, by a single term too, takes one path: a
+packed quotient is used only once its product with the divisor is shown
+to give the numerator; failing that, or below `_PACK_PAIRS` term pairs,
+long division decides.
 `det_terms` routes a determinant residual, as rows of term dicts, by
 one rule: sides 0 to 2, and side 3 up to `_LEIBNIZ_TERMS` terms, close
 by the Leibniz formula on the term dicts (`_leibniz`); a larger side 3
@@ -636,24 +638,14 @@ def _exact_div(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
     point.  So q must lie in the box, and is accepted when q * den
     provably has digits in range (then it equals the numerator digit for
     digit), or when a packed multiply-back gives the numerator.
-    Everything else goes to long division.
+    Everything else, a single-term divisor below `_PACK_PAIRS` pairs
+    included, goes to long division.
     """
     nt, dt = num._t, den._t
     if not dt:
         raise ZeroDivisionError("division by the zero polynomial")
     if not nt:
         return ZERO
-    if len(dt) == 1:
-        if dt == ONE._t:  # Bareiss step 0
-            return num
-        (dk, dc), = dt.items()
-        out: dict[int, int] = {}
-        for k, c in nt.items():
-            q, r = divmod(c, dc)
-            if r:
-                raise ArithmeticError("non-exact division")
-            out[k - dk] = q
-        return LaurentPoly2._raw(out)
     spread, dspread = _spread(nt), _spread(dt)
     (xs, ys, cs), (dxs, dys, dcs) = spread, dspread
     nx0, ny0, dx0, dy0, dy1 = min(xs), min(ys), min(dxs), min(dys), max(dys)
@@ -1024,9 +1016,10 @@ def _bareiss(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     block stays zero under the update, so it ends as a zero determinant.
     Each step applies one update, a_ij <- (piv * a_ij - a_ik * a_kj) /
     prev, to every entry below and right of the pivot, a zero a_ik
-    included, dividing by the previous pivot with `_exact_div`.  On the
-    dense residuals of large diagrams most products and quotients take
-    the packed path, the rest go through `_addmul`, and every packed
+    included.  Step 0 has no previous pivot (it is 1) and divides by
+    nothing; from step 1 on, `_exact_div` divides by the previous pivot.
+    On the dense residuals of large diagrams most products and quotients
+    take the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
     It takes a residual's rows as `det_terms` holds them and wraps each
     cell once.  `det_terms` sends it every side from 6 on, and the
@@ -1038,7 +1031,6 @@ def _bareiss(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
         return ONE
     cells = [[LaurentPoly2._raw(row[j]) if j in row else ZERO for j in range(n)] for row in rows]
     sign = 1
-    prev = ONE
     for k in range(n - 1):
         best = min(((len(e._t), i, j) for i in range(k, n)
                     for j, e in enumerate(cells[i][k:], k) if e._t), default=None)
@@ -1058,7 +1050,8 @@ def _bareiss(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
             row_i = cells[i]
             aik = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = _exact_div(piv * row_i[j] - aik * row_k[j], prev)
+                e = piv * row_i[j] - aik * row_k[j]
+                row_i[j] = _exact_div(e, prev) if k else e
         prev = piv
     result = cells[n - 1][n - 1]
     return -result if sign < 0 else result

@@ -33,13 +33,14 @@ R2_remove and R3 site sets, and the sites of each window, as the site
 tuples themselves (a site's kind is its length: 1, 2, or 4 with the
 variant).  An edit changes at most three windows and re-indexes only
 those: a valid code holds each passage once, so a window's sites are
-dictionary lookups, not scans.  Before a same-sign window is matched
-against the third-move patterns, one neighbour test asks for a third
-crossing next to the other passages of both its crossings; most windows
-fail it, and no site can.  A walk converts its diagram once, steps on the code and builds
-one Diagram at the end; `apply` makes the same edits on a code built from
-its diagram, and takes a removal or third-move site only if that code's
-index holds it.
+dictionary lookups, not scans.  A third-move site is matched from its three
+crossings: a same-sign window names two, and one neighbour test names each
+possible third, a crossing of the same sign next to the other passages of
+both; most windows have none, and no site can.  With the three ids known,
+each pattern window is one successor lookup.  A walk converts its diagram
+once, steps on the code and builds one Diagram at the end; `apply` makes
+the same edits on a code built from its diagram, and takes a removal or
+third-move site only if that code's index holds it.
 
 Positions (ci, t) are read only when a site list is wanted, and each list
 is sorted into window order (component, then position; R3 sites by
@@ -205,12 +206,14 @@ class _Code:
         """Index every site that has window a; a valid code holds each passage
         once, so the site's other windows are dictionary lookups.
 
-        A third-move site needs a third crossing c next to both a ^ 1 and
-        b ^ 1: its six passages are distinct, and each of its other two
-        windows pairs one of them with a passage of c.  So a window without
-        such a c, as most same-sign windows are, is matched against no
-        pattern.  A passage not linked yet (between `add_bigon`'s two
-        inserts) stands in for its own neighbours, and so has none."""
+        A third-move site needs a third crossing c of the same sign, next to
+        both a ^ 1 and b ^ 1: its six passages are distinct, and each of its
+        other two windows pairs one of them with a passage of c.  So a
+        window without such a c, as most same-sign windows are, is matched
+        against no pattern.  Each such c among the two neighbours of b ^ 1
+        is tried; a pattern slot fixes c, so no site is found twice.  A
+        passage not linked yet (between `add_bigon`'s two inserts) stands in
+        for its own neighbours, and so has none."""
         nxt = self.nxt
         b = nxt[a]
         if a == b or (a | b) & 2:
@@ -228,37 +231,26 @@ class _Code:
             return
         prv, p, q = self.prv, a ^ 1, b ^ 1
         u, v = nxt.get(p, p) >> 2, prv.get(p, p) >> 2
-        for c in (nxt.get(q, q) >> 2, prv.get(q, q) >> 2):
-            if (c == u or c == v) and c != ca and c != cb:
-                break
-        else:
-            return
-        for variant, j, windows in _R3_SLOTS[_slot_key(a & 1, b & 1, s)]:
-            site = self._r3_site(variant, j, windows, s, a, b)
-            if site is not None:
-                self._add("R3", site)
+        for c in {nxt.get(q, q) >> 2, prv.get(q, q) >> 2}:
+            if (c == u or c == v) and c != ca and c != cb and self.sign[c] == s:
+                for variant, j, windows in _R3_SLOTS[_slot_key(a & 1, b & 1, s)]:
+                    site = self._r3_site(variant, j, windows, a, b, c)
+                    if site is not None:
+                        self._add("R3", site)
 
-    def _r3_site(self, variant: str, j: int, windows: tuple, s: int,
-                 a: int, b: int) -> tuple | None:
-        """The `variant` site whose window j is a -> b, if the code holds it."""
+    def _r3_site(self, variant: str, j: int, windows: tuple,
+                 a: int, b: int, c: int) -> tuple | None:
+        """The `variant` site whose window j is a -> b and whose third
+        crossing is c, if the code holds it."""
         (_, ka), (_, kb) = windows[j]
-        ids = {ka: a >> 2, kb: b >> 2}
+        ids = [c, c, c]
+        ids[ka], ids[kb] = a >> 2, b >> 2
         starts = [a, a, a]
         for i in ((1, 2), (0, 2), (0, 1))[j]:
             (r1, k1), (r2, k2) = windows[i]
-            if k1 in ids:
-                p = 4 * ids[k1] + r1
-                q = self.nxt.get(p)
-                if q is None or q & 3 != r2 or ids.setdefault(k2, q >> 2) != q >> 2:
-                    return None
-            else:
-                p = self.prv.get(4 * ids[k2] + r2)
-                if p is None or p & 3 != r1:
-                    return None
-                ids[k1] = p >> 2
-            starts[i] = p
-        if len(set(ids.values())) < 3 or any(self.sign[c] != s for c in ids.values()):
-            return None
+            starts[i] = p = 4 * ids[k1] + r1
+            if self.nxt.get(p) != 4 * ids[k2] + r2:
+                return None
         return (*starts, variant)
 
     # -- the three edits

@@ -124,6 +124,23 @@ def test_crossing_ceiling_rejects_before_z(tmp_path, capsys, monkeypatch):
         assert err == f"error: {k} crossings exceed the supported maximum of {MAX_CLASSICAL_CROSSINGS}\n"
 
 
+def test_component_ceiling_rejects_before_z(tmp_path, capsys, monkeypatch):
+    # a component adds to every move scan, so a file of many empty components
+    # would make `verify` walk for long with a Z that is 0 at once
+    at_limit, over = tmp_path / "c64.txt", tmp_path / "c65.txt"
+    at_limit.write_text(TREFOIL + "component:\n" * (MAX_CLASSICAL_CROSSINGS - 1))
+    over.write_text(TREFOIL + "component:\n" * MAX_CLASSICAL_CROSSINGS)
+    assert main(["compute", str(at_limit)]) == 0
+    assert capsys.readouterr().out.startswith(f"components          {MAX_CLASSICAL_CROSSINGS}\n")
+    monkeypatch.setattr(invariants, "_z_memo", lambda d: pytest.fail("Z computed"))
+    for command in ("compute", "verify"):
+        assert main([command, str(over)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {MAX_CLASSICAL_CROSSINGS + 1} components exceed the "
+                                f"supported maximum of {MAX_CLASSICAL_CROSSINGS}\n")
+
+
 def test_verify_random_too_many_double_points(capsys):
     assert main(["verify", "--random", "2,1,21", "--trials", "1"]) == 2
     assert "exceed the supported maximum" in capsys.readouterr().err
@@ -385,6 +402,7 @@ PINNED_FILES = {
     "small": TREFOIL,
     "singular": SINGULAR,
     "sensitive": "component: O1+ O2+ O3+ U1+ U3+ U2+\n",
+    "components65": TREFOIL + "component:\n" * 64,
     **{name: format_diagram(random_diagram(GeneratorConfig(k, c, 0, seed=seed))) + "\n"
        for name, k, c, seed in [("random24", 24, 2, 5), ("random32", 32, 1, 5),
                                 ("random48", 48, 2, 5), ("random24x8", 24, 8, 1)]},
@@ -433,6 +451,9 @@ COMMANDS = [
      "60ff24abe961305ee8115a69effa1cf1f857ba5e3117b9424f58fb77a02e5602"),
     # a crossing the code does not have is bad input: exit 2
     ("skein small --crossing 9", 2,
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    # more components than the ceiling is bad input too, refused before any Z
+    ("verify components65", 2,
      "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("orient small", 0, "ab2ac93216ea0bba77fd1492f25221c07040bddc714e29cb912faafb9215e0be"),
     ("orient sensitive", 0, "32d0cfa9e07d5e22ef9c5c171b2c8f985e1ac2c90557ce28cb9b41d8a2d2763e"),

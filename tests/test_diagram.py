@@ -11,7 +11,7 @@ from vconway.diagram import (
     SlotPermutation,
     build_P,
     build_TP,
-    _entry_side,
+    _SIDES,
     disjoint_union,
     entry_slots,
     format_diagram,
@@ -182,7 +182,7 @@ def test_entry_slots_follow_the_slot_convention():
                 taken[p.crossing].add(e)
                 if p.role == OVER:
                     sign = d.crossings[p.crossing].sign
-                    assert e % 2 == _entry_side(OVER, sign) == (0 if sign > 0 else 1)
+                    assert e % 2 == _SIDES[OVER, sign] == (0 if sign > 0 else 1)
         assert taken == {cid: {2 * i, 2 * i + 1} for cid, i in rank.items()}
         assert (build_P(d).perm, build_TP(d).perm) == _reference_P_TP(d)
     assert lone and empty

@@ -40,3 +40,16 @@ def test_every_module_import_is_used(monkeypatch):
     assert unused == []
     assert for_tracer == [("cli", "z_polynomial"), ("invariants", "build_P"), ("moves", "validate")]
     assert set(for_tracer) <= wrapped
+
+
+def test_every_private_definition_is_named():
+    """A private function or class that no code of the package names, by a
+    name or an attribute, is a dead helper."""
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "vconway").glob("*.py")]
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    named = ({n.id for n in nodes if isinstance(n, ast.Name)}
+             | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+    private = {n.name for n in nodes
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and n.name.startswith("_") and not n.name.endswith("__")}
+    assert sorted(private - named) == []
