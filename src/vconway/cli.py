@@ -58,17 +58,18 @@ MAX_LINK_SEARCH_BUDGET = 100000
 
 # most `verify --trials`.  Whole process, 2-core shared machine, Python
 # 3.11.7: the default campaign took 0.9-1.0 s at 500 trials and 20 s at
-# 10,000; the ceiling does not weigh code size, and `verify --random
-# 24,14,0 --seed 0` took 26 s for 60 trials, about 75 minutes at 10,000
+# 10,000; the ceiling does not weigh code size, so `verify --random`
+# trials also count against MAX_RESOLUTIONS, which caps `24,14,0` at 630
+# trials: 60 trials at seed 0 took 26-36 s, so about 5-6 minutes at the cap
 MAX_TRIALS = 10000
 
 # most `verify --moves` per walk: 100 trials of 1,000 moves took 1.1 s (whole
 # process, 2-core shared machine, Python 3.11.7)
 MAX_MOVES = 1000
 
-# most resolved diagrams `verify --random K,C,M` with M > 0 may check, trials
-# times 2^M, at up to 4 components: `24,3,6 --trials 128` (8,192) took 21 s,
-# and the default 500 trials may run up to M = 4.
+# most resolved diagrams `verify --random K,C,M` may check, trials times 2^M,
+# at up to 4 components: `24,3,6 --trials 128` (8,192) took 21 s, and the
+# default 500 trials may run up to M = 4, and at M = 0 up to C = 16.
 # A resolution costs more with more components, so at C components the most
 # is MAX_RESOLUTIONS // ceil(C^2 / 16).  One trial of `24,C,6` (64
 # resolutions) took 0.2 s at C = 1-5, 0.9 s at 8, 1.3 s at 10, 2.5 s at 12
@@ -207,6 +208,8 @@ def _cmd_verify(args) -> int:
             _check_max(m, "double points", MAX_DOUBLE_POINTS)
             _check_max(k, "crossings for --random", MAX_SAMPLED_CROSSINGS)
             _check_max(c, "components for --random", MAX_CLASSICAL_CROSSINGS)
+            _check_max(trials << m, f"resolutions (trials x 2^M) for C = {c}",
+                       MAX_RESOLUTIONS // ((c * c + 15) // 16))
             if m == 0:
                 rng = random.Random(args.seed)
                 # each case draws its diagram seed, then its walk seed
@@ -217,8 +220,6 @@ def _cmd_verify(args) -> int:
                 raise InputError("--moves does not apply to --random with double points, "
                                  "which runs no move walk")
             else:
-                _check_max(trials << m, f"resolutions (trials x 2^M) for C = {c}",
-                           MAX_RESOLUTIONS // ((c * c + 15) // 16))
                 results = check_singular_orders(trials, args.seed, classical=k,
                                                 components=c, doubles=m)
         else:
@@ -335,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate inputs with K crossings, C components, "
                         "M double points instead of the mixed default stream; "
                         f"K at most {MAX_SAMPLED_CROSSINGS}, C at most {MAX_CLASSICAL_CROSSINGS}, "
-                        f"M at most {MAX_DOUBLE_POINTS}, and for M > 0 trials x 2^M at most "
+                        f"M at most {MAX_DOUBLE_POINTS}, and trials x 2^M at most "
                         f"{MAX_RESOLUTIONS} // ceil(C^2 / 16); not accepted with a diagram file")
     p.add_argument("--trials", type=_positive_int, default=None,
                    help=f"default 500, at most {MAX_TRIALS}; not accepted with a diagram file, "

@@ -32,17 +32,15 @@ pack.  Every exact division, by a single term too, takes one path: a
 packed quotient is used only once its product with the divisor is shown
 to give the numerator; failing that, or below `_PACK_PAIRS` term pairs,
 long division decides.
-`det_terms` routes a determinant residual, as rows of term dicts, by
-one rule: sides 0 to 2, and side 3 up to `_LEIBNIZ_TERMS` terms, close
-by the Leibniz formula on the term dicts (`_leibniz`); a larger side 3
-and sides 4 and 5 go to `_det_packed`; every other side, or one that
-`_det_packed` declines by terms or slots, goes to `_bareiss`.  Packed,
-each entry becomes one integer, shifted into the exponent box that the
-residual's perfect matchings span, the integer determinant is expanded,
-and its digits are the determinant's coefficients, bounded in advance
-by a permanent.  Every product of two term dicts, in `__mul__`, Leibniz
-and Bareiss alike, follows one rule (`_mul_into`): packed from
-`_PACK_PAIRS` term pairs on, else term by term.
+`det_terms` routes a determinant residual, as rows of term dicts, to
+`_leibniz`, `_det_packed` or `_bareiss` by the one rule its docstring
+states.  Packed, each entry becomes one integer, shifted into the
+exponent box that the residual's perfect matchings span, the integer
+determinant is expanded, and its digits are the determinant's
+coefficients, bounded in advance by a permanent.  Every product of two
+term dicts, in `__mul__`, Leibniz and Bareiss alike, follows one rule
+(`_mul_into`): packed from `_PACK_PAIRS` term pairs on, else term by
+term.
 The Conway expansion packs each x-column into one integer,
 a digit per y-exponent, and Taylor-shifts every row at once.  Small
 operands, and sparse ones whose box of slots would dwarf their term
@@ -83,8 +81,6 @@ _PACK_PAIRS = 150
 # most digit slots a packed operand may take per term pair, so that a
 # sparse (x^(2^29) + y) * (y^(2^29) + x) stays with `_addmul`
 _SLOTS_PER_PAIR = 8
-# most terms on a residual's perfect matchings that `_det_packed` packs
-_PACK_TERMS = 750
 # most terms of a side-3 residual that `_leibniz` closes; on the side-3
 # residuals of campaign codes and of 16- and 24-crossing codes (2-core shared
 # machine, Python 3.11.7), medians of Leibniz against `_det_packed` were 38
@@ -741,13 +737,12 @@ def det_terms(entries: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     sign comes once, at the end, from the parity of the order in which
     rows and columns were eliminated.  What is left, a few rows with no
     unit entry, is the residual.  Its term dicts go on as they are, in
-    rows keyed by column in range(side), and one rule routes them by side
-    and, at side 3, by term count: sides 0 to 2, and side 3 up to
-    `_LEIBNIZ_TERMS` terms, close by the Leibniz formula (`_leibniz`);
-    larger side-3 residuals and sides 4 and 5 go to `_det_packed`, one
-    integer determinant over all n! permutations, which declines by terms
-    or slots; every other side, and a residual `_det_packed` declines, go
-    to `_bareiss`.  The kernel decodes keys only in the residual, so its
+    rows keyed by column in range(side), and this one rule routes them:
+    sides 0 to 2, and side 3 up to `_LEIBNIZ_TERMS` terms, close by the
+    Leibniz formula (`_leibniz`); every other side 3 to 5 goes to
+    `_det_packed`, one integer determinant over all n! permutations;
+    side 6 and up, and a residual `_det_packed` declines, go to
+    `_bareiss`.  The kernel decodes keys only in the residual, so its
     entries' y-exponents must stay in the key's y field: `det` checks a
     bound for that, and Z's arc matrix, whose exponents stay within its
     side, needs none.
@@ -890,10 +885,9 @@ def _odd(order: list[int]) -> bool:
 def _det_packed(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2 | None:
     """The determinant of a residual's rows, as `det_terms` holds them, as
     one integer determinant at a Kronecker point, or None, for `_bareiss`,
-    when it declines by terms (past `_PACK_TERMS` on its perfect matchings)
-    or by slots (past `_SLOTS_PER_PAIR` per pair of those terms);
-    `det_terms` sends it side-3 residuals of more than `_LEIBNIZ_TERMS`
-    terms and sides 4 and 5.
+    when its box is sparse (past `_SLOTS_PER_PAIR` slots per pair of the
+    terms on its perfect matchings) or its result does not decode; see
+    `det_terms` for the residuals it gets.
 
     A term of the expansion takes the entries of one perfect matching of
     the nonzero pattern, so entries on no such matching are left out, and
@@ -922,13 +916,6 @@ def _det_packed(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2 | None:
         for i, j in enumerate(p):
             used[i][j] = spreads[i][j]
     terms = sum(len(s[2]) for row in used for s in row.values())
-    # past _PACK_TERMS packing stops winning: on a shared 2-core machine,
-    # Bareiss against packed took 5-25 against 1.3-6.5 ms on side-5 residuals
-    # of 79-518 terms and 23 against 20 ms at 735 terms, but 30 against 36 ms
-    # at 768, 17 against 20 ms at 830 and 42 against 100 ms at 1,091; at side
-    # 4, 9.3 against 10.9 ms at 964
-    if terms > _PACK_TERMS:
-        return None
     (ux, vx, x0, w), (uy, vy, y0, h) = (
         _box_side([{j: min(s[k]) for j, s in row.items()} for row in used],
                   [{j: max(s[k]) for j, s in row.items()} for row in used], matchings)
@@ -1021,10 +1008,9 @@ def _bareiss(rows: list[dict[int, dict[int, int]]]) -> LaurentPoly2:
     On the dense residuals of large diagrams most products and quotients
     take the packed path, the rest go through `_addmul`, and every packed
     quotient is checked against its numerator before it is used.
-    It takes a residual's rows as `det_terms` holds them and wraps each
-    cell once.  `det_terms` sends it every side from 6 on, and the
-    residuals of sides 3 to 5 that `_det_packed` declines.  The tests
-    use it on whole matrices, of any side, as an oracle for `det`.
+    It takes a residual's rows as `det_terms` holds them, routed by the
+    rule stated there, and wraps each cell once.  The tests use it on
+    whole matrices, of any side, as an oracle for `det`.
     """
     n = len(rows)
     if n == 0:

@@ -113,11 +113,8 @@ def test_crossing_ceiling_rejects_before_z(tmp_path, capsys, monkeypatch):
     k = MAX_CLASSICAL_CROSSINGS + 1
     p = tmp_path / "k65.txt"
     p.write_text(format_diagram(random_diagram(GeneratorConfig(k, 1, 0, seed=0))))
-
-    def no_z(matrix):
-        raise AssertionError("Z computed above the crossing ceiling")
-
-    monkeypatch.setattr(invariants, "det", no_z)
+    monkeypatch.setattr(invariants, "_z_memo",
+                        lambda d: pytest.fail("Z computed above the crossing ceiling"))
     for argv in (["compute"], ["verify"], ["orient"], ["skein", "--crossing", "1"]):
         assert main(argv[:1] + [str(p)] + argv[1:]) == 2
         err = capsys.readouterr().err
@@ -243,23 +240,28 @@ def test_verify_random_singular_rejects_moves(capsys):
     assert captured.err.startswith("error: --moves") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("m", range(1, MAX_DOUBLE_POINTS + 1))
+@pytest.mark.parametrize("m", range(MAX_DOUBLE_POINTS + 1))
 def test_verify_random_resolution_budget(m, capsys, monkeypatch):
-    # trials x 2^M at the budget runs the singular checks; one trial more is
+    # trials x 2^M at the budget runs the checks, the singular ones for M > 0
+    # and the diagram checks on each drawn code at M = 0; one trial more is
     # refused before any of them.  The budget at C components is
     # MAX_RESOLUTIONS // ceil(C^2 / 16): 8,192 at one component, 630 at 14
     assert cli.MAX_RESOLUTIONS == 8192
+    checks = "check_singular_orders" if m else "tally_diagram_checks"
     for c, limit in ((1, 8192), (14, 630)):
         trials = limit >> m
         assert trials << m <= limit < (trials + 1) << m and trials <= cli.MAX_TRIALS
         runs = []
-        monkeypatch.setattr(cli, "check_singular_orders", lambda *args, **kwargs: runs.append(
-            args) or [CheckResult("extended c0 vanishes", args[0])])
+        # the trial count, read off the drawn cases at M = 0, and the seed or
+        # the moves per walk
+        monkeypatch.setattr(cli, checks, lambda *args, **kwargs: runs.append(
+            (args[0] if m else sum(1 for _ in args[0]), args[1]))
+            or [CheckResult("extended c0 vanishes", trials)])
         assert main(["verify", "--random", f"4,{c},{m}", "--trials", str(trials)]) == 0
-        assert runs == [(trials, 0)]
+        assert runs == [(trials, 0 if m else cli.DEFAULT_MOVES)]
         capsys.readouterr()
-        monkeypatch.setattr(cli, "check_singular_orders", lambda *args, **kwargs: pytest.fail(
-            "singular checks ran above the budget"))
+        monkeypatch.setattr(cli, checks, lambda *args, **kwargs: pytest.fail(
+            "checks ran above the budget"))
         assert main(["verify", "--random", f"4,{c},{m}", "--trials", str(trials + 1)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

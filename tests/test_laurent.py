@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 from array import array
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb, prod
 
 import pytest
@@ -1217,13 +1217,6 @@ def test_leibniz_matches_the_oracles(m):
         assert len(packed) == 2 and min(packed) >= laurent._PACK_PAIRS
 
 
-def matched_terms(rows):
-    """The terms of the entries on the perfect matchings of a residual's rows."""
-    on = {(i, j) for p in permutations(range(len(rows)))
-          if all(j in row for j, row in zip(p, rows)) for i, j in enumerate(p)}
-    return sum(len(rows[i][j]) for i, j in on)
-
-
 def residual_terms(rows):
     """The terms of all entries of a residual's rows, which route side 3."""
     return sum(len(t) for row in rows for t in row.values())
@@ -1231,17 +1224,24 @@ def residual_terms(rows):
 
 def test_det_takes_both_residual_paths():
     # sides 0 to 2, and side 3 up to _LEIBNIZ_TERMS terms, close by the
-    # Leibniz formula; a larger side 3 and sides 4 and 5 pack unless the
-    # entries on their perfect matchings have more than _PACK_TERMS terms;
-    # every other side, and a declined residual, goes to Bareiss
+    # Leibniz formula; every other side 3 to 5 packs unless its box is sparse;
+    # side 6 and up, and a declined residual, go to Bareiss
     rng = random.Random(12)
     mats = [mixed_matrix(rng, n) for n in range(1, 13) for _ in range(3)]
     mats += [PolyMatrix.from_rows([[residual_entry(rng, True) for _ in range(n)] for _ in range(n)])
              for n in range(1, 7) for _ in range(2)]
-    # side 4 and 5 past the ceiling: entries of 48 terms in a 6 x 8 box
+    # sides 4 and 5 with entries of 48 terms in a 6 x 8 box
     mats += [PolyMatrix.from_rows([[LaurentPoly2({(k % 6, k // 6): rng.choice((1, -1, 2))
                                                   for k in range(48)}) for _ in range(n)]
                                    for _ in range(n)]) for n in (4, 5)]
+    # side 4 with entries of 2 terms spread over 2^28 exponents: a packed
+    # residual would need about 2^60 slots, so packing declines, while the
+    # rows' y-reaches sum to less than 2^30, so det takes it
+    sparse = PolyMatrix.from_rows([[LaurentPoly2({(rng.randrange(2**28), rng.randrange(2**28)):
+                                                  rng.choice((1, -1)) for _ in range(2)})
+                                    for _ in range(4)] for _ in range(4)])
+    assert all(e.term_count() == 2 for row in sparse.entries for e in row.values())
+    mats.append(sparse)
     expect = [det_cofactor(m) for m in mats]
     packed, bareiss, leibniz = laurent._det_packed, laurent._bareiss, laurent._leibniz
     runs = []
@@ -1251,35 +1251,40 @@ def test_det_takes_both_residual_paths():
         def spy_packed(rows):
             assert len(rows) > 3 or residual_terms(rows) > laurent._LEIBNIZ_TERMS
             out = packed(rows)
-            paths.append(("packed" if out is not None else "declined", len(rows),
-                          matched_terms(rows) > laurent._PACK_TERMS))
+            paths[-1].append(("packed" if out is not None else "declined", len(rows), None))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(laurent, "_PACK_PAIRS", pairs)
             mp.setattr(laurent, "_det_packed", spy_packed)
             mp.setattr(laurent, "_bareiss",
-                       lambda rows: paths.append(("bareiss", len(rows), None)) or bareiss(rows))
+                       lambda rows: paths[-1].append(("bareiss", len(rows), None)) or bareiss(rows))
             mp.setattr(laurent, "_leibniz",
-                       lambda rows: paths.append(("leibniz", len(rows),
-                                                  residual_terms(rows))) or leibniz(rows))
-            assert [det(m) for m in mats] == expect
+                       lambda rows: paths[-1].append(("leibniz", len(rows),
+                                                      residual_terms(rows))) or leibniz(rows))
+            for m, e in zip(mats, expect):
+                paths.append([])
+                assert det(m) == e
         runs.append(paths)
     # the routing reads side 3's term count and no other entry size, and no
     # _PACK_PAIRS: the same paths at any value of it
     assert runs == [paths] * 3
+    # every matrix leaves at most one residual, closed once or declined first
+    assert all(len(p) <= 1 or len(p) == 2 and p[0][0] == "declined" for p in paths)
+    paths, sparse_paths = list(chain.from_iterable(paths[:-1])), paths[-1]
     assert all(n < 3 or terms <= laurent._LEIBNIZ_TERMS for p, n, terms in paths if p == "leibniz")
-    assert all(3 <= n <= 5 and past == (p == "declined")
-               for p, n, past in paths if p in ("packed", "declined"))
-    taken = [n for p, n, _ in paths if p == "bareiss"]
-    declined = [n for p, n, _ in paths if p == "declined"]
-    assert sorted(n for n in taken if 3 <= n <= 5) == sorted(declined)
-    # every path is taken, Bareiss for each reason: beyond side 5 and past the
-    # ceiling.  The dense matrices of side 1 to 3 hold no unit, so they are
-    # whole residuals: those of side 3 are past _LEIBNIZ_TERMS and pack
-    assert {(n, p) for p, n, _ in paths if n <= 3} >= {
-        (0, "leibniz"), (1, "leibniz"), (2, "leibniz"), (3, "leibniz"), (3, "packed")}
-    assert max(taken) > 5 and sorted(declined) == [4, 5]
+    # every residual of side 3 to 5 but the sparse one packs, the 48-term
+    # ones too, and only the sparse one reaches Bareiss below side 6
+    assert all(3 <= n <= 5 for p, n, _ in paths if p == "packed")
+    assert all(p != "declined" and (p != "bareiss" or n > 5) for p, n, _ in paths)
+    assert sparse_paths == [("declined", 4, None), ("bareiss", 4, None)]
+    # every path is taken.  The dense matrices of side 1 to 5 hold no unit, so
+    # they are whole residuals: those of side 3 are past _LEIBNIZ_TERMS and pack
+    assert {(n, p) for p, n, _ in paths if n <= 5} >= {
+        (0, "leibniz"), (1, "leibniz"), (2, "leibniz"), (3, "leibniz"),
+        (3, "packed"), (4, "packed"), (5, "packed")}
+    assert max(n for p, n, _ in paths if p == "bareiss") > 5
+    assert not expect[-1].is_zero()
 
 
 def test_z_renders_are_pinned():

@@ -610,6 +610,10 @@ FIXED_CODES = [
     # every window touching a double point is skipped
     "component: O1+ O2+ A5\ncomponent: U1+ O3+ B5\ncomponent: U2+ U3+\n"
     "component: U6- A7 O6- B7",
+    # an L+ site on crossings 6, 7, 4 each of whose windows has two candidate
+    # third crossings that pass `_Code._find`'s neighbour test, the site's
+    # tried second, so a matcher that stops after the first candidate misses it
+    "component: U2+ U7+ U4+ U11+ O11+ O6+ O7+ O2+ U6+ O4+",
 ]
 
 

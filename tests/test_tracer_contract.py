@@ -3,6 +3,7 @@ attributes by name; a name that moves breaks every traced benchmark run."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +54,21 @@ def test_every_private_definition_is_named():
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and n.name.startswith("_") and not n.name.endswith("__")}
     assert sorted(private - named) == []
+
+
+def test_docs_name_only_defined_private_names():
+    """Every single-underscore name that README.md or the package's own text
+    (docstrings and comments) puts in backticks is defined by the package,
+    so the docs cannot send a reader to a helper or constant that is gone."""
+    paths = sorted((ROOT / "src" / "vconway").glob("*.py"))
+    nodes = [n for path in paths for n in ast.walk(ast.parse(path.read_text()))]
+    defined = ({n.name for n in nodes
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+               | {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+               | {n.attr for n in nodes
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)})
+    named = {(path.name, name) for path in [ROOT / "README.md", *paths]
+             for span in re.findall(r"`([^`\n]+)`", path.read_text())
+             for name in re.findall(r"(?<!\w)_[A-Za-z0-9]\w*", span)}
+    assert len(named) >= 20
+    assert sorted((where, name) for where, name in named if name not in defined) == []
