@@ -57,7 +57,7 @@ LINK_SEARCH_BUDGET = 10000
 MAX_LINK_SEARCH_BUDGET = 100000
 
 # most `verify --trials`.  Whole process, 2-core shared machine, Python
-# 3.11.7: the default campaign took 0.9-1.0 s at 500 trials and 20 s at
+# 3.11.7: the default campaign took 0.9-1.7 s at 500 trials and 20-31 s at
 # 10,000; the ceiling does not weigh code size, so `verify --random`
 # trials also count against MAX_RESOLUTIONS, which caps `24,14,0` at 630
 # trials: 60 trials at seed 0 took 26-36 s, so about 5-6 minutes at the cap

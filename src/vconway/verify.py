@@ -1,56 +1,32 @@
 """Property campaigns: the theorem checklist run over random diagrams.
 
-Each property is written once, as a per-diagram predicate.  A check
-tallies its predicate over its own reproducible diagram stream, and
-`tally_diagram_checks` tallies the per-diagram ones over given inputs;
-failures are counted and a few counterexample codes kept for display.
-Run inside `invariants.mutated_blocks()`, every check sees a wrong
-crossing block (mutation testing): a correct harness must then find
-counterexamples.
+Each property is written once, as a per-diagram predicate, and each check
+once, as a row of `_ROWS`.  One loop, `_run_rows`, runs rows over a stream
+of draws: each draw is made once and every row that takes it runs on it,
+sharing its Z through the memo in `invariants`.  `run_campaign` runs every
+row over one stream, `tally_diagram_checks` the per-diagram rows over given
+inputs, and each `check_*` its own row over its own stream.  Inside
+`invariants.mutated_blocks()` every check sees a wrong crossing block
+(mutation testing): a correct harness must then find counterexamples.
 
-Also hosts the searches used by the CLI: exhaustive enumeration of
-small virtual knot codes for an orientation-sensitive c1, and a
-randomized search for a singular link where the twice-extended c1
-fails to vanish.
+Also hosts the searches used by the CLI: exhaustive enumeration of small
+virtual knot codes for an orientation-sensitive c1, and a randomized search
+for a singular link where the twice-extended c1 fails to vanish.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .diagram import (
-    Crossing,
-    Diagram,
-    Passage,
-    disjoint_union,
-    format_diagram,
-    mirror,
-    reverse,
-    set_sign,
-    smooth,
-)
-from .invariants import (
-    c0,
-    c0_via_tp,
-    c1,
-    kink_factor,
-    skein_terms,
-    vassiliev_eval,
-    order_one_defect,
-    z_normalized,
-    z_polynomial,
-)
+from .diagram import (Crossing, Diagram, Passage, disjoint_union, format_diagram, mirror,
+                      reverse, set_sign, smooth)
+from .invariants import (c0, c0_via_tp, c1, kink_factor, order_one_defect, skein_terms,
+                         vassiliev_eval, z_normalized, z_polynomial)
 from .laurent import eval_x1, expand_conway, substitute_y_inverse
-from .moves import (
-    GeneratorConfig,
-    KINK_TYPES,
-    MoveEvent,
-    apply,
-    random_diagram,
-    random_walk,
-)
+from .moves import GeneratorConfig, KINK_TYPES, MoveEvent, apply, random_diagram, random_walk
 
 MAX_SHOWN = 3
 
@@ -68,18 +44,9 @@ class CheckResult:
 
     __slots__ = ("name", "trials", "failures", "examples", "informational")
 
-    def __init__(self, name: str, trials: int, failures: int = 0,
-                 examples: list[str] | None = None, informational: bool = False) -> None:
-        self.name = name
-        self.trials = trials
-        self.failures = failures
-        self.examples = [] if examples is None else examples
-        self.informational = informational
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+    def __init__(self, name: str, trials: int, informational: bool = False) -> None:
+        self.name, self.trials, self.informational = name, trials, informational
+        self.failures, self.examples = 0, []
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
@@ -110,26 +77,23 @@ def _code(d: Diagram) -> str:
 
 
 def _stream(trials: int, seed: int, *, max_crossings: int = 8, max_components: int = 3,
-            components: int | None = None):
+            components: int | None = None, doubles: int = 0):
     """Reproducible mixed-size diagram stream."""
     rng = random.Random(seed)
     for _ in range(trials):
         k = rng.randint(0, max_crossings)
         c = components if components is not None else rng.randint(1, max_components)
-        yield random_diagram(GeneratorConfig(k, c, 0, seed=rng.randrange(1 << 30)))
+        yield random_diagram(GeneratorConfig(k, c, doubles, seed=rng.randrange(1 << 30)))
 
 
-def _tally(name: str, diagrams: Iterable, predicate, *args,
-           informational: bool = False) -> CheckResult:
-    """Sum `predicate(d, *args)` over the diagrams into one result."""
-    res = CheckResult(name, 0, informational=informational)
-    for d in diagrams:
-        res.add(predicate(d, *args))
-    return res
+def _walk_seeds(seed: int):
+    """The endless stream of walk seeds that goes with a seeded draw stream."""
+    rng = random.Random(seed ^ 0x5EED)
+    return iter(lambda: rng.randrange(1 << 30), None)
 
 
 # ---------------------------------------------------------------------------
-# per-diagram predicates; each check_* below states its property
+# per-diagram predicates; the row table below names each check
 
 
 def _move_invariance(d: Diagram, moves: int, walk_seed: int) -> Outcome:
@@ -223,66 +187,127 @@ def _vanishing(d: Diagram, v) -> Outcome:
     return 1, [] if v.is_zero() else [f"{_code(d)}: {v}"]
 
 
+class _Row(NamedTuple):
+    """One check.  The campaign gives it the draws it `fits`, trials *
+    fifths // 5 of them (at least one), or as many pairs if `pairs`.
+    `check(draw, walk, rng)` is its predicate, given the draw's walk
+    (moves, seed) and the row's own random.Random(seed + salt)."""
+
+    name: str
+    fits: Callable[[Diagram], bool]
+    fifths: int
+    check: Callable[..., Outcome]
+    salt: int = 0
+    pairs: bool = False
+    informational: bool = False
+
+
+def _at_most(crossings: float = math.inf, components: float = math.inf):
+    return lambda d: d.n_classical() <= crossings and len(d.components) <= components
+
+
+# Kinks, skein triples and crossing changes at every crossing take small
+# draws.  The predicates are looked up at call time, so a test can replace one.
+_ROWS = (
+    _Row("move invariance", _at_most(), 5, lambda d, w, r: _move_invariance(d, *w)),
+    _Row("kink factors", _at_most(6), 1, lambda d, w, r: _kink_factors(d, r)),
+    _Row("skein relation", _at_most(6), 2, lambda d, w, r: _skein(d)),
+    _Row("disjoint union", _at_most(4, 2), 1, lambda p, w, r: _disjoint_union(p), pairs=True),
+    _Row("c0 permutation form", _at_most(), 5, lambda d, w, r: _c0_permutation_form(d)),
+    _Row("c0 orientation invariance", _at_most(), 5, lambda d, w, r: _c0_orientation(d)),
+    _Row("c0 y-inversion symmetry", _at_most(), 5, lambda d, w, r: _c0_symmetry(d)),
+    _Row("c0 vanishes on knots", _at_most(components=1), 5, lambda d, w, r: _knot_vanishing(d)),
+    _Row("vassiliev orders", _at_most(6, 1), 2, lambda d, w, r: _vassiliev_orders(d, r), salt=13),
+    # c1(mirror(d)) = -c1(reverse(d)) is fuzzed, reported and never fails a
+    # campaign.  Its form over links is false (the negative virtual Hopf link
+    # breaks it), so it is scoped to knots.
+    _Row("c1 mirror/reverse conjecture (knots)", _at_most(6, 1), 2,
+         lambda d, w, r: _mirror_reverse(d), informational=True),
+)
+_ROW = {row.name: row for row in _ROWS}
+
+
+def _run_rows(rows, cases: Iterable[tuple[Diagram, int]], seed: int = 0,
+              moves: int = DEFAULT_MOVES, quotas=None) -> list[CheckResult]:
+    """One result per row over the (draw, walk seed) cases.  Each row runs on
+    every draw it fits until its quota is spent (without quotas, on every
+    draw); no draw is taken once all quotas are spent."""
+    results = [CheckResult(row.name, 0, informational=row.informational) for row in rows]
+    left = list(quotas or [math.inf] * len(rows))
+    rngs = [random.Random(seed + row.salt) for row in rows]
+    held: list = [None] * len(rows)  # a pairs row's draw waiting for its partner
+    for d, walk_seed in cases:
+        for i, row in enumerate(rows):
+            if not left[i] or not row.fits(d):
+                continue
+            if row.pairs and held[i] is None:
+                held[i] = d
+                continue
+            x, held[i] = ((held[i], d) if row.pairs else d), None
+            left[i] -= 1
+            results[i].add(row.check(x, (moves, walk_seed), rngs[i]))
+        if not any(left):
+            break
+    return results
+
+
+def _one(name: str, draws, seed: int = 0, moves: int = DEFAULT_MOVES) -> CheckResult:
+    """One row of the table over its own draws."""
+    return _run_rows([_ROW[name]], zip(draws, _walk_seeds(seed)), seed, moves)[0]
+
+
 def check_move_invariance(trials: int = 500, moves: int = DEFAULT_MOVES, seed: int = 0, *,
                           max_crossings: int = 8, max_components: int = 3) -> CheckResult:
     """Normalized Z is exactly equal across random move walks."""
-    walk_rng = random.Random(seed ^ 0x5EED)
-    diagrams = _stream(trials, seed, max_crossings=max_crossings, max_components=max_components)
-    return _tally("move invariance", diagrams, lambda d: _move_invariance(
-        d, moves, walk_rng.randrange(1 << 30)))
+    return _one("move invariance", _stream(trials, seed, max_crossings=max_crossings,
+                                           max_components=max_components), seed, moves)
 
 
 def check_kink_factors(trials: int = 100, seed: int = 0) -> CheckResult:
     """A single kink multiplies raw Z by exactly 1, x, x^-1 or 1 by type."""
-    return _tally("kink factors", _stream(trials, seed + 1, max_crossings=6),
-                  _kink_factors, random.Random(seed))
+    return _one("kink factors", _stream(trials, seed + 1, max_crossings=6), seed)
 
 
 def check_skein(trials: int = 200, seed: int = 0) -> CheckResult:
     """Z(D+) - x Z(D-) - (1-x) Z(D0) = 0 at every classical crossing."""
-    return _tally("skein relation", _stream(trials, seed, max_crossings=6), _skein)
+    return _one("skein relation", _stream(trials, seed, max_crossings=6))
 
 
 def check_disjoint_union(pairs: int = 100, seed: int = 0) -> CheckResult:
     left = _stream(pairs, seed, max_crossings=4, max_components=2)
     right = _stream(pairs, seed + 7, max_crossings=4, max_components=2)
-    return _tally("disjoint union", zip(left, right), _disjoint_union)
+    return _one("disjoint union", itertools.chain.from_iterable(zip(left, right)))
 
 
 def check_c0_permutation_form(trials: int = 500, seed: int = 0) -> CheckResult:
     """c0 from Z agrees with the companion-permutation determinant."""
-    return _tally("c0 permutation form", _stream(trials, seed), _c0_permutation_form)
+    return _one("c0 permutation form", _stream(trials, seed))
 
 
 def check_c0_orientation(trials: int = 500, seed: int = 0) -> CheckResult:
     """c0 does not see orientation reversal."""
-    return _tally("c0 orientation invariance", _stream(trials, seed), _c0_orientation)
+    return _one("c0 orientation invariance", _stream(trials, seed))
 
 
 def check_c0_symmetry(trials: int = 500, seed: int = 0) -> CheckResult:
     """c0(y^-1) = (-1)^components * c0(y)."""
-    return _tally("c0 y-inversion symmetry", _stream(trials, seed), _c0_symmetry)
+    return _one("c0 y-inversion symmetry", _stream(trials, seed))
 
 
 def check_knot_vanishing(trials: int = 500, seed: int = 0) -> CheckResult:
     """c0 = 0 on every one-component code."""
-    return _tally("c0 vanishes on knots", _stream(trials, seed, components=1), _knot_vanishing)
+    return _one("c0 vanishes on knots", _stream(trials, seed, components=1))
 
 
 def check_vassiliev_orders(trials: int = 200, seed: int = 0) -> CheckResult:
     """c0 is order zero everywhere; on knots c1 has the order-one structure."""
-    return _tally("vassiliev orders", _stream(trials, seed, max_crossings=6, components=1),
-                  _vassiliev_orders, random.Random(seed + 13))
+    return _one("vassiliev orders", _stream(trials, seed, max_crossings=6, components=1), seed)
 
 
 def check_mirror_reverse_conjecture(trials: int = 200, seed: int = 0) -> CheckResult:
-    """Fuzzed conjecture, reported but never failing a campaign:
-    c1(mirror(d)) = -c1(reverse(d)) on knot codes.  The general form over
-    links is false (the negative virtual Hopf link already breaks it), so
-    the fuzz is scoped to one-component codes."""
-    return _tally("c1 mirror/reverse conjecture (knots)",
-                  _stream(trials, seed, max_crossings=6, components=1),
-                  _mirror_reverse, informational=True)
+    """The informational c1 conjecture of `_ROWS` on knot codes."""
+    return _one("c1 mirror/reverse conjecture (knots)",
+                _stream(trials, seed, max_crossings=6, components=1))
 
 
 def check_singular_orders(trials: int = 100, seed: int = 0, *, classical: int = 4,
@@ -309,44 +334,32 @@ def check_singular_orders(trials: int = 100, seed: int = 0, *, classical: int = 
 
 
 def run_campaign(trials: int = 500, moves: int = DEFAULT_MOVES, seed: int = 0) -> list[CheckResult]:
-    """The full checklist at sizes scaled off one trial count; a check
-    that ran 0 trials is left out."""
-    t = trials
-    results = [
-        check_move_invariance(t, moves, seed),
-        check_kink_factors(max(t // 5, 1) if t else 0, seed + 1),
-        check_skein(max(t * 2 // 5, 1) if t else 0, seed + 2),
-        check_disjoint_union(max(t // 5, 1) if t else 0, seed + 3),
-        check_c0_permutation_form(t, seed + 4),
-        check_c0_orientation(t, seed + 5),
-        check_c0_symmetry(t, seed + 6),
-        check_knot_vanishing(t, seed + 7),
-        check_vassiliev_orders(max(t * 2 // 5, 1) if t else 0, seed + 8),
-        check_mirror_reverse_conjecture(max(t * 2 // 5, 1) if t else 0, seed + 9),
-    ]
+    """Every row of `_ROWS` over one stream, `_stream(trials, seed)`; a check
+    that ran 0 trials is left out.  Each draw is made once, and every row
+    that fits it and has quota left runs on it, so its Z is computed once
+    for all of them.  The quotas: every draw for move invariance and the c0
+    checks on links, trials knots for c0 on knots, trials // 5 pairs for the
+    disjoint union, and trials // 5 or 2 * trials // 5 small draws or knots
+    for the others.  A row still short of its quota, above all a knot row,
+    tops up from `_stream(trials, seed + 7, components=1)`, drawn only until
+    every quota is met.  Rows draw their own randomness off seed + 1."""
+    quotas = [max(trials * row.fifths // 5, 1) if trials else 0 for row in _ROWS]
+    draws = itertools.chain(_stream(trials, seed), _stream(trials, seed + 7, components=1))
+    results = _run_rows(_ROWS, zip(draws, _walk_seeds(seed)), seed + 1, moves, quotas)
     return [res for res in results if res.trials]
 
 
 def tally_diagram_checks(cases: Iterable[tuple[Diagram, int]],
                          moves: int = DEFAULT_MOVES) -> list[CheckResult]:
-    """The per-diagram checks summed over (diagram, walk seed) cases, in a
-    fixed order; a check that applied to no case is left out.  A diagram
-    with a crossing-free component has Z = 0, so only its walk is checked."""
-    results: dict[str, CheckResult] = {}
-    for d, walk_seed in cases:
-        results.setdefault("move invariance", CheckResult("move invariance", 0)).add(
-            _move_invariance(d, moves, walk_seed))
-        if d.has_empty_component():
-            continue
-        for name, outcome in (
-            ("skein relation", _skein(d)),
-            ("c0 permutation form", _c0_permutation_form(d)),
-            ("c0 orientation invariance", _c0_orientation(d)),
-            ("c0 y-inversion symmetry", _c0_symmetry(d)),
-            ("c0 vanishes on knots", _knot_vanishing(d)),
-        ):
-            results.setdefault(name, CheckResult(name, 0)).add(outcome)
-    return [res for res in results.values() if res.trials]
+    """The per-diagram rows summed over (diagram, walk seed) cases, in the
+    table's order, at every size; a check that applied to no case is left
+    out.  A diagram with a crossing-free component has Z = 0, so only its
+    walk is checked."""
+    rows = [_ROW["move invariance"]] + [
+        _ROW[name]._replace(fits=lambda d: not d.has_empty_component())
+        for name in ("skein relation", "c0 permutation form", "c0 orientation invariance",
+                     "c0 y-inversion symmetry", "c0 vanishes on knots")]
+    return [res for res in _run_rows(rows, cases, moves=moves) if res.trials]
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +392,7 @@ def _role_sequences(n: int):
 
 def _first_appearance_form(seq: tuple) -> tuple:
     names: dict[int, int] = {}
-    out = []
-    for cid, role in seq:
-        if cid not in names:
-            names[cid] = len(names) + 1
-        out.append((names[cid], role))
-    return tuple(out)
+    return tuple((names.setdefault(cid, len(names) + 1), role) for cid, role in seq)
 
 
 def _rotation_minimal(seq: tuple) -> bool:
@@ -398,9 +406,7 @@ def enumerate_virtual_knot_codes(max_crossings: int):
     classical crossings, one representative per rotation class."""
     yield Diagram(((),), {})
     for n in range(1, max_crossings + 1):
-        for seq in _role_sequences(n):
-            if not _rotation_minimal(seq):
-                continue
+        for seq in filter(_rotation_minimal, _role_sequences(n)):
             comp = tuple(Passage(cid, role) for cid, role in seq)
             for signs in itertools.product((1, -1), repeat=n):
                 table = {cid: Crossing(cid, "x", signs[cid - 1]) for cid in range(1, n + 1)}
@@ -412,27 +418,20 @@ def find_noninvertible_knot(max_crossings: int = 4, *, budget: int | None = None
 
     Returns (diagram, c1_forward, c1_backward, examined) or None when the
     enumeration (or budget) is exhausted."""
-    examined = 0
-    for d in enumerate_virtual_knot_codes(max_crossings):
-        if budget is not None and examined >= budget:
-            return None
-        examined += 1
-        a = c1(d)
-        b = c1(reverse(d))
+    codes = itertools.islice(enumerate_virtual_knot_codes(max_crossings), budget)
+    for examined, d in enumerate(codes, 1):
+        a, b = c1(d), c1(reverse(d))
         if a != b:
             return d, a, b, examined
     return None
 
 
-def find_c1_order_defect_link(max_classical: int = 6, trials: int = 10000,
-                              seed: int = 0):
+def find_c1_order_defect_link(max_classical: int = 6, trials: int = 10000, seed: int = 0):
     """Randomized search for a 2-double-point singular link whose twice
     extended c1 is nonzero, demonstrating that c1 is not order one on
     links.  Returns (diagram, value, trial_index) or None."""
-    rng = random.Random(seed)
-    for t in range(trials):
-        k = rng.randint(0, max_classical)
-        d = random_diagram(GeneratorConfig(k, 2, 2, seed=rng.randrange(1 << 30)))
+    links = _stream(trials, seed, max_crossings=max_classical, components=2, doubles=2)
+    for t, d in enumerate(links):
         v = expand_conway(vassiliev_eval(d)).coeff(1)
         if not v.is_zero():
             return d, v, t

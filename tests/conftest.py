@@ -2,7 +2,8 @@ import pytest
 
 from vconway import invariants
 from vconway.diagram import parse_diagram
-from vconway.laurent import ZERO
+from vconway.invariants import NEG_BLOCK, POS_BLOCK
+from vconway.laurent import ONE, X, X_INV, Y, ZERO
 
 
 def term_rows(m):
@@ -14,6 +15,15 @@ def term_rows(m):
 def dense(m):
     """The rows of a PolyMatrix, with ZERO in its empty cells."""
     return tuple(tuple(row.get(j, ZERO) for j in range(m.n)) for row in m.entries)
+
+
+def a_mutant():
+    """M+ with a = 1 - x + (1 - x)^2 y in place of 1 - x, and M- its exact
+    inverse.  M+ has determinant -x, so its inverse is [[0, -y/x], [-1/y, -a/x]]."""
+    a = ONE - X + (ONE - X) * (ONE - X) * Y
+    pos = ((a, POS_BLOCK[0][1]), POS_BLOCK[1])
+    neg = (NEG_BLOCK[0], (NEG_BLOCK[1][0], -a * X_INV))
+    return pos, neg
 
 
 @pytest.fixture(autouse=True)

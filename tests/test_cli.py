@@ -475,17 +475,19 @@ COMMANDS = [
     ("verify vhopf", 0, "a4c65ed21bdd96a136400ccdd07a5c804c654493afe76b53deb8ff20d302f3c2"),
     ("verify vhopf --format json", 0,
      "9ea60c3a67e23476ffb137a0c31270165250c88193602361da8ef491b90d1b32"),
-    ("verify --trials 5", 0, "5cc18e333e7e64a5fd4feb089aad7a19d6d196af7a0b756be63f65c62972bc04"),
+    # the default campaign, 500 trials: the first run a user makes
+    ("verify", 0, "8b75c4810a94807429fa43cd3e7a2ec7a568ababa78e2d15e921aad59f4987ce"),
+    ("verify --trials 5", 0, "056e72b25a30e8bc0f075b849ddf34a7cfe24fbd900308d2daffd58f1318d90c"),
     ("verify --trials 5 --seed 3", 0,
-     "c6cadc1c6a188338ea2b0221e6a8f772f1ac4a0f371f3211f964f11c0d58086e"),
+     "5cdeb094688cd057b380a7dea4824849e1f052c6a5059ce8d9d979fc3ed42ee6"),
     ("verify --trials 5 --seed 3 --format json", 0,
-     "42fe55a08b0c68ce2009a7a5b0a34d84815f6792f63bd1eaf3df2d58906f5fc6"),
+     "194040ca68c3c9fd9f70b270d12abebffb424305ae87b81ee9e111047485caff"),
     # every walk, check and counterexample of a 100-trial campaign
     ("verify --trials 100 --seed 9 --format json", 0,
-     "a894e9a7bfcff16f91f8a12e32d37549fe8c1c444221cb81cfbfad70717e803a"),
+     "515cbb69f17c763afa42ebf7aef4ad8d951f78c38b1d7921be18de0625356982"),
     # the benchmark campaign's two commands at full size
     ("verify --trials 100 --seed 1 --format json", 0,
-     "57b2b76d8bd8c41118996051baaed7bbdfe8848167a958d854f5e7862e6da037"),
+     "efd15bad03064f7275a47aefabc3f10248b02514d822eb3b209bbb68d7df5de1"),
     ("verify --random 4,1,2 --trials 50 --seed 1", 0,
      "f5bdc81e5ce208cade8b1e542941686d466ff729d97a50f1fc74fac67d7b9191"),
     ("verify --random 4,1,2 --trials 50 --seed 1 --format json", 0,
@@ -504,12 +506,12 @@ COMMANDS = [
     ("verify --random 0,3,1 --trials 5", 1,
      "b62eb690f4959fdc838b9550bbf93edf669fe645ad84568a84b768b400605683"),
     ("verify --trials 5 --mutate", 1,
-     "dd2b7f232c6c7f563441e2e8692d253ab1e3f3e01c7fffa00f81a327151677ac"),
+     "92a212ad6afea43d33d43d3db70faba8dc313ac5eda60d59aa0781908815da18"),
     ("verify --trials 5 --mutate --format json", 1,
-     "7f00b3432204a07d77628edb3d7f7f65d71b7c60c8bc48542d341c83830b4d24"),
+     "b70540966792eedd5b28218eb087d27674e6331fbe60f7f718fd124dc63f50cf"),
     # the wrong block must be caught through Z's arc matrix: exit 1, not 2 or a crash
     ("verify --mutate --trials 20", 1,
-     "8755bcc142988b50caf995e32c9e31a227a0e705fb54468de9363d8379ec5e8c"),
+     "8caf3f05314b85eb87c7a9bf15ad0b9d297ce2f46fe5f76701193957e0e68508"),
     # the benchmark campaign's second command with the wrong block, through the
     # closed-form residuals: the singular checks must catch it
     ("verify --random 4,1,2 --trials 20 --mutate", 1,

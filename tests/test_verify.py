@@ -1,20 +1,28 @@
+import contextlib
 import hashlib
+import json
 import random
 
 import pytest
 
+from conftest import a_mutant
 from vconway.diagram import format_diagram, parse_diagram, reverse
-from vconway import verify
+from vconway import invariants, verify
 from vconway.invariants import c1, mutated_blocks, vassiliev_eval
 from vconway.moves import GeneratorConfig, random_diagram
 from vconway.verify import (
     CheckResult,
+    check_c0_orientation,
+    check_c0_symmetry,
+    check_disjoint_union,
     check_kink_factors,
+    check_knot_vanishing,
     check_c0_permutation_form,
     check_mirror_reverse_conjecture,
     check_move_invariance,
     check_singular_orders,
     check_skein,
+    check_vassiliev_orders,
     enumerate_virtual_knot_codes,
     find_c1_order_defect_link,
     find_noninvertible_knot,
@@ -52,6 +60,81 @@ def test_mutated_block_is_caught():
     assert any(r.examples for r in failing)
     names = {r.name for r in failing}
     assert "skein relation" in names or "kink factors" in names
+
+
+@contextlib.contextmanager
+def _blocks(pos, neg):
+    """Z built from the blocks pos (M+) and neg (M-) inside the `with` body;
+    the memo is emptied on entry and on exit, as `mutated_blocks()` does."""
+    invariants._blocks = {1: pos, -1: neg}
+    invariants._z_memo.cache_clear()
+    try:
+        yield
+    finally:
+        invariants._blocks = invariants.DEFAULT_BLOCKS
+        invariants._z_memo.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_small_campaign_kills_both_block_mutants(seed):
+    # the checks through Z's arc matrix catch either wrong block; the negated
+    # M- also breaks c0, so the c0 and Vassiliev checks must catch it too
+    def failing(results):
+        return {r.name for r in results if not r.passed and not r.informational}
+
+    z_checks = {"kink factors", "move invariance", "skein relation"}
+    with mutated_blocks():
+        assert z_checks | {"c0 permutation form", "vassiliev orders"} <= failing(
+            run_campaign(20, 10, seed))
+    with _blocks(*a_mutant()):
+        assert z_checks <= failing(run_campaign(20, 10, seed))
+
+
+# The acceptance gate calls these nine checks.  SHA-256 of the JSON of
+# [[name, trials, failures, examples]] of each, with the right blocks and
+# then inside `mutated_blocks()`, where five of them find counterexamples.
+GATE_CHECKS = [
+    (check_move_invariance, (20, 10, 1),
+     "e5d5d0b85ed9d418afa31a812a4e576d705d44e1ba10ab545e7d86a2cdf553da"),
+    (check_kink_factors, (10, 2), "9764975b71ff7ed6a94ced23d8461bbc66850f6b381c752e59ad75f7267c648f"),
+    (check_skein, (20, 3), "0587bf7b92b10779c124a40968b81b71c4ee416cb5f0e0a6ad17c01d7b9c1969"),
+    (check_disjoint_union, (10, 4),
+     "0a1817a8cce358519c538fc3ea622ba31b52402d9258ecc1aaea53536a578cb1"),
+    (check_c0_permutation_form, (30, 5),
+     "e2ca43f40e3a047b2c5753430c2b01a6df105f5ca5d29ac0511b3d2df703c80e"),
+    (check_c0_orientation, (30, 6),
+     "921af802e52bfc1b3aded76284356195ee2339faa83182f5ad8ea5e17fece499"),
+    (check_c0_symmetry, (30, 7), "6863765ac1c4485fb9ae6c0a5bb01bcf041fe7ddf35d449d58178bd8c88f9d10"),
+    (check_knot_vanishing, (30, 8),
+     "4d79e059431c42b301f586ed70c6a7cd1fe29267a8b7ad24faf59a87a8bf6911"),
+    (check_vassiliev_orders, (15, 9),
+     "837f34896841e26d34eb3ce57bcd222723b5f540002e30ce3f049131a658a8dc"),
+]
+
+
+@pytest.mark.parametrize("check, args, digest", GATE_CHECKS,
+                         ids=[check.__name__ for check, _, _ in GATE_CHECKS])
+def test_gate_checks_are_pinned(check, args, digest):
+    results = []
+    for blocks in (contextlib.nullcontext(), mutated_blocks()):
+        invariants._z_memo.cache_clear()
+        with blocks:
+            r = check(*args)
+        results.append([r.name, r.trials, r.failures, r.examples])
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == digest
+
+
+def test_campaign_work_is_pinned(monkeypatch):
+    # one stream: each draw is made once, and its Z computed once for every
+    # check that takes it.  With one stream per check, this campaign made
+    # 680 draws and 1,197 determinants.
+    dets, draws = [], []
+    det_terms, random_diagram = invariants.det_terms, verify.random_diagram
+    monkeypatch.setattr(invariants, "det_terms", lambda rows: dets.append(1) or det_terms(rows))
+    monkeypatch.setattr(verify, "random_diagram",
+                        lambda cfg: draws.append(1) or random_diagram(cfg))
+    run_campaign(100, 50, seed=1)
+    assert (len(dets), len(draws)) == (785, 169)
 
 
 def test_individual_checks_pass():
